@@ -7,6 +7,7 @@ hidden state to a distribution over the vocabulary.
 """
 
 from dataclasses import dataclass, field
+import os
 import struct
 
 import numpy as np
@@ -108,9 +109,10 @@ def training_backward(params, caches, target, mask_padding=True):
     enc_caches, dec_caches, H, P = caches
     loss, d_logits = nn.cross_entropy(P, _rows(target), mask_padding)
     dW_h, db_h, dH = nn.dense_softmax_backward(params.head, H, d_logits)
-    dW_d, dU_d, db_d, _, dh0, dc0 = nn.lstm_backward(params.decoder, dec_caches, dH)
+    dW_d, dU_d, db_d, _, dh0, dc0 = nn.lstm_backward(params.decoder, dec_caches, dH,
+                                                     need_dX=False)
     dW_e, dU_e, db_e, _, _, _ = nn.lstm_backward(params.encoder, enc_caches,
-                                                 None, dh0, dc0)
+                                                 None, dh0, dc0, need_dX=False)
     grads = {"encoder.W": dW_e, "encoder.U": dU_e, "encoder.b": db_e,
              "decoder.W": dW_d, "decoder.U": dU_d, "decoder.b": db_d,
              "head.W": dW_h, "head.b": db_h}
@@ -216,41 +218,54 @@ _EXPECTED_SHAPES = {
 }
 
 
+def _read_record(fh, path, size):
+    data = fh.read(size)
+    if len(data) != size:
+        raise InputError(f"{path}: truncated tensor record")
+    return data
+
+
 def load_checkpoint(path):
-    """Read a checkpoint; returns (config, params, (m, v) or None)."""
+    """Read a checkpoint; returns (config, params, (m, v) or None).
+
+    Payloads are read straight into their arrays.  A malformed record, a
+    repeated tensor name or a non-finite value raises InputError.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 28:
-        raise InputError(f"{path}: truncated header ({len(blob)} bytes)")
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise InputError(f"{path}: bad magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise InputError(f"{path}: unsupported format version {version}")
-    cfg = ModelConfig(*struct.unpack_from("<5I", blob, 8))
-    offset = 28
-    tensors = {}
-    try:
-        while offset < len(blob):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            dims = struct.unpack_from(f"<{rank}I", blob, offset)
-            offset += 4 * rank
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(28)
+        if len(head) < 28:
+            raise InputError(f"{path}: truncated header ({len(head)} bytes)")
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise InputError(f"{path}: bad magic {head[:4]!r}")
+        (version,) = struct.unpack_from("<I", head, 4)
+        if version != CHECKPOINT_VERSION:
+            raise InputError(f"{path}: unsupported format version {version}")
+        cfg = ModelConfig(*struct.unpack_from("<5I", head, 8))
+        tensors = {}
+        while fh.tell() < size:
+            (name_len,) = struct.unpack("<H", _read_record(fh, path, 2))
+            raw_name = _read_record(fh, path, name_len)
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError:
+                raise InputError(f"{path}: tensor name at byte "
+                                 f"{fh.tell() - name_len} is not valid UTF-8") from None
+            if name in tensors:
+                raise InputError(f"{path}: duplicate tensor '{name}'")
+            (rank,) = struct.unpack("<B", _read_record(fh, path, 1))
+            dims = struct.unpack(f"<{rank}I", _read_record(fh, path, 4 * rank))
             count = 1
             for dim in dims:
                 count *= dim
-            end = offset + 4 * count
-            if end > len(blob):
+            if fh.tell() + 4 * count > size:
                 raise InputError(f"{path}: truncated payload for tensor '{name}'")
-            tensors[name] = np.frombuffer(blob, dtype="<f4", count=count,
-                                          offset=offset).reshape(dims).copy()
-            offset = end
-    except struct.error:
-        raise InputError(f"{path}: truncated tensor record") from None
+            arr = np.empty(dims, dtype="<f4")
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise InputError(f"{path}: truncated payload for tensor '{name}'")
+            if not np.isfinite(arr).all():
+                raise InputError(f"{path}: tensor '{name}' has non-finite values")
+            tensors[name] = arr
     missing = [n for n in TENSOR_ORDER if n not in tensors]
     if missing:
         raise InputError(f"{path}: missing tensors {missing}")

@@ -4,6 +4,12 @@ Contains the LSTM cell and sequence forward/backward passes, the
 softmax dense head, categorical cross-entropy, the Adam optimizer,
 parameter initializers, and a finite-difference gradient checker.
 
+The LSTM backward pass keeps only the recurrent work inside its time
+loop: each step's gate gradient is stacked as one row of a T x 4*hidden
+matrix dZ, and the weight gradients (and, on request, the input
+gradient) are one matrix product each over the whole sequence instead
+of T rank-1 updates.
+
 Everything is written for single sequences (no batch axis); the trainer
 loops over samples and averages gradients.  The training path runs in
 float32; build parameters with dtype=np.float64 for gradient checking.
@@ -182,36 +188,20 @@ def lstm_forward(p, X, h0=None, c0=None):
     return H, h, c, caches
 
 
-def _lstm_cell_backward(p, cache, dh, dc, dW, dU, db):
-    """Reverse one cell step; accumulates into dW/dU/db in place."""
-    x, h_prev, c_prev, i, f, g, o, c = cache
-    tc = np.tanh(c)
-    dc_total = dc + dh * o * (1.0 - tc * tc)
-    do = dh * tc
-    di = dc_total * g
-    df = dc_total * c_prev
-    dg = dc_total * i
-    dz = np.concatenate([
-        di * i * (1.0 - i),
-        df * f * (1.0 - f),
-        dg * (1.0 - g * g),
-        do * o * (1.0 - o),
-    ])
-    dW += np.outer(x, dz)
-    dU += np.outer(h_prev, dz)
-    db += dz
-    dx = p.W @ dz
-    dh_prev = p.U @ dz
-    dc_prev = dc_total * f
-    return dx, dh_prev, dc_prev
-
-
-def lstm_backward(p, caches, dH=None, dh_last=None, dc_last=None):
+def lstm_backward(p, caches, dH=None, dh_last=None, dc_last=None, need_dX=True):
     """Backpropagation through time over a cached forward pass.
 
     dH (T x hidden) holds the loss gradient w.r.t. every per-step hidden
     output; dh_last/dc_last the gradient w.r.t. the final state.  Any of
     them may be None (treated as zero).
+
+    The reverse time loop does only the recurrent work: it writes each
+    step's pre-activation gradient into row t of dZ (T x 4*hidden) and
+    carries dh_prev = U dz and dc_prev back one step.  The weight
+    gradients are then one GEMM each over the whole sequence,
+    dW = X^T dZ, dU = H_prev^T dZ and db = sum_t dZ[t], and
+    dX = dZ W^T likewise.  Pass need_dX=False when the input gradient
+    is not used; dX is then None and that GEMM is skipped.
 
     Returns (dW, dU, db, dX, dh0, dc0).
     """
@@ -222,18 +212,26 @@ def lstm_backward(p, caches, dH=None, dh_last=None, dc_last=None):
     dt = p.W.dtype
     if dH is not None and dH.shape != (T, hid):
         raise ValueError(f"dH has shape {dH.shape}, expected ({T}, {hid})")
-    dW = np.zeros_like(p.W)
-    dU = np.zeros_like(p.U)
-    db = np.zeros_like(p.b)
-    dX = np.empty((T, p.input_dim), dtype=dt)
+    dZ = np.empty((T, 4 * hid), dtype=dt)
     dh = np.zeros(hid, dtype=dt) if dh_last is None else dh_last.astype(dt, copy=True)
     dc = np.zeros(hid, dtype=dt) if dc_last is None else dc_last.astype(dt, copy=True)
     for t in reversed(range(T)):
+        _, _, c_prev, i, f, g, o, c = caches[t]
         if dH is not None:
             dh = dh + dH[t]
-        dx, dh, dc = _lstm_cell_backward(p, caches[t], dh, dc, dW, dU, db)
-        dX[t] = dx
-    return dW, dU, db, dX, dh, dc
+        tc = np.tanh(c)
+        dc = dc + dh * o * (1.0 - tc * tc)
+        dz = dZ[t]
+        dz[:hid] = dc * g * i * (1.0 - i)
+        dz[hid:2 * hid] = dc * c_prev * f * (1.0 - f)
+        dz[2 * hid:3 * hid] = dc * i * (1.0 - g * g)
+        dz[3 * hid:] = dh * tc * o * (1.0 - o)
+        dh = p.U @ dz
+        dc = dc * f
+    X = np.stack([cache[0] for cache in caches], dtype=dt)
+    H_prev = np.stack([cache[1] for cache in caches], dtype=dt)
+    dX = dZ @ p.W.T if need_dX else None
+    return X.T @ dZ, H_prev.T @ dZ, dZ.sum(axis=0), dX, dh, dc
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written in a different style from the
-library (scalar loops, Fraction arithmetic) so a shared bug is unlikely.
+library (scalar loops, Fraction arithmetic, per-timestep rank-1 updates)
+so a shared bug is unlikely.
 """
 
 from fractions import Fraction
 import math
+
+import numpy as np
 
 
 def sigmoid_scalar(x):
@@ -37,6 +40,38 @@ def lstm_cell_scalar(W, U, b, x, h_prev, c_prev):
         c[k] = gate_f * float(c_prev[k]) + gate_i * gate_g
         h[k] = gate_o * math.tanh(c[k])
     return h, c
+
+
+def lstm_backward_outer(W, U, caches, dH=None, dh_last=None, dc_last=None):
+    """Step-by-step BPTT: one rank-1 np.outer update per timestep.
+
+    caches are the per-step tuples (x, h_prev, c_prev, i, f, g, o, c)
+    that lstm_forward records.  Returns (dW, dU, db, dX, dh0, dc0).
+    """
+    hid = U.shape[0]
+    dW = np.zeros_like(W)
+    dU = np.zeros_like(U)
+    db = np.zeros(4 * hid, dtype=W.dtype)
+    dX = np.zeros((len(caches), W.shape[0]), dtype=W.dtype)
+    dh = np.zeros(hid) if dh_last is None else np.array(dh_last, dtype=float)
+    dc = np.zeros(hid) if dc_last is None else np.array(dc_last, dtype=float)
+    for t in range(len(caches) - 1, -1, -1):
+        x, h_prev, c_prev, i, f, g, o, c = caches[t]
+        if dH is not None:
+            dh = dh + dH[t]
+        tc = np.tanh(c)
+        dc_total = dc + dh * o * (1.0 - tc ** 2)
+        dz = np.concatenate([dc_total * g * i * (1.0 - i),
+                             dc_total * c_prev * f * (1.0 - f),
+                             dc_total * i * (1.0 - g ** 2),
+                             dh * tc * o * (1.0 - o)])
+        dW += np.outer(x, dz)
+        dU += np.outer(h_prev, dz)
+        db += dz
+        dX[t] = W @ dz
+        dh = U @ dz
+        dc = dc_total * f
+    return dW, dU, db, dX, dh, dc
 
 
 def _gram_list(tokens, n):

@@ -11,7 +11,8 @@ import pytest
 from vidcap import __version__
 from vidcap.cli import main
 from vidcap.features import write_feature_file
-from vidcap.model import ModelConfig, ModelParams, load_checkpoint
+from vidcap.model import (ModelConfig, ModelParams, load_checkpoint,
+                          save_checkpoint)
 from vidcap.tokenizer import Tokenizer
 
 MODEL_ARGS = ["--frames", "8", "--feature-dim", "16", "--latent", "8",
@@ -199,6 +200,31 @@ def test_caption_missing_checkpoint_exits_1(ws, tmp_path):
                          "--tokenizer", str(ws["tok"]),
                          "--features", str(ws["data"] / "feat" / "vid001.vfm"))
     assert code == 1
+
+
+def _corrupt_checkpoint(ws, tmp_path, kind):
+    path = tmp_path / f"{kind}.sq2s"
+    if kind == "name":
+        blob = bytearray(ws["ckpt"].read_bytes())
+        blob[30] = 0xFF  # first byte of the first tensor name
+        path.write_bytes(bytes(blob))
+    else:
+        cfg, params, _ = load_checkpoint(str(ws["ckpt"]))
+        params.encoder.W[0, 0] = np.nan
+        save_checkpoint(str(path), cfg, params)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["name", "nan"])
+def test_caption_corrupt_checkpoint_exits_2(ws, tmp_path, kind):
+    code, out, err = run_cli("caption", "--checkpoint",
+                             str(_corrupt_checkpoint(ws, tmp_path, kind)),
+                             "--tokenizer", str(ws["tok"]),
+                             "--features", str(ws["data"] / "feat" / "vid001.vfm"))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert ("not valid UTF-8" if kind == "name" else "'encoder.W' has non-finite") in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Model assembly tests: counts, training pass, inference, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from vidcap import nn
 from vidcap.model import (CHECKPOINT_MAGIC, DecodeState, ModelConfig,
-                          ModelParams, _params_from_tensors, decode_step,
+                          ModelParams, TENSOR_ORDER, _params_from_tensors,
+                          _write_tensor, decode_step,
                           encode_video, greedy_decode, load_checkpoint,
                           param_count, save_checkpoint, training_backward,
                           training_forward)
@@ -326,6 +329,59 @@ def test_checkpoint_config_tensor_mismatch(tmp_path):
     blob[16] = TOY.latent + 1  # config latent no longer matches payloads
     path.write_bytes(bytes(blob))
     with pytest.raises(InputError, match="shape"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_tensor_name_not_utf8(tmp_path):
+    params = ModelParams.init(TOY, seed=16)
+    path = tmp_path / "model.sq2s"
+    save_checkpoint(path, TOY, params)
+    blob = bytearray(path.read_bytes())
+    blob[30] = 0xFF  # first byte of the first tensor name
+    path.write_bytes(bytes(blob))
+    with pytest.raises(InputError, match="byte 30 is not valid UTF-8"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_duplicate_tensor(tmp_path):
+    params = ModelParams.init(TOY, seed=17)
+    path = tmp_path / "model.sq2s"
+    save_checkpoint(path, TOY, params)
+    with open(path, "ab") as fh:
+        _write_tensor(fh, "head.b", params.head.b)
+    with pytest.raises(InputError, match="duplicate tensor 'head.b'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", TENSOR_ORDER)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_nonfinite_weights(tmp_path, name, bad):
+    params = ModelParams.init(TOY, seed=18)
+    params.tensors()[name].reshape(-1)[-1] = bad
+    path = tmp_path / "model.sq2s"
+    save_checkpoint(path, TOY, params)
+    with pytest.raises(InputError, match=f"tensor '{name}' has non-finite"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_nonfinite_adam_moment(tmp_path):
+    params = ModelParams.init(TOY, seed=19)
+    state = nn.AdamState()
+    tensors = params.tensors()
+    nn.adam_step(state, tensors, {k: np.ones_like(v) for k, v in tensors.items()})
+    state.v["decoder.U"][0, 0] = np.nan
+    path = tmp_path / "model.sq2s"
+    save_checkpoint(path, TOY, params, adam=state)
+    with pytest.raises(InputError, match="tensor 'v.decoder.U' has non-finite"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_oversized_dims_rejected_before_allocation(tmp_path):
+    path = tmp_path / "model.sq2s"
+    save_checkpoint(path, TOY, ModelParams.init(TOY, seed=20))
+    with open(path, "ab") as fh:
+        fh.write(struct.pack("<H", 1) + b"x" + struct.pack("<B3I", 3, *[2**31] * 3))
+    with pytest.raises(InputError, match="truncated payload for tensor 'x'"):
         load_checkpoint(path)
 
 

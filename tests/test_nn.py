@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vidcap import nn
-from oracles import lstm_cell_scalar
+from oracles import lstm_backward_outer, lstm_cell_scalar
 
 
 def random_lstm(rng, in_dim, hid, dtype=np.float64, scale=0.5):
@@ -157,6 +157,53 @@ def test_backward_duplicated_batch_doubles_grads():
     two = [a + b for a, b in zip(nn.lstm_backward(p, caches, R), one)]
     for g1, g2 in zip(one, two):
         assert np.array_equal(2.0 * g1, g2)
+
+
+# (T, input_dim, hidden, dH, dh_last, dc_last): single steps, single units
+# and every on/off combination of the three upstream gradients
+BACKWARD_CASES = [
+    (1, 3, 2, True, True, True),
+    (1, 1, 1, False, True, False),
+    (5, 4, 1, True, False, False),
+    (1, 6, 3, False, False, True),
+    (7, 2, 5, True, True, False),
+    (4, 5, 3, False, True, True),
+    (6, 3, 4, True, False, True),
+    (3, 8, 2, False, False, False),
+    (12, 9, 6, True, True, True),
+]
+
+
+def _backward_case(seed, T, in_dim, hid, with_dH, with_dh, with_dc):
+    rng = np.random.default_rng(seed)
+    p = random_lstm(rng, in_dim, hid)
+    _, _, _, caches = nn.lstm_forward(p, rng.standard_normal((T, in_dim)),
+                                      rng.standard_normal(hid),
+                                      rng.standard_normal(hid))
+    dH = rng.standard_normal((T, hid)) if with_dH else None
+    dh_last = rng.standard_normal(hid) if with_dh else None
+    dc_last = rng.standard_normal(hid) if with_dc else None
+    return p, caches, dH, dh_last, dc_last
+
+
+@pytest.mark.parametrize("case", range(len(BACKWARD_CASES)))
+def test_backward_matches_outer_product_oracle(case):
+    p, caches, dH, dh_last, dc_last = _backward_case(case, *BACKWARD_CASES[case])
+    got = nn.lstm_backward(p, caches, dH, dh_last, dc_last)
+    want = lstm_backward_outer(p.W, p.U, caches, dH, dh_last, dc_last)
+    for name, g, w in zip(("dW", "dU", "db", "dX", "dh0", "dc0"), got, want):
+        assert g.shape == w.shape and g.dtype == np.float64, name
+        assert np.max(np.abs(g - w)) < 1e-12, name
+
+
+@pytest.mark.parametrize("case", range(len(BACKWARD_CASES)))
+def test_backward_without_dX_is_bitwise_identical(case):
+    p, caches, dH, dh_last, dc_last = _backward_case(case, *BACKWARD_CASES[case])
+    full = nn.lstm_backward(p, caches, dH, dh_last, dc_last)
+    lean = nn.lstm_backward(p, caches, dH, dh_last, dc_last, need_dX=False)
+    assert lean[3] is None
+    for k in (0, 1, 2, 4, 5):
+        assert np.array_equal(full[k], lean[k])
 
 
 # ---------------------------------------------------------------------------
