@@ -4,6 +4,11 @@ The encoder LSTM consumes a frames x feature_dim matrix; its final
 hidden and cell state initialize the decoder LSTM, which consumes
 one-hot token rows.  A shared dense softmax head maps every decoder
 hidden state to a distribution over the vocabulary.
+
+Training feeds the decoder one-hot rows and lets nn.lstm_forward
+project them with one GEMM.  Inference feeds one token at a time, and
+decode_step gathers row token_index - 1 of decoder.W in place of the
+V-wide one-hot product, which it equals exactly.
 """
 
 from dataclasses import dataclass, field
@@ -137,9 +142,9 @@ def decode_step(params, state, token_index):
     V = params.decoder.input_dim
     if not 1 <= token_index <= V:
         raise InputError(f"token index {token_index} outside [1, {V}]")
-    x = np.zeros(V, dtype=params.decoder.W.dtype)
-    x[token_index - 1] = 1.0
-    h, c, _ = nn.lstm_cell_forward(params.decoder, x, state.h, state.c)
+    # a one-hot row times decoder.W is exactly row token_index - 1
+    xw = params.decoder.W[token_index - 1]
+    h, c, _ = nn.lstm_cell_forward(params.decoder, xw, state.h, state.c)
     logits = h @ params.head.W + params.head.b
     probs = nn.softmax_rows(logits[None, :])[0]
     return probs, DecodeState(h, c, list(state.emitted))
@@ -188,7 +193,9 @@ def save_checkpoint(path, cfg, params, adam=None):
     """Serialize config and parameters, optionally with Adam moments.
 
     Tensors are written as float32 in a fixed order, so identical
-    training runs produce byte-identical files.
+    training runs produce byte-identical files.  The bytes go to
+    <path>.tmp in the same directory, which then replaces path in one
+    step: a failed save leaves any previous file at path untouched.
     """
     tensors = dict(params.tensors())
     if adam is not None:
@@ -197,13 +204,20 @@ def save_checkpoint(path, cfg, params, adam=None):
                 if name not in table:
                     raise InputError(f"optimizer state is missing tensor '{name}'")
                 tensors[f"{prefix}.{name}"] = table[name]
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<5I", cfg.frames, cfg.feature_dim, cfg.latent,
-                             cfg.max_words, cfg.vocab))
-        for name, arr in tensors.items():
-            _write_tensor(fh, name, arr)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<5I", cfg.frames, cfg.feature_dim, cfg.latent,
+                                 cfg.max_words, cfg.vocab))
+            for name, arr in tensors.items():
+                _write_tensor(fh, name, arr)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 _EXPECTED_SHAPES = {
@@ -218,6 +232,10 @@ _EXPECTED_SHAPES = {
 }
 
 
+_KNOWN_TENSORS = frozenset(TENSOR_ORDER).union(
+    f"{prefix}.{name}" for prefix in "mv" for name in TENSOR_ORDER)
+
+
 def _read_record(fh, path, size):
     data = fh.read(size)
     if len(data) != size:
@@ -229,7 +247,8 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (config, params, (m, v) or None).
 
     Payloads are read straight into their arrays.  A malformed record, a
-    repeated tensor name or a non-finite value raises InputError.
+    repeated or unknown tensor name (anything but TENSOR_ORDER and its
+    m./v. Adam mirrors) or a non-finite value raises InputError.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -260,6 +279,8 @@ def load_checkpoint(path):
                 count *= dim
             if fh.tell() + 4 * count > size:
                 raise InputError(f"{path}: truncated payload for tensor '{name}'")
+            if name not in _KNOWN_TENSORS:
+                raise InputError(f"{path}: unknown tensor '{name}'")
             arr = np.empty(dims, dtype="<f4")
             if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
                 raise InputError(f"{path}: truncated payload for tensor '{name}'")

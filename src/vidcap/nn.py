@@ -4,11 +4,13 @@ Contains the LSTM cell and sequence forward/backward passes, the
 softmax dense head, categorical cross-entropy, the Adam optimizer,
 parameter initializers, and a finite-difference gradient checker.
 
-The LSTM backward pass keeps only the recurrent work inside its time
-loop: each step's gate gradient is stacked as one row of a T x 4*hidden
-matrix dZ, and the weight gradients (and, on request, the input
-gradient) are one matrix product each over the whole sequence instead
-of T rank-1 updates.
+Both LSTM passes keep only the recurrent work inside their time loops.
+The forward pass projects the whole input sequence with one GEMM,
+XW = X W (T x 4*hidden), and the cell consumes one projected row per
+step.  The backward pass stacks each step's gate gradient as one row of
+a T x 4*hidden matrix dZ, and the weight gradients (and, on request,
+the input gradient) are one matrix product each over the whole
+sequence instead of T rank-1 updates.
 
 Everything is written for single sequences (no batch axis); the trainer
 loops over samples and averages gradients.  The training path runs in
@@ -139,37 +141,43 @@ def init_dense_params(rng, hidden, out_dim, dtype=np.float32):
 # LSTM forward / backward
 # ---------------------------------------------------------------------------
 
-def lstm_cell_forward(p, x, h_prev, c_prev):
-    """One LSTM step on a single timestep vector.
+def lstm_cell_forward(p, xw, h_prev, c_prev):
+    """One LSTM step on a projected input row.
 
-    Computes [zi zf zg zo] = x W + h_prev U + b, then
+    xw is the timestep's input already multiplied by the input kernel,
+    x W (shape 4*hidden); the cell adds the recurrent term and the bias,
+    [zi zf zg zo] = xw + h_prev U + b, then
     i = sigmoid(zi), f = sigmoid(zf), g = tanh(zg), o = sigmoid(zo),
     c = f * c_prev + i * g, h = o * tanh(c).
 
-    Returns (h, c, cache); the cache carries everything the exact
-    backward pass needs.
+    Returns (h, c, cache) with cache = (h_prev, c_prev, i, f, g, o, c);
+    lstm_forward prepends the raw input x to it for the backward pass.
     """
     hid = p.hidden
-    if x.shape != (p.input_dim,):
-        raise ValueError(f"input has shape {x.shape}, expected ({p.input_dim},)")
+    if xw.shape != (4 * hid,):
+        raise ValueError(f"projected input has shape {xw.shape}, expected ({4 * hid},)")
     if h_prev.shape != (hid,) or c_prev.shape != (hid,):
         raise ValueError(f"state has shape {h_prev.shape}/{c_prev.shape}, expected ({hid},)")
-    z = x @ p.W + h_prev @ p.U + p.b
+    z = xw + h_prev @ p.U + p.b
     i = sigmoid(z[:hid])
     f = sigmoid(z[hid:2 * hid])
     g = np.tanh(z[2 * hid:3 * hid])
     o = sigmoid(z[3 * hid:])
     c = f * c_prev + i * g
     h = o * np.tanh(c)
-    cache = (x, h_prev, c_prev, i, f, g, o, c)
-    return h, c, cache
+    return h, c, (h_prev, c_prev, i, f, g, o, c)
 
 
 def lstm_forward(p, X, h0=None, c0=None):
     """Run the cell over all rows of X (shape T x input_dim), T >= 1.
 
+    The input projection is hoisted out of the time loop: XW = X W is
+    one T x input_dim x 4*hidden GEMM per sequence, and the loop chains
+    lstm_cell_forward over the rows of XW, doing only the recurrent work.
+
     Returns (H, h_T, c_T, caches) where H[t] is the hidden state after
-    consuming X[t] and (h_T, c_T) is the final state.
+    consuming X[t], (h_T, c_T) is the final state and caches[t] is
+    (X[t], h_prev, c_prev, i, f, g, o, c), the layout lstm_backward reads.
     """
     if X.ndim != 2 or X.shape[1] != p.input_dim:
         raise ValueError(f"sequence has shape {X.shape}, expected (T, {p.input_dim})")
@@ -180,11 +188,12 @@ def lstm_forward(p, X, h0=None, c0=None):
     h = h0 if h0 is not None else np.zeros(p.hidden, dtype=dt)
     c = c0 if c0 is not None else np.zeros(p.hidden, dtype=dt)
     H = np.empty((T, p.hidden), dtype=dt)
+    XW = X @ p.W
     caches = []
     for t in range(T):
-        h, c, cache = lstm_cell_forward(p, X[t], h, c)
+        h, c, cache = lstm_cell_forward(p, XW[t], h, c)
         H[t] = h
-        caches.append(cache)
+        caches.append((X[t],) + cache)
     return H, h, c, caches
 
 

@@ -11,8 +11,8 @@ import pytest
 from vidcap import __version__
 from vidcap.cli import main
 from vidcap.features import write_feature_file
-from vidcap.model import (ModelConfig, ModelParams, load_checkpoint,
-                          save_checkpoint)
+from vidcap.model import (ModelConfig, ModelParams, _write_tensor,
+                          load_checkpoint, save_checkpoint)
 from vidcap.tokenizer import Tokenizer
 
 MODEL_ARGS = ["--frames", "8", "--feature-dim", "16", "--latent", "8",
@@ -225,6 +225,21 @@ def test_caption_corrupt_checkpoint_exits_2(ws, tmp_path, kind):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert ("not valid UTF-8" if kind == "name" else "'encoder.W' has non-finite") in err
+
+
+def test_caption_unknown_tensor_checkpoint_exits_2(ws, tmp_path):
+    path = tmp_path / "unknown.sq2s"
+    path.write_bytes(ws["ckpt"].read_bytes())
+    _, params, _ = load_checkpoint(str(ws["ckpt"]))
+    with open(path, "ab") as fh:
+        _write_tensor(fh, "encoder.Wx", params.encoder.W)
+    code, out, err = run_cli("caption", "--checkpoint", str(path),
+                             "--tokenizer", str(ws["tok"]),
+                             "--features", str(ws["data"] / "feat" / "vid001.vfm"))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "unknown tensor 'encoder.Wx'" in err
 
 
 # ---------------------------------------------------------------------------

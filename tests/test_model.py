@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from vidcap import nn
+from vidcap import model, nn
 from vidcap.model import (CHECKPOINT_MAGIC, DecodeState, ModelConfig,
                           ModelParams, TENSOR_ORDER, _params_from_tensors,
                           _write_tensor, decode_step,
@@ -204,6 +204,25 @@ def test_decode_steps_match_teacher_forced_rows():
         assert np.max(np.abs(probs - P[t])) < 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_decode_step_row_gather_equals_one_hot_product(dtype):
+    params = ModelParams.init(TOY, seed=13, dtype=dtype)
+    rng = np.random.default_rng(13)
+    state = DecodeState(rng.standard_normal(TOY.latent).astype(dtype),
+                        rng.standard_normal(TOY.latent).astype(dtype))
+    for k in range(1, TOY.vocab + 1):
+        onehot = np.zeros(TOY.vocab, dtype=dtype)
+        onehot[k - 1] = 1.0
+        h, c, _ = nn.lstm_cell_forward(params.decoder, onehot @ params.decoder.W,
+                                       state.h, state.c)
+        logits = h @ params.head.W + params.head.b
+        probs = nn.softmax_rows(logits[None, :])[0]
+        got_probs, got = decode_step(params, state, k)
+        assert got_probs.dtype == dtype
+        assert np.array_equal(got_probs, probs)
+        assert np.array_equal(got.h, h) and np.array_equal(got.c, c)
+
+
 def _rigged(col, value=50.0):
     params = ModelParams.init(TOY, seed=8)
     for t in params.tensors().values():
@@ -351,6 +370,37 @@ def test_checkpoint_duplicate_tensor(tmp_path):
         _write_tensor(fh, "head.b", params.head.b)
     with pytest.raises(InputError, match="duplicate tensor 'head.b'"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["encoder.Wx", "m.head", "x"])
+def test_checkpoint_unknown_tensor(tmp_path, name):
+    params = ModelParams.init(TOY, seed=17)
+    path = tmp_path / "model.sq2s"
+    save_checkpoint(path, TOY, params)
+    with open(path, "ab") as fh:
+        _write_tensor(fh, name, params.encoder.W)
+    with pytest.raises(InputError, match=f"unknown tensor '{name}'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "model.sq2s"
+    save_checkpoint(path, TOY, ModelParams.init(TOY, seed=21))
+    before = path.read_bytes()
+    written = []
+
+    def failing_write(fh, name, arr):
+        if written:
+            raise OSError("disk full")
+        written.append(name)
+        _write_tensor(fh, name, arr)
+
+    monkeypatch.setattr(model, "_write_tensor", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, TOY, ModelParams.init(TOY, seed=22))
+    assert written == ["encoder.W"]
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.sq2s"]
 
 
 @pytest.mark.parametrize("name", TENSOR_ORDER)

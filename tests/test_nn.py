@@ -24,10 +24,10 @@ def random_lstm(rng, in_dim, hid, dtype=np.float64, scale=0.5):
 
 def test_cell_zero_params_zero_state():
     p = nn.LstmParams(np.zeros((3, 8)), np.zeros((2, 8)), np.zeros(8))
-    h, c, cache = nn.lstm_cell_forward(p, np.zeros(3), np.zeros(2), np.zeros(2))
+    h, c, cache = nn.lstm_cell_forward(p, np.zeros(3) @ p.W, np.zeros(2), np.zeros(2))
     assert np.array_equal(h, np.zeros(2))
     assert np.array_equal(c, np.zeros(2))
-    _, _, _, i, f, g, o, _ = cache
+    _, _, i, f, g, o, _ = cache
     assert np.allclose(i, 0.5) and np.allclose(f, 0.5) and np.allclose(o, 0.5)
     assert np.array_equal(g, np.zeros(2))
 
@@ -36,7 +36,7 @@ def test_cell_saturated_gates_reach_tanh_one():
     # f and o biases at +50 saturate their sigmoids; i at 0 stays 0.5, g = 0
     p = nn.LstmParams(np.zeros((2, 4)), np.zeros((1, 4)),
                       np.array([0.0, 50.0, 0.0, 50.0]))
-    h, c, _ = nn.lstm_cell_forward(p, np.array([3.0, -1.0]), np.zeros(1),
+    h, c, _ = nn.lstm_cell_forward(p, np.array([3.0, -1.0]) @ p.W, np.zeros(1),
                                    np.ones(1))
     assert abs(c[0] - 1.0) < 1e-6
     assert abs(h[0] - 0.7615941559557649) < 1e-6
@@ -49,7 +49,7 @@ def test_cell_matches_scalar_oracle(seed):
     x = rng.standard_normal(3)
     h0 = rng.standard_normal(2)
     c0 = rng.standard_normal(2)
-    h, c, _ = nn.lstm_cell_forward(p, x, h0, c0)
+    h, c, _ = nn.lstm_cell_forward(p, x @ p.W, h0, c0)
     h_ref, c_ref = lstm_cell_scalar(p.W, p.U, p.b, x, h0, c0)
     assert np.max(np.abs(h - np.array(h_ref))) < 1e-12
     assert np.max(np.abs(c - np.array(c_ref))) < 1e-12
@@ -58,9 +58,9 @@ def test_cell_matches_scalar_oracle(seed):
 def test_cell_dimension_errors():
     p = nn.LstmParams(np.zeros((3, 8)), np.zeros((2, 8)), np.zeros(8))
     with pytest.raises(ValueError):
-        nn.lstm_cell_forward(p, np.zeros(4), np.zeros(2), np.zeros(2))
+        nn.lstm_cell_forward(p, np.zeros(7), np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
-        nn.lstm_cell_forward(p, np.zeros(3), np.zeros(3), np.zeros(2))
+        nn.lstm_cell_forward(p, np.zeros(8), np.zeros(3), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ def test_forward_single_step_equals_cell():
     p = random_lstm(rng, 3, 2)
     X = rng.standard_normal((1, 3))
     H, hT, cT, _ = nn.lstm_forward(p, X)
-    h, c, _ = nn.lstm_cell_forward(p, X[0], np.zeros(2), np.zeros(2))
+    h, c, _ = nn.lstm_cell_forward(p, (X @ p.W)[0], np.zeros(2), np.zeros(2))
     assert np.array_equal(H[0], h) and np.array_equal(hT, h)
     assert np.array_equal(cT, c)
 
@@ -82,12 +82,44 @@ def test_forward_equals_chained_cells():
     p = random_lstm(rng, 3, 2)
     X = rng.standard_normal((4, 3))
     H, hT, cT, _ = nn.lstm_forward(p, X)
+    XW = X @ p.W
     h = np.zeros(2)
     c = np.zeros(2)
     for t in range(4):
-        h, c, _ = nn.lstm_cell_forward(p, X[t], h, c)
+        h, c, _ = nn.lstm_cell_forward(p, XW[t], h, c)
         assert np.array_equal(H[t], h)
     assert np.array_equal(hT, h) and np.array_equal(cT, c)
+
+
+# (T, input_dim, hidden): single steps, single units, and input_dim both
+# below and above the projected width 4*hidden
+FORWARD_CASES = [
+    (1, 3, 2),
+    (1, 1, 1),
+    (6, 2, 1),
+    (5, 3, 4),
+    (4, 9, 2),
+    (1, 12, 3),
+    (9, 40, 5),
+    (3, 5, 6),
+]
+
+
+@pytest.mark.parametrize("case", range(len(FORWARD_CASES)))
+def test_forward_matches_chained_scalar_oracle(case):
+    T, in_dim, hid = FORWARD_CASES[case]
+    rng = np.random.default_rng(100 + case)
+    p = random_lstm(rng, in_dim, hid)
+    X = rng.standard_normal((T, in_dim))
+    h0 = rng.standard_normal(hid)
+    c0 = rng.standard_normal(hid)
+    H, hT, cT, _ = nn.lstm_forward(p, X, h0, c0)
+    h, c = h0, c0
+    for t in range(T):
+        h, c = lstm_cell_scalar(p.W, p.U, p.b, X[t], h, c)
+        assert np.max(np.abs(H[t] - np.array(h))) < 1e-12
+    assert np.max(np.abs(hT - np.array(h))) < 1e-12
+    assert np.max(np.abs(cT - np.array(c))) < 1e-12
 
 
 def test_forward_zero_params_zero_outputs():
