@@ -58,9 +58,10 @@ for idx, word in ranked:
 
 caption = corp.entries[split.train_keys[0]][0]
 indices = tok.encode(caption)
-onehot = tok.pad_one_hot(indices, max_len=10)
-print(f"\n== one-hot encoding of: {' '.join(caption)} ==")
+# The decoder reads one index per step; 0 pads the vector to its 10 steps.
+padded = tok.pad(indices, max_len=10)
+print(f"\n== index encoding of: {' '.join(caption)} ==")
 print(f"  indices: {indices}")
-print(f"  matrix shape {onehot.matrix.shape}, real rows {onehot.length}, "
-      f"padding rows {onehot.matrix.shape[0] - onehot.length}")
+print(f"  padded to 10 decoder steps: {padded.tolist()} "
+      f"({len(indices)} words, {len(padded) - len(indices)} padding)")
 print(f"\nscratch dir: {work}")

@@ -18,11 +18,12 @@ cfg = ModelConfig(frames=5, feature_dim=3, latent=4, max_words=4, vocab=7)
 rng = np.random.default_rng(0)
 
 feat = rng.standard_normal((cfg.frames, cfg.feature_dim))
-dec_in = np.zeros((cfg.max_words, cfg.vocab))
-target = np.zeros((cfg.max_words, cfg.vocab))
-for t in range(cfg.max_words - 1):  # leave one padding row, as training does
-    dec_in[t, rng.integers(cfg.vocab)] = 1.0
-    target[t, rng.integers(cfg.vocab)] = 1.0
+# word indices in 1..vocab; the last step stays 0 (padding), as training does
+dec_in = np.zeros(cfg.max_words, dtype=int)
+target = np.zeros(cfg.max_words, dtype=int)
+for t in range(cfg.max_words - 1):
+    dec_in[t] = rng.integers(cfg.vocab) + 1
+    target[t] = rng.integers(cfg.vocab) + 1
 
 params = ModelParams.init(cfg, seed=0, dtype=np.float64)
 _, caches = training_forward(params, feat, dec_in)
@@ -37,10 +38,9 @@ all_tensors = params.tensors()  # live views; the checker perturbs in place
 def loss(_):
     wide = _params_from_tensors(
         {k: v.astype(np.longdouble) for k, v in all_tensors.items()})
-    P, _ = training_forward(wide, feat.astype(np.longdouble),
-                            dec_in.astype(np.longdouble))
-    rows = target.any(axis=1)
-    nll = -np.log(P[rows, target[rows].argmax(axis=1)])
+    P, _ = training_forward(wide, feat.astype(np.longdouble), dec_in)
+    rows = target > 0
+    nll = -np.log(P[rows, target[rows] - 1])
     return nll.sum() / rows.sum()
 
 

@@ -16,7 +16,7 @@ from .model import (CHECKPOINT_VERSION, DecodeState, ModelConfig, ModelParams,
                     decode_step, encode_video, greedy_decode, load_checkpoint,
                     param_count, save_checkpoint, training_backward,
                     training_forward)
-from .tokenizer import PaddedOneHot, Tokenizer
+from .tokenizer import Tokenizer
 from .training import (MetricsHistory, TrainConfig, TrainingDiverged, accuracy,
                        build_samples, make_batches, train)
 from .util import InputError

@@ -19,7 +19,7 @@ from . import model as mdl
 from . import training
 from .features import FeatureStore, load_manifest, read_feature_file
 from .tokenizer import Tokenizer
-from .util import InputError, fmt6
+from .util import InputError, fmt6, open_text
 
 _UNSET = object()
 
@@ -56,7 +56,7 @@ def read_config_file(path):
     """Parse `key = value` lines; `#` comments and blank lines ignored."""
     values = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open_text(path)
     except OSError as e:
         raise InputError(f"cannot read config file: {e}") from e
     with fh:

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .util import InputError, fisher_yates
+from .util import InputError, fisher_yates, open_text
 
 BOS = "bos"
 EOS = "eos"
@@ -45,7 +45,7 @@ def parse_descriptions(path):
     """
     pairs = []
     skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -144,5 +144,5 @@ def load_split_keys(out_dir, split_name):
     if split_name not in _SPLIT_FILES:
         raise InputError(f"unknown split '{split_name}'; expected train, val or test")
     path = os.path.join(out_dir, _SPLIT_FILES[split_name])
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return [line.strip() for line in fh if line.strip()]

@@ -11,7 +11,7 @@ import threading
 
 import numpy as np
 
-from .util import InputError
+from .util import InputError, open_text
 
 MAGIC = b"VFM1"
 _HEADER_BYTES = 12
@@ -81,7 +81,7 @@ def load_manifest(path):
     """
     base = os.path.dirname(os.path.abspath(path))
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for ln, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):

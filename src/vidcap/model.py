@@ -1,17 +1,15 @@
 """Encoder-decoder captioning model: assembly, training pass, inference.
 
 The encoder LSTM consumes a frames x feature_dim matrix; its final
-hidden and cell state initialize the decoder LSTM, which consumes
-one-hot token rows.  A shared dense softmax head maps every decoder
-hidden state to a distribution over the vocabulary.
-
-Training feeds the decoder one-hot rows and lets nn.lstm_forward
-project them with one GEMM.  Inference feeds one token at a time, and
-decode_step gathers row token_index - 1 of decoder.W in place of the
-V-wide one-hot product, which it equals exactly.
+hidden and cell state initialize the decoder LSTM, which consumes one
+word index k in [1, V] per step (0 pads a caption).  A shared dense
+softmax head maps every decoder hidden state to a distribution over
+the vocabulary.  decoder.W (V x 4H) is the word-embedding table: word k
+reads row k - 1, exactly its one-hot product, padding reads zeros, and
+the backward pass scatter-adds each step's gradient into that row.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import os
 import struct
 
@@ -75,11 +73,6 @@ class ModelParams:
                 "decoder.b": self.decoder.b,
                 "head.W": self.head.W, "head.b": self.head.b}
 
-    def astype(self, dtype):
-        """Copy of the parameters in another dtype (gradient-check mode)."""
-        t = {k: v.astype(dtype) for k, v in self.tensors().items()}
-        return _params_from_tensors(t)
-
 
 def _params_from_tensors(t):
     return ModelParams(
@@ -88,37 +81,44 @@ def _params_from_tensors(t):
         nn.DenseParams(t["head.W"], t["head.b"]))
 
 
-def _rows(x):
-    return x.matrix if hasattr(x, "matrix") else np.asarray(x)
-
-
 def training_forward(params, feat, dec_in):
     """Teacher-forced pass: encode all frames, decode all target steps.
 
+    dec_in holds the decoder's input word indices, 0 at padding steps.
     The encoder's final (h, c) seed the decoder; every decoder hidden
     state goes through the softmax head.  Returns (P, caches) with one
     probability row per decoder step.
     """
-    _, h, c, enc_caches = nn.lstm_forward(params.encoder, np.asarray(feat))
-    H, _, _, dec_caches = nn.lstm_forward(params.decoder, _rows(dec_in), h, c)
+    feat = np.asarray(feat)
+    dec_in = np.asarray(dec_in)
+    dec = params.decoder
+    _, h, c, enc_caches = nn.lstm_forward(params.encoder, feat @ params.encoder.W)
+    words = dec_in > 0
+    XW = np.zeros((len(dec_in), dec.W.shape[1]), dtype=dec.W.dtype)
+    XW[words] = dec.W[dec_in[words] - 1]
+    H, _, _, dec_caches = nn.lstm_forward(dec, XW, h, c)
     P = nn.dense_softmax_forward(params.head, H)
-    return P, (enc_caches, dec_caches, H, P)
+    return P, (feat, enc_caches, dec_in, dec_caches, H, P)
 
 
 def training_backward(params, caches, target, mask_padding=True):
     """Loss and parameter gradients for a cached training_forward pass.
 
+    target holds each step's correct word index, 0 at padding steps.
     Gradients flow from the head through the decoder and on into the
     encoder via the initial-state connection.
     """
-    enc_caches, dec_caches, H, P = caches
-    loss, d_logits = nn.cross_entropy(P, _rows(target), mask_padding)
+    feat, enc_caches, dec_in, dec_caches, H, P = caches
+    loss, d_logits = nn.cross_entropy(P, np.asarray(target), mask_padding)
     dW_h, db_h, dH = nn.dense_softmax_backward(params.head, H, d_logits)
-    dW_d, dU_d, db_d, _, dh0, dc0 = nn.lstm_backward(params.decoder, dec_caches, dH,
-                                                     need_dX=False)
-    dW_e, dU_e, db_e, _, _, _ = nn.lstm_backward(params.encoder, enc_caches,
-                                                 None, dh0, dc0, need_dX=False)
-    grads = {"encoder.W": dW_e, "encoder.U": dU_e, "encoder.b": db_e,
+    dXW_d, dU_d, db_d, dh0, dc0 = nn.lstm_backward(params.decoder, dec_caches, dH)
+    dW_d = np.zeros_like(params.decoder.W)
+    # step order, as the one-hot product sums; np.add.at is ~15x slower here
+    for t in np.flatnonzero(dec_in > 0):
+        dW_d[dec_in[t] - 1] += dXW_d[t]
+    dXW_e, dU_e, db_e, _, _ = nn.lstm_backward(params.encoder, enc_caches,
+                                               None, dh0, dc0)
+    grads = {"encoder.W": feat.T @ dXW_e, "encoder.U": dU_e, "encoder.b": db_e,
              "decoder.W": dW_d, "decoder.U": dU_d, "decoder.b": db_d,
              "head.W": dW_h, "head.b": db_h}
     return loss, grads
@@ -126,7 +126,7 @@ def training_backward(params, caches, target, mask_padding=True):
 
 def encode_video(params, feat):
     """Final encoder state only; per-frame outputs are discarded."""
-    _, h, c, _ = nn.lstm_forward(params.encoder, np.asarray(feat))
+    _, h, c, _ = nn.lstm_forward(params.encoder, np.asarray(feat) @ params.encoder.W)
     return h, c
 
 
@@ -134,7 +134,6 @@ def encode_video(params, feat):
 class DecodeState:
     h: np.ndarray
     c: np.ndarray
-    emitted: list = field(default_factory=list)
 
 
 def decode_step(params, state, token_index):
@@ -142,12 +141,11 @@ def decode_step(params, state, token_index):
     V = params.decoder.input_dim
     if not 1 <= token_index <= V:
         raise InputError(f"token index {token_index} outside [1, {V}]")
-    # a one-hot row times decoder.W is exactly row token_index - 1
     xw = params.decoder.W[token_index - 1]
     h, c, _ = nn.lstm_cell_forward(params.decoder, xw, state.h, state.c)
     logits = h @ params.head.W + params.head.b
     probs = nn.softmax_rows(logits[None, :])[0]
-    return probs, DecodeState(h, c, list(state.emitted))
+    return probs, DecodeState(h, c)
 
 
 def greedy_decode(params, tok, feat, max_words=10):
@@ -156,7 +154,7 @@ def greedy_decode(params, tok, feat, max_words=10):
     At most max_words decode steps run, so the caption never exceeds
     max_words words; the returned list contains neither sentinel.  The
     argmax runs over the fitted vocabulary (ties to the lowest index); a
-    degenerate bos prediction is re-fed but not emitted.
+    degenerate bos prediction is re-fed but left out of the caption.
     """
     bos = tok.word_to_index.get("bos")
     eos = tok.word_to_index.get("eos")
@@ -173,7 +171,6 @@ def greedy_decode(params, tok, feat, max_words=10):
             break
         if nxt != bos:
             words.append(tok.index_to_word[nxt])
-            state.emitted.append(nxt)
         prev = nxt
     return words
 
@@ -246,9 +243,10 @@ def _read_record(fh, path, size):
 def load_checkpoint(path):
     """Read a checkpoint; returns (config, params, (m, v) or None).
 
-    Payloads are read straight into their arrays.  A malformed record, a
-    repeated or unknown tensor name (anything but TENSOR_ORDER and its
-    m./v. Adam mirrors) or a non-finite value raises InputError.
+    Payloads are read straight into their arrays.  A header dimension of
+    0, a malformed record, a repeated or unknown tensor name (anything
+    but TENSOR_ORDER and its m./v. Adam mirrors) or a non-finite value
+    raises InputError.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -261,6 +259,10 @@ def load_checkpoint(path):
         if version != CHECKPOINT_VERSION:
             raise InputError(f"{path}: unsupported format version {version}")
         cfg = ModelConfig(*struct.unpack_from("<5I", head, 8))
+        try:
+            cfg.validate()
+        except InputError as e:
+            raise InputError(f"{path}: {e}") from None
         tensors = {}
         while fh.tell() < size:
             (name_len,) = struct.unpack("<H", _read_record(fh, path, 2))

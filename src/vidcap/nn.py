@@ -1,16 +1,15 @@
 """Framework-free neural-network kernels on plain numpy arrays.
 
 Contains the LSTM cell and sequence forward/backward passes, the
-softmax dense head, categorical cross-entropy, the Adam optimizer,
-parameter initializers, and a finite-difference gradient checker.
+softmax dense head, categorical cross-entropy over index targets, the
+Adam optimizer, parameter initializers, and a finite-difference
+gradient checker.
 
-Both LSTM passes keep only the recurrent work inside their time loops.
-The forward pass projects the whole input sequence with one GEMM,
-XW = X W (T x 4*hidden), and the cell consumes one projected row per
-step.  The backward pass stacks each step's gate gradient as one row of
-a T x 4*hidden matrix dZ, and the weight gradients (and, on request,
-the input gradient) are one matrix product each over the whole
-sequence instead of T rank-1 updates.
+The LSTM kernels do the recurrence only: they take the projected input
+XW (T x 4*hidden, row t = x_t W), return its gradient dXW, and leave
+the input kernel W to the caller (one GEMM over dense frames, a row
+gather and a scatter-add for word indices).  dU and db are one matrix
+product each over the whole sequence, not T rank-1 updates.
 
 Everything is written for single sequences (no batch axis); the trainer
 loops over samples and averages gradients.  The training path runs in
@@ -89,10 +88,6 @@ class DenseParams:
     def hidden(self):
         return self.W.shape[0]
 
-    @property
-    def out_dim(self):
-        return self.W.shape[1]
-
     def param_count(self):
         return self.W.size + self.b.size
 
@@ -150,8 +145,8 @@ def lstm_cell_forward(p, xw, h_prev, c_prev):
     i = sigmoid(zi), f = sigmoid(zf), g = tanh(zg), o = sigmoid(zo),
     c = f * c_prev + i * g, h = o * tanh(c).
 
-    Returns (h, c, cache) with cache = (h_prev, c_prev, i, f, g, o, c);
-    lstm_forward prepends the raw input x to it for the backward pass.
+    Returns (h, c, cache) with cache = (h_prev, c_prev, i, f, g, o, c),
+    the per-step record lstm_backward reads.
     """
     hid = p.hidden
     if xw.shape != (4 * hid,):
@@ -168,64 +163,57 @@ def lstm_cell_forward(p, xw, h_prev, c_prev):
     return h, c, (h_prev, c_prev, i, f, g, o, c)
 
 
-def lstm_forward(p, X, h0=None, c0=None):
-    """Run the cell over all rows of X (shape T x input_dim), T >= 1.
-
-    The input projection is hoisted out of the time loop: XW = X W is
-    one T x input_dim x 4*hidden GEMM per sequence, and the loop chains
-    lstm_cell_forward over the rows of XW, doing only the recurrent work.
+def lstm_forward(p, XW, h0=None, c0=None):
+    """Chain lstm_cell_forward over the projected rows XW[t] = x_t W, T >= 1.
 
     Returns (H, h_T, c_T, caches) where H[t] is the hidden state after
-    consuming X[t], (h_T, c_T) is the final state and caches[t] is
-    (X[t], h_prev, c_prev, i, f, g, o, c), the layout lstm_backward reads.
+    step t, (h_T, c_T) is the final state and caches[t] is the cell's
+    cache for step t.
     """
-    if X.ndim != 2 or X.shape[1] != p.input_dim:
-        raise ValueError(f"sequence has shape {X.shape}, expected (T, {p.input_dim})")
-    T = X.shape[0]
+    hid = p.hidden
+    if XW.ndim != 2 or XW.shape[1] != 4 * hid:
+        raise ValueError(f"sequence has shape {XW.shape}, expected (T, {4 * hid})")
+    T = XW.shape[0]
     if T < 1:
         raise ValueError("sequence must contain at least one timestep")
-    dt = np.result_type(X.dtype, p.W.dtype)
-    h = h0 if h0 is not None else np.zeros(p.hidden, dtype=dt)
-    c = c0 if c0 is not None else np.zeros(p.hidden, dtype=dt)
-    H = np.empty((T, p.hidden), dtype=dt)
-    XW = X @ p.W
+    dt = np.result_type(XW.dtype, p.U.dtype)
+    h = h0 if h0 is not None else np.zeros(hid, dtype=dt)
+    c = c0 if c0 is not None else np.zeros(hid, dtype=dt)
+    H = np.empty((T, hid), dtype=dt)
     caches = []
     for t in range(T):
         h, c, cache = lstm_cell_forward(p, XW[t], h, c)
         H[t] = h
-        caches.append((X[t],) + cache)
+        caches.append(cache)
     return H, h, c, caches
 
 
-def lstm_backward(p, caches, dH=None, dh_last=None, dc_last=None, need_dX=True):
+def lstm_backward(p, caches, dH=None, dh_last=None, dc_last=None):
     """Backpropagation through time over a cached forward pass.
 
     dH (T x hidden) holds the loss gradient w.r.t. every per-step hidden
     output; dh_last/dc_last the gradient w.r.t. the final state.  Any of
     them may be None (treated as zero).
 
-    The reverse time loop does only the recurrent work: it writes each
-    step's pre-activation gradient into row t of dZ (T x 4*hidden) and
-    carries dh_prev = U dz and dc_prev back one step.  The weight
-    gradients are then one GEMM each over the whole sequence,
-    dW = X^T dZ, dU = H_prev^T dZ and db = sum_t dZ[t], and
-    dX = dZ W^T likewise.  Pass need_dX=False when the input gradient
-    is not used; dX is then None and that GEMM is skipped.
+    The reverse time loop writes each step's pre-activation gradient,
+    which is also the gradient w.r.t. XW[t], into row t of dXW and
+    carries dh_prev = U dz and dc_prev back one step; then
+    dU = H_prev^T dXW and db = sum_t dXW[t] over the whole sequence.
 
-    Returns (dW, dU, db, dX, dh0, dc0).
+    Returns (dXW, dU, db, dh0, dc0).
     """
     T = len(caches)
     if T < 1:
         raise ValueError("empty cache list")
     hid = p.hidden
-    dt = p.W.dtype
+    dt = p.U.dtype
     if dH is not None and dH.shape != (T, hid):
         raise ValueError(f"dH has shape {dH.shape}, expected ({T}, {hid})")
     dZ = np.empty((T, 4 * hid), dtype=dt)
     dh = np.zeros(hid, dtype=dt) if dh_last is None else dh_last.astype(dt, copy=True)
     dc = np.zeros(hid, dtype=dt) if dc_last is None else dc_last.astype(dt, copy=True)
     for t in reversed(range(T)):
-        _, _, c_prev, i, f, g, o, c = caches[t]
+        _, c_prev, i, f, g, o, c = caches[t]
         if dH is not None:
             dh = dh + dH[t]
         tc = np.tanh(c)
@@ -237,10 +225,8 @@ def lstm_backward(p, caches, dH=None, dh_last=None, dc_last=None, need_dX=True):
         dz[3 * hid:] = dh * tc * o * (1.0 - o)
         dh = p.U @ dz
         dc = dc * f
-    X = np.stack([cache[0] for cache in caches], dtype=dt)
-    H_prev = np.stack([cache[1] for cache in caches], dtype=dt)
-    dX = dZ @ p.W.T if need_dX else None
-    return X.T @ dZ, H_prev.T @ dZ, dZ.sum(axis=0), dX, dh, dc
+    H_prev = np.stack([cache[0] for cache in caches], dtype=dt)
+    return dZ, H_prev.T @ dZ, dZ.sum(axis=0), dh, dc
 
 
 # ---------------------------------------------------------------------------
@@ -262,34 +248,37 @@ def dense_softmax_backward(p, H, d_logits):
     return dW, db, dH
 
 
-def cross_entropy(P, Y, mask_padding=True):
+def cross_entropy(P, target, mask_padding=True):
     """Mean categorical cross-entropy over unmasked rows.
 
-    P rows must be probability vectors; Y rows are one-hot targets or
-    all-zero padding rows.  With mask_padding on, all-zero rows carry no
-    loss and no gradient.  Returns (loss, d_logits) where d_logits is
-    the gradient w.r.t. the pre-softmax logits, i.e. (P - Y)/n on the
-    unmasked rows.
+    P rows must be probability vectors over V classes; target[t] is the
+    1-based class index of row t, or 0 for padding.  With mask_padding
+    on, padding rows carry no loss and no gradient.  Returns (loss,
+    d_logits): the gradient w.r.t. the logits is P minus 1 at each
+    target cell, divided by the number n of unmasked rows.
     """
-    if P.shape != Y.shape:
-        raise ValueError(f"shape mismatch: P {P.shape} vs Y {Y.shape}")
+    T, V = P.shape
+    if target.shape != (T,) or target.dtype.kind not in "iu":
+        raise ValueError(f"target must be an integer vector of shape ({T},), "
+                         f"got {target.dtype} {target.shape}")
+    if T and (target.min() < 0 or target.max() > V):
+        raise ValueError(f"target indices must lie in [0, {V}]")
     if not np.all(np.isfinite(P)):
         raise FloatingPointError("non-finite probabilities in cross_entropy")
-    row_sums = P.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-4):
+    if np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-4):
         raise ValueError("P rows are not normalized probability vectors")
-    if mask_padding:
-        unmasked = Y.any(axis=1)
-    else:
-        unmasked = np.ones(P.shape[0], dtype=bool)
-    n = int(unmasked.sum())
+    scored = np.flatnonzero(target)
+    n = scored.size if mask_padding else T
     d_logits = np.zeros_like(P)
     if n == 0:
         return 0.0, d_logits
+    cols = target[scored] - 1
     tiny = np.finfo(P.dtype).tiny  # guards log against exp underflow to 0
-    log_p = np.log(np.maximum(P[unmasked], tiny))
-    loss = -float((Y[unmasked] * log_p).sum()) / n
-    d_logits[unmasked] = (P[unmasked] - Y[unmasked]) / n
+    loss = -float(np.log(np.maximum(P[scored, cols], tiny)).sum()) / n
+    unmasked = target > 0 if mask_padding else slice(None)
+    d_logits[unmasked] = P[unmasked]
+    d_logits[scored, cols] -= 1.0
+    d_logits /= n
     return loss, d_logits
 
 

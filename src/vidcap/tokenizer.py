@@ -1,19 +1,10 @@
-"""Frequency-ranked vocabulary with index and one-hot conversions."""
+"""Frequency-ranked vocabulary mapping words to 1-based indices (0 pads)."""
 
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
-from .util import InputError
-
-
-@dataclass
-class PaddedOneHot:
-    """One-hot rows padded with all-zero rows up to a fixed row count."""
-
-    matrix: np.ndarray
-    length: int
+from .util import InputError, open_text
 
 
 class Tokenizer:
@@ -66,20 +57,19 @@ class Tokenizer:
             words.append(i2w[idx])
         return words
 
-    def pad_one_hot(self, indices, max_len):
-        """One-hot rows for `indices`, zero-padded to max_len rows.
-
-        Row width is the vocabulary cap, so the decoder input shape is
-        fixed regardless of how many words the fit actually produced.
-        """
+    def pad(self, indices, max_len):
+        """`indices` zero-padded to a length-max_len int vector; each index
+        must lie in [1, cap], the row range of the model's embedding table."""
         if len(indices) > max_len:
             raise InputError(f"{len(indices)} indices exceed the {max_len}-row limit")
-        m = np.zeros((max_len, self.cap), dtype=np.float32)
-        for r, idx in enumerate(indices):
+        for idx in indices:
             if not 1 <= idx <= self.cap:
                 raise InputError(f"index {idx} outside [1, {self.cap}]")
-            m[r, idx - 1] = 1.0
-        return PaddedOneHot(m, len(indices))
+        padded = np.zeros(max_len, dtype=np.intp)
+        padded[:len(indices)] = indices
+        return padded
+
+    pad_one_hot = pad  # former name, kept for existing callers
 
     def save(self, path):
         """Write `V=<cap>` then one `<index>\\t<word>` line per entry."""
@@ -90,7 +80,7 @@ class Tokenizer:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             header = fh.readline().strip()
             if not header.startswith("V="):
                 raise InputError(f"{path}: expected 'V=<cap>' header, got '{header}'")

@@ -8,7 +8,6 @@ import numpy as np
 
 from . import model as mdl
 from . import nn
-from .tokenizer import PaddedOneHot
 from .util import InputError, fisher_yates, fmt6
 
 
@@ -43,9 +42,11 @@ class TrainConfig:
 
 @dataclass
 class Sample:
+    """Decoder input and target word indices, each zero-padded to max_words."""
+
     video_id: str
-    dec_in: PaddedOneHot
-    target: PaddedOneHot
+    dec_in: np.ndarray
+    target: np.ndarray
 
 
 def build_samples(keys, corpus, tok, max_words, prefix_expansion=False):
@@ -53,8 +54,9 @@ def build_samples(keys, corpus, tok, max_words, prefix_expansion=False):
 
     Shift mode pairs input tokens[0..L-2] with target tokens[1..L-1].
     Prefix-expansion mode emits one sample per prefix instead, scoring
-    only the final step of each prefix.  Captions that shrink below two
-    indices after vocabulary filtering are skipped.
+    only the final step of each prefix: its target is zero except there.
+    Captions that shrink below two indices after vocabulary filtering
+    are skipped.
     """
     samples = []
     for key in keys:
@@ -64,13 +66,13 @@ def build_samples(keys, corpus, tok, max_words, prefix_expansion=False):
                 continue
             if prefix_expansion:
                 for k in range(1, len(idx)):
-                    tgt = np.zeros((max_words, tok.cap), dtype=np.float32)
-                    tgt[k - 1, idx[k] - 1] = 1.0
-                    samples.append(Sample(key, tok.pad_one_hot(idx[:k], max_words),
-                                          PaddedOneHot(tgt, k)))
+                    dec_in = tok.pad(idx[:k], max_words)
+                    tgt = np.zeros_like(dec_in)
+                    tgt[k - 1] = idx[k]
+                    samples.append(Sample(key, dec_in, tgt))
             else:
-                samples.append(Sample(key, tok.pad_one_hot(idx[:-1], max_words),
-                                      tok.pad_one_hot(idx[1:], max_words)))
+                samples.append(Sample(key, tok.pad(idx[:-1], max_words),
+                                      tok.pad(idx[1:], max_words)))
     return samples
 
 
@@ -91,15 +93,16 @@ def make_batches(samples, batch_size, seed, epoch):
 def accuracy(P, target, mask_padding=True):
     """Fraction of unmasked timesteps whose argmax hits the target.
 
-    With masking off, padding rows count as misses (an all-zero target
-    row can never match).  Argmax ties go to the lowest index.
+    target holds 1-based word indices, 0 at padding steps; the argmax
+    column j hits index j + 1.  With masking off, padding rows count as
+    misses.  Argmax ties go to the lowest index.
     """
-    Y = target.matrix if hasattr(target, "matrix") else np.asarray(target)
-    rows = Y.any(axis=1) if mask_padding else np.ones(len(Y), dtype=bool)
+    target = np.asarray(target)
+    rows = target > 0 if mask_padding else np.ones(len(target), dtype=bool)
     sel = np.flatnonzero(rows)
     if sel.size == 0:
         return 0.0
-    hits = Y[sel, P[sel].argmax(axis=1)] == 1
+    hits = P[sel].argmax(axis=1) == target[sel] - 1
     return float(hits.sum()) / sel.size
 
 
@@ -134,7 +137,7 @@ def _sample_pass(params, store, sample, mask_padding):
 def _sample_eval(params, store, sample, mask_padding):
     feat = store.get(sample.video_id)
     P, _ = mdl.training_forward(params, feat, sample.dec_in)
-    loss, _ = nn.cross_entropy(P, sample.target.matrix, mask_padding)
+    loss, _ = nn.cross_entropy(P, sample.target, mask_padding)
     return loss, accuracy(P, sample.target, mask_padding)
 
 

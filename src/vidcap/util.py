@@ -1,8 +1,21 @@
 """Small helpers shared across modules."""
 
+import io
+
 
 class InputError(ValueError):
     """Bad user input or artifact contents; maps to CLI exit code 2."""
+
+
+def open_text(path):
+    """A UTF-8 text file as a stream with open()'s newline handling;
+    bytes that are not valid UTF-8 raise InputError naming the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not valid UTF-8 (byte {e.start})") from None
 
 
 def fisher_yates(items, rng):

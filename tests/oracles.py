@@ -42,11 +42,12 @@ def lstm_cell_scalar(W, U, b, x, h_prev, c_prev):
     return h, c
 
 
-def lstm_backward_outer(W, U, caches, dH=None, dh_last=None, dc_last=None):
+def lstm_backward_outer(W, U, X, caches, dH=None, dh_last=None, dc_last=None):
     """Step-by-step BPTT: one rank-1 np.outer update per timestep.
 
-    caches are the per-step tuples (x, h_prev, c_prev, i, f, g, o, c)
-    that lstm_forward records.  Returns (dW, dU, db, dX, dh0, dc0).
+    X is the unprojected input sequence and caches are the per-step
+    tuples (h_prev, c_prev, i, f, g, o, c) that lstm_forward records
+    for X W.  Returns (dW, dU, db, dX, dh0, dc0).
     """
     hid = U.shape[0]
     dW = np.zeros_like(W)
@@ -56,7 +57,8 @@ def lstm_backward_outer(W, U, caches, dH=None, dh_last=None, dc_last=None):
     dh = np.zeros(hid) if dh_last is None else np.array(dh_last, dtype=float)
     dc = np.zeros(hid) if dc_last is None else np.array(dc_last, dtype=float)
     for t in range(len(caches) - 1, -1, -1):
-        x, h_prev, c_prev, i, f, g, o, c = caches[t]
+        x = X[t]
+        h_prev, c_prev, i, f, g, o, c = caches[t]
         if dH is not None:
             dh = dh + dH[t]
         tc = np.tanh(c)
@@ -72,6 +74,32 @@ def lstm_backward_outer(W, U, caches, dH=None, dh_last=None, dc_last=None):
         dh = U @ dz
         dc = dc_total * f
     return dW, dU, db, dX, dh, dc
+
+
+def one_hot_rows(indices, width, dtype=np.float64):
+    """One-hot rows for 1-based indices; index 0 gives an all-zero row."""
+    rows = np.zeros((len(indices), width), dtype=dtype)
+    for r, idx in enumerate(indices):
+        if idx:
+            rows[r, idx - 1] = 1.0
+    return rows
+
+
+def cross_entropy_one_hot(P, Y, mask_padding=True):
+    """Masked mean cross-entropy against one-hot target rows Y.
+
+    All-zero rows of Y are padding.  Returns (loss, d_logits) with
+    d_logits = (P - Y)/n on the n unmasked rows and zero elsewhere.
+    """
+    unmasked = Y.any(axis=1) if mask_padding else np.ones(P.shape[0], dtype=bool)
+    n = int(unmasked.sum())
+    d_logits = np.zeros_like(P)
+    if n == 0:
+        return 0.0, d_logits
+    log_p = np.log(np.maximum(P[unmasked], np.finfo(P.dtype).tiny))
+    loss = -float((Y[unmasked] * log_p).sum()) / n
+    d_logits[unmasked] = (P[unmasked] - Y[unmasked]) / n
+    return loss, d_logits
 
 
 def _gram_list(tokens, n):

@@ -2,6 +2,8 @@
 
 import contextlib
 import io
+import shutil
+import struct
 import subprocess
 import sys
 
@@ -242,6 +244,20 @@ def test_caption_unknown_tensor_checkpoint_exits_2(ws, tmp_path):
     assert "unknown tensor 'encoder.Wx'" in err
 
 
+def test_caption_zero_dim_checkpoint_exits_2(ws, tmp_path):
+    path = tmp_path / "zero.sq2s"
+    blob = bytearray(ws["ckpt"].read_bytes())
+    struct.pack_into("<I", blob, 20, 0)  # header max_words
+    path.write_bytes(bytes(blob))
+    code, out, err = run_cli("caption", "--checkpoint", str(path),
+                             "--tokenizer", str(ws["tok"]),
+                             "--features", str(ws["data"] / "feat" / "vid001.vfm"))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "max_words must be positive, got 0" in err
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -322,6 +338,28 @@ def test_config_boolean_coercion(ws, tmp_path):
                            "--config", str(bad))
     assert code == 2
     assert "not a boolean" in err
+
+
+@pytest.mark.parametrize("name", ["tokenizer", "config", "descriptions",
+                                  "manifest", "keys"])
+def test_non_utf8_text_file_exits_2(ws, tmp_path, name):
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(ws["data"], data)
+    shutil.copytree(ws["run"], run)
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("split = train\n", encoding="utf-8")
+    bad = {"tokenizer": run / "tokenizer.txt", "config": cfg,
+           "descriptions": data / "descriptions.txt",
+           "manifest": data / "manifest.tsv", "keys": run / "train.keys"}[name]
+    bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    code, out, err = run_cli("eval", "--checkpoint", str(ws["ckpt"]),
+                             "--descriptions", str(data / "descriptions.txt"),
+                             "--manifest", str(data / "manifest.tsv"),
+                             "--out", str(run), "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert f"{bad}: not valid UTF-8" in err
 
 
 def test_config_missing_file_exits_2(ws):

@@ -15,17 +15,21 @@ from vidcap.model import (CHECKPOINT_MAGIC, DecodeState, ModelConfig,
 from vidcap.tokenizer import Tokenizer
 from vidcap.util import InputError
 
+import oracles
+
 TOY = ModelConfig(frames=5, feature_dim=3, latent=4, max_words=4, vocab=7)
 
 
 def toy_inputs(seed, cfg=TOY, dtype=np.float64, pad_rows=1):
+    """Features of the given dtype plus input and target index vectors
+    whose last pad_rows steps are padding (0)."""
     rng = np.random.default_rng(seed)
     feat = rng.standard_normal((cfg.frames, cfg.feature_dim)).astype(dtype)
-    dec_in = np.zeros((cfg.max_words, cfg.vocab), dtype=dtype)
-    target = np.zeros((cfg.max_words, cfg.vocab), dtype=dtype)
+    dec_in = np.zeros(cfg.max_words, dtype=int)
+    target = np.zeros(cfg.max_words, dtype=int)
     for t in range(cfg.max_words - pad_rows):
-        dec_in[t, rng.integers(cfg.vocab)] = 1.0
-        target[t, rng.integers(cfg.vocab)] = 1.0
+        dec_in[t] = rng.integers(cfg.vocab) + 1
+        target[t] = rng.integers(cfg.vocab) + 1
     return feat, dec_in, target
 
 
@@ -81,8 +85,9 @@ def test_forward_equals_kernel_composition():
     params = ModelParams.init(TOY, seed=1, dtype=np.float64)
     feat, dec_in, _ = toy_inputs(1)
     P, _ = training_forward(params, feat, dec_in)
-    _, h, c, _ = nn.lstm_forward(params.encoder, feat)
-    H, _, _, _ = nn.lstm_forward(params.decoder, dec_in, h, c)
+    _, h, c, _ = nn.lstm_forward(params.encoder, feat @ params.encoder.W)
+    onehot = oracles.one_hot_rows(dec_in, TOY.vocab)
+    H, _, _, _ = nn.lstm_forward(params.decoder, onehot @ params.decoder.W, h, c)
     assert np.array_equal(P, nn.dense_softmax_forward(params.head, H))
     assert np.all(np.abs(P.sum(axis=1) - 1.0) < 1e-6)
 
@@ -98,10 +103,9 @@ def extended_loss(tensors, feat, dec_in, target):
     """
     wide = _params_from_tensors(
         {k: v.astype(np.longdouble) for k, v in tensors.items()})
-    P, _ = training_forward(wide, feat.astype(np.longdouble),
-                            dec_in.astype(np.longdouble))
-    rows = target.any(axis=1)
-    nll = -np.log(P[rows, target[rows].argmax(axis=1)])
+    P, _ = training_forward(wide, feat.astype(np.longdouble), dec_in)
+    rows = target > 0
+    nll = -np.log(P[rows, target[rows] - 1])
     return nll.sum() / rows.sum()
 
 
@@ -124,7 +128,7 @@ def test_backward_ignores_trailing_padding_inputs():
     params = ModelParams.init(TOY, seed=2, dtype=np.float64)
     feat, dec_in, target = toy_inputs(2, pad_rows=2)
     dirty = dec_in.copy()
-    dirty[-2:, 3] = 1.0
+    dirty[-2:] = 4
     out_clean = training_forward(params, feat, dec_in)
     out_dirty = training_forward(params, feat, dirty)
     loss_c, grads_c = training_backward(params, out_clean[1], target)
@@ -140,8 +144,7 @@ def test_backward_near_converged_gradients_vanish():
     params.head.b[...] = 0.0
     params.head.W[...] = 0.0
     params.head.b[2] = 50.0  # saturate every row onto class 2
-    target = np.zeros((TOY.max_words, TOY.vocab))
-    target[:, 2] = 1.0
+    target = np.full(TOY.max_words, 3)  # index 3 is class 2
     P, caches = training_forward(params, feat, dec_in)
     loss, grads = training_backward(params, caches, target)
     assert loss < 1e-12
@@ -156,7 +159,7 @@ def test_encode_video_is_final_lstm_state():
     params = ModelParams.init(TOY, seed=4, dtype=np.float64)
     feat, _, _ = toy_inputs(4)
     h, c = encode_video(params, feat)
-    H, hT, cT, _ = nn.lstm_forward(params.encoder, feat)
+    H, hT, cT, _ = nn.lstm_forward(params.encoder, feat @ params.encoder.W)
     assert np.array_equal(h, H[-1]) and np.array_equal(h, hT)
     assert np.array_equal(c, cT)
 
@@ -177,7 +180,6 @@ def test_decode_step_zero_params_uniform():
     probs, new_state = decode_step(params, state, 1)
     assert np.allclose(probs, 1.0 / TOY.vocab, atol=1e-7)
     assert abs(float(probs.sum()) - 1.0) < 1e-6
-    assert new_state.emitted == []
 
 
 def test_decode_step_rejects_bad_index():
@@ -195,7 +197,7 @@ def test_decode_steps_match_teacher_forced_rows():
     rng = np.random.default_rng(7)
     feat = rng.standard_normal((TOY.frames, TOY.feature_dim)).astype(np.float32)
     prefix = [1, 3, 5, 2]
-    dec_in = tok.pad_one_hot(prefix, TOY.max_words)
+    dec_in = tok.pad(prefix, TOY.max_words)
     P, _ = training_forward(params, feat, dec_in)
     h, c = encode_video(params, feat)
     state = DecodeState(h, c)
@@ -221,6 +223,36 @@ def test_decode_step_row_gather_equals_one_hot_product(dtype):
         assert got_probs.dtype == dtype
         assert np.array_equal(got_probs, probs)
         assert np.array_equal(got.h, h) and np.array_equal(got.c, c)
+
+
+# (latent, vocab): a toy size and one with the full 1500-word vocabulary
+EXACT_SIZES = [(4, 7), (16, 1500)]
+
+
+@pytest.mark.parametrize("size", range(len(EXACT_SIZES)))
+def test_decoder_gather_and_scatter_equal_one_hot_products(size):
+    latent, vocab = EXACT_SIZES[size]
+    cfg = ModelConfig(frames=3, feature_dim=5, latent=latent, max_words=10,
+                      vocab=vocab)
+    params = ModelParams.init(cfg, seed=14)  # float32, as in training
+    rng = np.random.default_rng(14)
+    feat = rng.standard_normal((3, 5)).astype(np.float32)
+    u, v, w = rng.choice(np.arange(1, vocab + 1), size=3, replace=False)
+    dec_in = np.array([u, v, u, u, w, v, v, 0, 0, 0])  # repeats, then padding
+    target = np.array([v, u, u, w, v, v, u, 0, 0, 0])
+    P, caches = training_forward(params, feat, dec_in)
+    _, grads = training_backward(params, caches, target)
+
+    onehot = oracles.one_hot_rows(dec_in, vocab, np.float32)
+    _, h, c, _ = nn.lstm_forward(params.encoder, feat @ params.encoder.W)
+    H, _, _, dec_caches = nn.lstm_forward(params.decoder, onehot @ params.decoder.W,
+                                          h, c)
+    assert np.array_equal(P, nn.dense_softmax_forward(params.head, H))
+    _, d_logits = nn.cross_entropy(P, target)
+    _, _, dH = nn.dense_softmax_backward(params.head, H, d_logits)
+    dXW, _, _, _, _ = nn.lstm_backward(params.decoder, dec_caches, dH)
+    assert grads["decoder.W"].dtype == np.float32
+    assert np.array_equal(grads["decoder.W"], onehot.T @ dXW)
 
 
 def _rigged(col, value=50.0):
@@ -315,6 +347,18 @@ def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.sq2s"
     path.write_bytes(b"XXXX" + bytes(64))
     with pytest.raises(InputError, match="bad magic"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", range(5))
+def test_checkpoint_zero_dim_in_header(tmp_path, field):
+    name = ("frames", "feature_dim", "latent", "max_words", "vocab")[field]
+    path = tmp_path / "model.sq2s"
+    save_checkpoint(path, TOY, ModelParams.init(TOY, seed=13))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 8 + 4 * field, 0)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(InputError, match=f"{name} must be positive, got 0"):
         load_checkpoint(path)
 
 

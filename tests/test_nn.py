@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vidcap import nn
-from oracles import lstm_backward_outer, lstm_cell_scalar
+from oracles import (cross_entropy_one_hot, lstm_backward_outer, lstm_cell_scalar,
+                     one_hot_rows)
 
 
 def random_lstm(rng, in_dim, hid, dtype=np.float64, scale=0.5):
@@ -70,9 +71,9 @@ def test_cell_dimension_errors():
 def test_forward_single_step_equals_cell():
     rng = np.random.default_rng(0)
     p = random_lstm(rng, 3, 2)
-    X = rng.standard_normal((1, 3))
-    H, hT, cT, _ = nn.lstm_forward(p, X)
-    h, c, _ = nn.lstm_cell_forward(p, (X @ p.W)[0], np.zeros(2), np.zeros(2))
+    XW = rng.standard_normal((1, 3)) @ p.W
+    H, hT, cT, _ = nn.lstm_forward(p, XW)
+    h, c, _ = nn.lstm_cell_forward(p, XW[0], np.zeros(2), np.zeros(2))
     assert np.array_equal(H[0], h) and np.array_equal(hT, h)
     assert np.array_equal(cT, c)
 
@@ -80,9 +81,8 @@ def test_forward_single_step_equals_cell():
 def test_forward_equals_chained_cells():
     rng = np.random.default_rng(1)
     p = random_lstm(rng, 3, 2)
-    X = rng.standard_normal((4, 3))
-    H, hT, cT, _ = nn.lstm_forward(p, X)
-    XW = X @ p.W
+    XW = rng.standard_normal((4, 3)) @ p.W
+    H, hT, cT, _ = nn.lstm_forward(p, XW)
     h = np.zeros(2)
     c = np.zeros(2)
     for t in range(4):
@@ -113,7 +113,7 @@ def test_forward_matches_chained_scalar_oracle(case):
     X = rng.standard_normal((T, in_dim))
     h0 = rng.standard_normal(hid)
     c0 = rng.standard_normal(hid)
-    H, hT, cT, _ = nn.lstm_forward(p, X, h0, c0)
+    H, hT, cT, _ = nn.lstm_forward(p, X @ p.W, h0, c0)
     h, c = h0, c0
     for t in range(T):
         h, c = lstm_cell_scalar(p.W, p.U, p.b, X[t], h, c)
@@ -124,7 +124,8 @@ def test_forward_matches_chained_scalar_oracle(case):
 
 def test_forward_zero_params_zero_outputs():
     p = nn.LstmParams(np.zeros((3, 8)), np.zeros((2, 8)), np.zeros(8))
-    H, hT, cT, _ = nn.lstm_forward(p, np.random.default_rng(2).standard_normal((5, 3)))
+    X = np.random.default_rng(2).standard_normal((5, 3))
+    H, hT, cT, _ = nn.lstm_forward(p, X @ p.W)
     assert np.array_equal(H, np.zeros((5, 2)))
     assert np.array_equal(hT, np.zeros(2)) and np.array_equal(cT, np.zeros(2))
 
@@ -132,7 +133,7 @@ def test_forward_zero_params_zero_outputs():
 def test_forward_rejects_empty_and_misshaped():
     p = nn.LstmParams(np.zeros((3, 8)), np.zeros((2, 8)), np.zeros(8))
     with pytest.raises(ValueError):
-        nn.lstm_forward(p, np.zeros((0, 3)))
+        nn.lstm_forward(p, np.zeros((0, 8)))
     with pytest.raises(ValueError):
         nn.lstm_forward(p, np.zeros((4, 2)))
 
@@ -144,9 +145,9 @@ def test_forward_rejects_empty_and_misshaped():
 def test_backward_zero_upstream_zero_grads():
     rng = np.random.default_rng(3)
     p = random_lstm(rng, 3, 2)
-    _, _, _, caches = nn.lstm_forward(p, rng.standard_normal((3, 3)))
-    dW, dU, db, dX, dh0, dc0 = nn.lstm_backward(p, caches)
-    for g in (dW, dU, db, dX, dh0, dc0):
+    _, _, _, caches = nn.lstm_forward(p, rng.standard_normal((3, 3)) @ p.W)
+    dXW, dU, db, dh0, dc0 = nn.lstm_backward(p, caches)
+    for g in (dXW, dU, db, dh0, dc0):
         assert np.array_equal(g, np.zeros_like(g))
 
 
@@ -163,13 +164,15 @@ def _sequence_loss_setup(seed, in_dim=3, hid=2, T=3):
 
     def loss(t):
         q = nn.LstmParams(t["W"], t["U"], t["b"])
-        H, hT, cT, _ = nn.lstm_forward(q, t["X"], t["h0"], t["c0"])
+        H, hT, cT, _ = nn.lstm_forward(q, t["X"] @ t["W"], t["h0"], t["c0"])
         return float((H * R).sum() + hT @ r_h + cT @ r_c)
 
     q = nn.LstmParams(tensors["W"], tensors["U"], tensors["b"])
-    _, _, _, caches = nn.lstm_forward(q, tensors["X"], tensors["h0"], tensors["c0"])
-    dW, dU, db, dX, dh0, dc0 = nn.lstm_backward(q, caches, R, r_h, r_c)
-    grads = {"W": dW, "U": dU, "b": db, "X": dX, "h0": dh0, "c0": dc0}
+    X = tensors["X"]
+    _, _, _, caches = nn.lstm_forward(q, X @ q.W, tensors["h0"], tensors["c0"])
+    dXW, dU, db, dh0, dc0 = nn.lstm_backward(q, caches, R, r_h, r_c)
+    grads = {"W": X.T @ dXW, "U": dU, "b": db, "X": dXW @ q.W.T,
+             "h0": dh0, "c0": dc0}
     return loss, tensors, grads
 
 
@@ -184,7 +187,7 @@ def test_backward_duplicated_batch_doubles_grads():
     p = random_lstm(rng, 3, 2)
     X = rng.standard_normal((3, 3))
     R = rng.standard_normal((3, 2))
-    _, _, _, caches = nn.lstm_forward(p, X)
+    _, _, _, caches = nn.lstm_forward(p, X @ p.W)
     one = nn.lstm_backward(p, caches, R)
     two = [a + b for a, b in zip(nn.lstm_backward(p, caches, R), one)]
     for g1, g2 in zip(one, two):
@@ -209,33 +212,43 @@ BACKWARD_CASES = [
 def _backward_case(seed, T, in_dim, hid, with_dH, with_dh, with_dc):
     rng = np.random.default_rng(seed)
     p = random_lstm(rng, in_dim, hid)
-    _, _, _, caches = nn.lstm_forward(p, rng.standard_normal((T, in_dim)),
-                                      rng.standard_normal(hid),
-                                      rng.standard_normal(hid))
+    X = rng.standard_normal((T, in_dim))
+    h0 = rng.standard_normal(hid)
+    c0 = rng.standard_normal(hid)
+    _, _, _, caches = nn.lstm_forward(p, X @ p.W, h0, c0)
     dH = rng.standard_normal((T, hid)) if with_dH else None
     dh_last = rng.standard_normal(hid) if with_dh else None
     dc_last = rng.standard_normal(hid) if with_dc else None
-    return p, caches, dH, dh_last, dc_last
+    return p, X, h0, c0, caches, dH, dh_last, dc_last
 
 
 @pytest.mark.parametrize("case", range(len(BACKWARD_CASES)))
 def test_backward_matches_outer_product_oracle(case):
-    p, caches, dH, dh_last, dc_last = _backward_case(case, *BACKWARD_CASES[case])
-    got = nn.lstm_backward(p, caches, dH, dh_last, dc_last)
-    want = lstm_backward_outer(p.W, p.U, caches, dH, dh_last, dc_last)
+    p, X, _, _, caches, dH, dh_last, dc_last = _backward_case(
+        case, *BACKWARD_CASES[case])
+    dXW, dU, db, dh0, dc0 = nn.lstm_backward(p, caches, dH, dh_last, dc_last)
+    # the caller's projection gradients, as the encoder forms them
+    got = (X.T @ dXW, dU, db, dXW @ p.W.T, dh0, dc0)
+    want = lstm_backward_outer(p.W, p.U, X, caches, dH, dh_last, dc_last)
     for name, g, w in zip(("dW", "dU", "db", "dX", "dh0", "dc0"), got, want):
         assert g.shape == w.shape and g.dtype == np.float64, name
         assert np.max(np.abs(g - w)) < 1e-12, name
 
 
 @pytest.mark.parametrize("case", range(len(BACKWARD_CASES)))
-def test_backward_without_dX_is_bitwise_identical(case):
-    p, caches, dH, dh_last, dc_last = _backward_case(case, *BACKWARD_CASES[case])
-    full = nn.lstm_backward(p, caches, dH, dh_last, dc_last)
-    lean = nn.lstm_backward(p, caches, dH, dh_last, dc_last, need_dX=False)
-    assert lean[3] is None
-    for k in (0, 1, 2, 4, 5):
-        assert np.array_equal(full[k], lean[k])
+def test_backward_over_chained_cell_caches_is_bitwise_identical(case):
+    # lstm_forward's caches are exactly the cell's: backward needs no input
+    p, X, h, c, caches, dH, dh_last, dc_last = _backward_case(
+        case, *BACKWARD_CASES[case])
+    chained = []
+    for xw in X @ p.W:
+        h, c, cache = nn.lstm_cell_forward(p, xw, h, c)
+        chained.append(cache)
+    want = nn.lstm_backward(p, caches, dH, dh_last, dc_last)
+    got = nn.lstm_backward(p, chained, dH, dh_last, dc_last)
+    assert len(got) == 5
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +279,21 @@ def test_softmax_rows_sum_to_one(rows):
 
 
 def test_cross_entropy_perfect_prediction_zero_loss():
-    Y = np.eye(3)
-    loss, d = nn.cross_entropy(Y.copy(), Y)
+    loss, d = nn.cross_entropy(np.eye(3), np.array([1, 2, 3]))
     assert loss == 0.0
     assert np.array_equal(d, np.zeros((3, 3)))
 
 
 def test_cross_entropy_uniform_is_log4():
     P = np.full((2, 4), 0.25)
-    Y = np.zeros((2, 4))
-    Y[0, 1] = Y[1, 3] = 1.0
-    loss, _ = nn.cross_entropy(P, Y)
+    loss, _ = nn.cross_entropy(P, np.array([2, 4]))
     assert abs(loss - 1.3862943611198906) < 1e-12
 
 
 def test_cross_entropy_masks_padding_rows():
     rng = np.random.default_rng(5)
     P = nn.softmax_rows(rng.standard_normal((3, 4)))
-    Y = np.zeros((3, 4))
-    Y[0, 1] = Y[1, 2] = 1.0  # row 2 is padding
+    Y = np.array([2, 3, 0])  # row 2 is padding
     loss, d = nn.cross_entropy(P, Y)
     loss2, d2 = nn.cross_entropy(P[:2], Y[:2])
     assert abs(loss - loss2) < 1e-12
@@ -294,8 +303,7 @@ def test_cross_entropy_masks_padding_rows():
 
 def test_cross_entropy_unmasked_padding_dilutes_mean():
     P = np.full((2, 4), 0.25)
-    Y = np.zeros((2, 4))
-    Y[0, 0] = 1.0
+    Y = np.array([1, 0])
     masked, _ = nn.cross_entropy(P, Y, mask_padding=True)
     unmasked, _ = nn.cross_entropy(P, Y, mask_padding=False)
     assert abs(masked - math.log(4.0)) < 1e-12
@@ -304,23 +312,52 @@ def test_cross_entropy_unmasked_padding_dilutes_mean():
 
 def test_cross_entropy_rejects_unnormalized_rows():
     with pytest.raises(ValueError):
-        nn.cross_entropy(np.full((1, 4), 0.3), np.eye(4)[:1])
+        nn.cross_entropy(np.full((1, 4), 0.3), np.array([1]))
 
 
 def test_cross_entropy_rejects_nonfinite():
     P = np.full((1, 4), 0.25)
     P[0, 0] = np.nan
     with pytest.raises(FloatingPointError):
-        nn.cross_entropy(P, np.eye(4)[:1])
+        nn.cross_entropy(P, np.array([1]))
+
+
+@pytest.mark.parametrize("target", [
+    np.array([1, 2, 3]),         # one entry per row too many
+    np.array([1]),               # one too few
+    np.array([[1], [2]]),        # a column, not a vector
+    np.array([1.0, 2.0]),        # not integers
+    np.array([1, -1]),           # below 0
+    np.array([5, 1]),            # above V
+])
+def test_cross_entropy_rejects_bad_targets(target):
+    with pytest.raises(ValueError):
+        nn.cross_entropy(np.full((2, 4), 0.25), target)
+
+
+@pytest.mark.parametrize("mask", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_matches_one_hot_reference(mask, dtype):
+    # repeated targets, padding rows, and an all-padding target
+    rng = np.random.default_rng(6)
+    V = 1500
+    for pad in (0, 3, 10):
+        P = nn.softmax_rows(rng.standard_normal((10, V)).astype(dtype))
+        target = rng.integers(1, 40, size=10)
+        target[10 - pad:] = 0
+        loss, d = nn.cross_entropy(P, target, mask)
+        want_loss, want_d = cross_entropy_one_hot(P, one_hot_rows(target, V, dtype), mask)
+        assert d.dtype == dtype and np.array_equal(d, want_d)
+        assert abs(loss - want_loss) < 1e-6
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_cross_entropy_gradient_through_softmax(seed):
     rng = np.random.default_rng(seed)
     T, V = 4, 6
-    Y = np.zeros((T, V))
+    Y = np.zeros(T, dtype=int)
     for t in range(T - 1):  # last row stays padding
-        Y[t, rng.integers(V)] = 1.0
+        Y[t] = rng.integers(V) + 1
     tensors = {"logits": rng.standard_normal((T, V))}
 
     def loss(t):

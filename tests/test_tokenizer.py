@@ -86,41 +86,41 @@ def test_round_trip_property(words):
 
 
 # ---------------------------------------------------------------------------
-# Padded one-hot
+# Padded index vectors (pad_one_hot is the former name of pad)
 # ---------------------------------------------------------------------------
 
 def test_pad_one_hot_layout():
     tok = fit([["a", "b", "c"]], cap=5)
     enc = tok.pad_one_hot([2, 1, 3], max_len=5)
-    assert enc.matrix.shape == (5, 5)
-    assert enc.matrix.dtype == np.float32
-    assert enc.length == 3
-    expect = np.zeros((5, 5), dtype=np.float32)
-    expect[0, 1] = expect[1, 0] = expect[2, 2] = 1.0  # column = index - 1
-    assert np.array_equal(enc.matrix, expect)
+    assert enc.shape == (5,)
+    assert np.issubdtype(enc.dtype, np.integer)
+    assert np.count_nonzero(enc) == 3
+    assert np.array_equal(enc, [2, 1, 3, 0, 0])
+    assert np.array_equal(tok.pad([2, 1, 3], max_len=5), enc)
 
 
 def test_pad_one_hot_row_width_is_cap_not_fitted_size():
+    # any index up to the cap is accepted, not just fitted ones
     tok = fit([["a", "b"]], cap=9)
-    assert tok.pad_one_hot([1], max_len=2).matrix.shape == (2, 9)
+    assert np.array_equal(tok.pad([9], max_len=2), [9, 0])
 
 
 def test_pad_one_hot_rejects_overflow_and_bad_indices():
     tok = fit([["a", "b"]], cap=4)
     with pytest.raises(InputError):
-        tok.pad_one_hot([1, 2, 1], max_len=2)
+        tok.pad([1, 2, 1], max_len=2)
     for bad in (0, 5):
         with pytest.raises(InputError):
-            tok.pad_one_hot([bad], max_len=2)
+            tok.pad([bad], max_len=2)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=6), max_size=8))
 def test_pad_one_hot_row_sums(indices):
     tok = Tokenizer(cap=6)
-    enc = tok.pad_one_hot(indices, max_len=8)
-    sums = enc.matrix.sum(axis=1)
-    assert np.array_equal(sums[:len(indices)], np.ones(len(indices)))
-    assert np.array_equal(sums[len(indices):], np.zeros(8 - len(indices)))
+    enc = tok.pad(indices, max_len=8)
+    assert enc.shape == (8,)
+    assert np.array_equal(enc[:len(indices)], indices)
+    assert np.array_equal(enc[len(indices):], np.zeros(8 - len(indices)))
 
 
 # ---------------------------------------------------------------------------

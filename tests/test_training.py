@@ -59,13 +59,13 @@ def test_build_samples_shift_by_one_layout():
     corp, tok = nine_token_setup()
     (sample,) = build_samples(["v"], corp, tok, max_words=10)
     assert sample.video_id == "v"
-    assert sample.dec_in.length == 8 and sample.target.length == 8
-    dec, tgt = sample.dec_in.matrix, sample.target.matrix
-    assert dec.shape == tgt.shape == (10, 12)
+    dec, tgt = sample.dec_in, sample.target
+    assert np.count_nonzero(dec) == 8 and np.count_nonzero(tgt) == 8
+    assert dec.shape == tgt.shape == (10,)
     for r in range(8):
-        assert dec[r].argmax() == r and dec[r].sum() == 1       # token r
-        assert tgt[r].argmax() == r + 1 and tgt[r].sum() == 1   # token r+1
-    assert not dec[8:].any() and not tgt[8:].any()              # padding rows
+        assert dec[r] == r + 1       # token r
+        assert tgt[r] == r + 2       # token r+1
+    assert not dec[8:].any() and not tgt[8:].any()              # padding steps
 
 
 def test_build_samples_prefix_expansion_layout():
@@ -73,13 +73,13 @@ def test_build_samples_prefix_expansion_layout():
     samples = build_samples(["v"], corp, tok, max_words=10, prefix_expansion=True)
     assert len(samples) == 8  # one per prefix of the 9-index caption
     for j, sample in enumerate(samples, start=1):
-        dec, tgt = sample.dec_in.matrix, sample.target.matrix
-        assert sample.dec_in.length == j
+        dec, tgt = sample.dec_in, sample.target
+        assert np.count_nonzero(dec) == j
         for r in range(j):
-            assert dec[r, r] == 1.0
+            assert dec[r] == r + 1
         assert not dec[j:].any()
         # only the final step of the prefix is scored
-        assert tgt.sum() == 1.0 and tgt[j - 1, j] == 1.0
+        assert np.count_nonzero(tgt) == 1 and tgt[j - 1] == j + 1
 
 
 def test_build_samples_skips_captions_below_two_indices():
@@ -91,7 +91,7 @@ def test_build_samples_skips_captions_below_two_indices():
     ]})
     samples = build_samples(["v"], corp, tok, max_words=10)
     assert len(samples) == 1
-    assert samples[0].dec_in.length == 2
+    assert np.count_nonzero(samples[0].dec_in) == 2
 
 
 def test_build_samples_follows_key_order():
@@ -126,12 +126,13 @@ def test_epoch_order_is_a_deterministic_permutation():
 # ---------------------------------------------------------------------------
 
 def random_instance(seed, rows=6, cols=5, pad_rows=2):
+    """Row-normalized P and a target index vector (1-based, 0 = padding)."""
     rng = np.random.default_rng(seed)
     P = rng.random((rows, cols))
     P /= P.sum(axis=1, keepdims=True)
-    Y = np.zeros((rows, cols))
+    Y = np.zeros(rows, dtype=int)
     for r in range(rows - pad_rows):
-        Y[r, rng.integers(cols)] = 1.0
+        Y[r] = rng.integers(cols) + 1
     return P, Y
 
 
@@ -140,22 +141,20 @@ def test_accuracy_matches_scalar_oracle(mask):
     for seed in range(30):
         P, Y = random_instance(seed)
         assert accuracy(P, Y, mask) == pytest.approx(
-            oracles.accuracy_scalar(P, Y, mask), abs=1e-12)
+            oracles.accuracy_scalar(P, oracles.one_hot_rows(Y, 5), mask), abs=1e-12)
 
 
 def test_accuracy_ties_go_to_lowest_index():
     P = np.full((1, 4), 0.25)
-    hit = np.zeros((1, 4)); hit[0, 0] = 1.0
-    miss = np.zeros((1, 4)); miss[0, 2] = 1.0
-    assert accuracy(P, hit) == 1.0
-    assert accuracy(P, miss) == 0.0
+    assert accuracy(P, np.array([1])) == 1.0   # hit: column 0
+    assert accuracy(P, np.array([3])) == 0.0   # miss: column 2
 
 
 def test_accuracy_unmasked_padding_counts_as_miss():
     P, Y = random_instance(0, rows=4, pad_rows=4)  # all padding
     assert accuracy(P, Y, mask_padding=True) == 0.0
     assert accuracy(P, Y, mask_padding=False) == 0.0
-    Y[0, int(P[0].argmax())] = 1.0
+    Y[0] = int(P[0].argmax()) + 1
     assert accuracy(P, Y, mask_padding=False) == 0.25
 
 
