@@ -91,14 +91,24 @@ def training_forward(params, feat, dec_in):
     """
     feat = np.asarray(feat)
     dec_in = np.asarray(dec_in)
-    dec = params.decoder
     _, h, c, enc_caches = nn.lstm_forward(params.encoder, feat @ params.encoder.W)
+    P, H, dec_caches = decoder_forward(params, h, c, dec_in)
+    return P, (feat, enc_caches, dec_in, dec_caches, H, P)
+
+
+def decoder_forward(params, h, c, dec_in):
+    """Teacher-forced decoder and head from the encoder state (h, c).
+
+    dec_in holds the decoder's input word indices, 0 at padding steps.
+    Returns (P, H, caches): one probability row and one hidden state
+    per step, and the decoder LSTM's per-step caches.
+    """
+    dec = params.decoder
     words = dec_in > 0
     XW = np.zeros((len(dec_in), dec.W.shape[1]), dtype=dec.W.dtype)
     XW[words] = dec.W[dec_in[words] - 1]
-    H, _, _, dec_caches = nn.lstm_forward(dec, XW, h, c)
-    P = nn.dense_softmax_forward(params.head, H)
-    return P, (feat, enc_caches, dec_in, dec_caches, H, P)
+    H, _, _, caches = nn.lstm_forward(dec, XW, h, c)
+    return nn.dense_softmax_forward(params.head, H), H, caches
 
 
 def training_backward(params, caches, target, mask_padding=True):

@@ -11,6 +11,11 @@ the input kernel W to the caller (one GEMM over dense frames, a row
 gather and a scatter-add for word indices).  dU and db are one matrix
 product each over the whole sequence, not T rank-1 updates.
 
+adam_step updates the parameters and both moments in place, walking
+each tensor in fixed ADAM_BLOCK-element blocks through two reused
+scratch rows; each block applies the textbook formula's operations in
+the same order, so the result is bitwise that of the allocating form.
+
 Everything is written for single sequences (no batch axis); the trainer
 loops over samples and averages gradients.  The training path runs in
 float32; build parameters with dtype=np.float64 for gradient checking.
@@ -299,35 +304,73 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
+# Elements per block: a block's four operand slices and two scratch rows
+# (6 x 128 KB in float32) stay in L2.  A full-size step (Xeon, 2 MB L2
+# per core) took ~80 ms at 2^15 and 2^17 and ~105-113 ms at 2^13.
+ADAM_BLOCK = 1 << 15
+
+
 def adam_step(state, params, grads):
     """One Adam update with bias correction, applied in place.
 
     params and grads are dicts mapping tensor name -> array with
     matching keys and shapes.  Raises on any non-finite gradient, naming
-    the offending tensor.
+    the offending tensor; names, shapes and finiteness are all checked
+    before t, a moment or a parameter changes.
+
+    The parameters and the moments state.m/state.v (created as zeros on
+    a tensor's first step and kept as the same arrays afterwards) are
+    updated in place, one ADAM_BLOCK-element block at a time through two
+    scratch rows, so no step allocates a tensor-sized temporary.  Each
+    block runs the ufuncs of
+        m = beta1 m + (1 - beta1) g
+        v = beta2 v + (1 - beta2) g^2
+        p -= lr (m / b1c) / (sqrt(v / b2c) + eps)
+    in this order on the same operands, so the results are bitwise those
+    of the unblocked formula.
     """
     if set(params) != set(grads):
         raise ValueError("params and grads name sets differ")
-    for name in params:
-        if not np.all(np.isfinite(grads[name])):
-            raise FloatingPointError(f"non-finite gradient for tensor '{name}'")
-    state.t += 1
-    b1c = 1.0 - state.beta1 ** state.t
-    b2c = 1.0 - state.beta2 ** state.t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for '{name}'")
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p)
-            v = np.zeros_like(p)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+        if not p.flags.c_contiguous:
+            raise ValueError(f"parameter '{name}' is not C-contiguous")
+        flat = g.reshape(-1)
+        if not all(np.isfinite(flat[s:s + ADAM_BLOCK]).all()
+                   for s in range(0, flat.size, ADAM_BLOCK)):
+            raise FloatingPointError(f"non-finite gradient for tensor '{name}'")
+    state.t += 1
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    b1c = 1.0 - b1 ** state.t
+    b2c = 1.0 - b2 ** state.t
+    for name, p in params.items():
+        g = grads[name]
+        dt = np.result_type(p, g)
+        if name not in state.m:
+            state.m[name] = np.zeros(p.shape, dtype=dt)
+            state.v[name] = np.zeros(p.shape, dtype=dt)
+        pf, gf = p.reshape(-1), g.reshape(-1)
+        mf, vf = state.m[name].reshape(-1), state.v[name].reshape(-1)
+        rows = np.empty((2, min(ADAM_BLOCK, p.size)), dtype=dt)
+        for s in range(0, pf.size, ADAM_BLOCK):
+            gb, mb, vb, pb = (x[s:s + ADAM_BLOCK] for x in (gf, mf, vf, pf))
+            a, u = rows[:, :gb.size]
+            np.multiply(mb, b1, out=mb)
+            np.multiply(gb, 1.0 - b1, out=a)
+            np.add(mb, a, out=mb)
+            np.multiply(vb, b2, out=vb)
+            np.multiply(gb, gb, out=a)
+            np.multiply(a, 1.0 - b2, out=a)
+            np.add(vb, a, out=vb)
+            np.divide(mb, b1c, out=u)
+            np.multiply(u, lr, out=u)
+            np.divide(vb, b2c, out=a)
+            np.sqrt(a, out=a)
+            np.add(a, eps, out=a)
+            np.divide(u, a, out=u)
+            np.subtract(pb, u, out=pb)
     return params, state
 
 

@@ -31,8 +31,8 @@ class TrainConfig:
             raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise InputError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr < 0:
-            raise InputError(f"lr must be >= 0, got {self.lr}")
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise InputError(f"lr must be finite and >= 0, got {self.lr}")
         if self.checkpoint_every < 0:
             raise InputError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.threads < 1:
@@ -134,19 +134,27 @@ def _sample_pass(params, store, sample, mask_padding):
     return loss, accuracy(P, sample.target, mask_padding), grads
 
 
-def _sample_eval(params, store, sample, mask_padding):
-    feat = store.get(sample.video_id)
-    P, _ = mdl.training_forward(params, feat, sample.dec_in)
+def _sample_eval(params, state, sample, mask_padding):
+    P, _, _ = mdl.decoder_forward(params, *state, sample.dec_in)
     loss, _ = nn.cross_entropy(P, sample.target, mask_padding)
     return loss, accuracy(P, sample.target, mask_padding)
 
 
 def evaluate_samples(params, store, samples, mask_padding=True, pool=None):
-    """Forward-only mean (loss, accuracy); (0, 0) for an empty list."""
+    """Forward-only mean (loss, accuracy); (0, 0) for an empty list.
+
+    Each distinct video is encoded once; the decoder and head then run
+    per caption from that video's final encoder state, so the results
+    equal those of training_forward sample by sample.
+    """
     if not samples:
         return 0.0, 0.0
-    run = lambda s: _sample_eval(params, store, s, mask_padding)
-    results = list(pool.map(run, samples)) if pool else [run(s) for s in samples]
+    run_map = pool.map if pool else map
+    videos = list(dict.fromkeys(s.video_id for s in samples))
+    states = dict(zip(videos, run_map(
+        lambda key: mdl.encode_video(params, store.get(key)), videos)))
+    results = list(run_map(
+        lambda s: _sample_eval(params, states[s.video_id], s, mask_padding), samples))
     n = len(results)
     return sum(r[0] for r in results) / n, sum(r[1] for r in results) / n
 
@@ -159,8 +167,16 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
     accumulate batch-mean gradients in fixed sample order (so the thread
     count cannot change results), take one Adam step per batch, then run
     a forward-only validation pass.  Epoch metrics are per-sample means.
-    A non-finite loss or gradient aborts the run; checkpoints already on
-    disk are left in place.
+    A non-finite loss or gradient, in training or in validation, raises
+    TrainingDiverged before the batch's Adam step; checkpoints already
+    on disk are left in place.
+
+    Each sample's gradients are added into one grad_sum buffer per
+    tensor as soon as its pass returns, then dropped: the buffers are
+    allocated once per run and zeroed per batch, so with one thread at
+    most one per-sample gradient set is alive and peak memory does not
+    grow with the batch size.  Validation encodes each distinct video
+    once and decodes each of its captions from that state.
     """
     cfg.validate()
     for key in list(train_keys) + list(val_keys):
@@ -176,37 +192,36 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
         raise InputError("no trainable samples in the training split")
     opt = nn.AdamState(lr=cfg.lr)
     history = MetricsHistory()
-    names = list(params.tensors())
+    tensors = params.tensors()
+    grad_sum = {name: np.empty_like(t) for name, t in tensors.items()}  # zeroed per batch
     pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
+    run_map = pool.map if pool else map
     try:
         for epoch in range(1, cfg.epochs + 1):
             loss_sum = acc_sum = 0.0
             n_seen = 0
-            for batch in make_batches(train_samples, cfg.batch_size, cfg.seed, epoch):
-                run = lambda s: _sample_pass(params, store, s, cfg.mask_padding)
-                try:
-                    results = (list(pool.map(run, batch)) if pool
-                               else [run(s) for s in batch])
-                except FloatingPointError as e:
-                    raise TrainingDiverged(f"epoch {epoch}: {e}") from e
-                tensors = params.tensors()
-                grad_sum = {name: np.zeros_like(tensors[name]) for name in names}
-                for loss, acc, grads in results:  # fixed sample order
-                    if not np.isfinite(loss):
-                        raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-                    loss_sum += loss
-                    acc_sum += acc
-                    for name in names:
-                        grad_sum[name] += grads[name]
-                for name in names:
-                    grad_sum[name] /= len(batch)
-                try:
+            try:
+                for batch in make_batches(train_samples, cfg.batch_size, cfg.seed, epoch):
+                    for g in grad_sum.values():
+                        g.fill(0)
+                    results = run_map(
+                        lambda s: _sample_pass(params, store, s, cfg.mask_padding), batch)
+                    for loss, acc, grads in results:  # fixed sample order
+                        if not np.isfinite(loss):
+                            raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+                        loss_sum += loss
+                        acc_sum += acc
+                        for name, g in grad_sum.items():
+                            g += grads[name]
+                        del grads  # free it before the next sample's pass
+                    for g in grad_sum.values():
+                        g /= len(batch)
                     nn.adam_step(opt, tensors, grad_sum)
-                except FloatingPointError as e:
-                    raise TrainingDiverged(f"epoch {epoch}: {e}") from e
-                n_seen += len(batch)
-            val_loss, val_acc = evaluate_samples(params, store, val_samples,
-                                                 cfg.mask_padding, pool)
+                    n_seen += len(batch)
+                val_loss, val_acc = evaluate_samples(params, store, val_samples,
+                                                     cfg.mask_padding, pool)
+            except FloatingPointError as e:
+                raise TrainingDiverged(f"epoch {epoch}: {e}") from e
             row = EpochMetrics(epoch, loss_sum / n_seen, acc_sum / n_seen,
                                val_loss, val_acc)
             history.rows.append(row)

@@ -102,6 +102,37 @@ def cross_entropy_one_hot(P, Y, mask_padding=True):
     return loss, d_logits
 
 
+def adam_step_reference(state, params, grads):
+    """The allocating Adam step the blocked in-place one replaced, verbatim.
+
+    Builds fresh m/v arrays and tensor-sized temporaries on every call;
+    nn.adam_step must match it bitwise.
+    """
+    if set(params) != set(grads):
+        raise ValueError("params and grads name sets differ")
+    for name in params:
+        if not np.all(np.isfinite(grads[name])):
+            raise FloatingPointError(f"non-finite gradient for tensor '{name}'")
+    state.t += 1
+    b1c = 1.0 - state.beta1 ** state.t
+    b2c = 1.0 - state.beta2 ** state.t
+    for name, p in params.items():
+        g = grads[name]
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for '{name}'")
+        m = state.m.get(name)
+        v = state.v.get(name)
+        if m is None:
+            m = np.zeros_like(p)
+            v = np.zeros_like(p)
+        m = state.beta1 * m + (1.0 - state.beta1) * g
+        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        state.m[name] = m
+        state.v[name] = v
+        p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+    return params, state
+
+
 def _gram_list(tokens, n):
     return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
 

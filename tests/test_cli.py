@@ -2,6 +2,8 @@
 
 import contextlib
 import io
+import os
+from pathlib import Path
 import shutil
 import struct
 import subprocess
@@ -17,6 +19,7 @@ from vidcap.model import (ModelConfig, ModelParams, _write_tensor,
                           load_checkpoint, save_checkpoint)
 from vidcap.tokenizer import Tokenizer
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 MODEL_ARGS = ["--frames", "8", "--feature-dim", "16", "--latent", "8",
               "--vocab", "40"]
 
@@ -145,6 +148,36 @@ def test_train_lr_zero_checkpoint_equals_init(ws):
     # leave the module checkpoint in a known state for later tests
     run_cli("train", *ws["base"], *MODEL_ARGS, "--epochs", "3",
             "--batch-size", "4", "--lr", "0.001", "--seed", "11")
+
+
+def test_train_validation_divergence_exits_1_without_traceback(ws, tmp_path):
+    # one batch holds every sample, so the first non-finite value appears
+    # in the validation pass after the only Adam step
+    base = ["--descriptions", str(ws["data"] / "descriptions.txt"),
+            "--manifest", str(ws["data"] / "manifest.tsv"), "--out", str(tmp_path)]
+    assert run_cli("prepare", *base, "--vocab", "40", "--seed", "42")[0] == 0
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vidcap", "train", *base, *MODEL_ARGS,
+         "--batch-size", "100", "--epochs", "1", "--lr", "1e38"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert errors == ["error: epoch 1: non-finite probabilities in cross_entropy"]
+    assert not (tmp_path / "ckpt-1.sq2s").exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_non_finite_lr_exits_2(ws, tmp_path, lr, source):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"lr = {lr}\n", encoding="utf-8")
+    extra = ["--lr", lr] if source == "flag" else ["--config", str(cfg)]
+    code, out, err = run_cli("train", *ws["base"], *MODEL_ARGS, "--epochs", "1", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: lr must be finite and >= 0, got {lr}"
 
 
 def test_train_tokenizer_cap_mismatch_exits_1(ws):

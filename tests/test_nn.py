@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vidcap import nn
-from oracles import (cross_entropy_one_hot, lstm_backward_outer, lstm_cell_scalar,
+from oracles import (adam_step_reference, cross_entropy_one_hot, lstm_backward_outer, lstm_cell_scalar,
                      one_hot_rows)
 
 
@@ -425,6 +425,70 @@ def test_adam_mismatched_names_or_shapes():
         nn.adam_step(state, {"a": np.zeros(2)}, {"b": np.zeros(2)})
     with pytest.raises(ValueError):
         nn.adam_step(state, {"a": np.zeros(2)}, {"a": np.zeros(3)})
+
+
+BLOCK = nn.ADAM_BLOCK
+ADAM_SHAPES = {"one": (1,), "short": (BLOCK - 1,), "block": (BLOCK // 64, 64),
+               "long": (BLOCK + 1,), "tail": (3 * BLOCK + 7,)}
+
+
+def adam_case(dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    params = {k: rng.standard_normal(s).astype(dtype) for k, s in ADAM_SHAPES.items()}
+    grads = []
+    for step in range(4):
+        g = {k: (rng.standard_normal(s) * 10.0 ** rng.integers(-6, 2, size=s)).astype(dtype)
+             for k, s in ADAM_SHAPES.items()}
+        g["long"][::7] = 0.0  # exact zeros take the same path as in the formula
+        grads.append(g)
+    return params, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_blocked_in_place_matches_allocating_reference(dtype):
+    params, grads = adam_case(dtype)
+    ref_params = {k: v.copy() for k, v in params.items()}
+    state = nn.AdamState(lr=3e-3)
+    ref = nn.AdamState(lr=3e-3)
+    moments = None
+    for g in grads:
+        nn.adam_step(state, params, g)
+        adam_step_reference(ref, ref_params, g)
+        for k in ADAM_SHAPES:
+            assert params[k].dtype == state.m[k].dtype == state.v[k].dtype == dtype
+            assert np.array_equal(params[k], ref_params[k]), k
+            assert np.array_equal(state.m[k], ref.m[k]), k
+            assert np.array_equal(state.v[k], ref.v[k]), k
+        if moments is None:
+            moments = {k: (state.m[k], state.v[k]) for k in ADAM_SHAPES}
+        for k, (m, v) in moments.items():
+            assert state.m[k] is m and state.v[k] is v  # updated in place
+    assert state.t == ref.t == len(grads)
+
+
+def test_adam_nonfinite_last_tensor_changes_nothing():
+    params, grads = adam_case(np.float32, seed=1)
+    state = nn.AdamState(lr=3e-3)
+    nn.adam_step(state, params, grads[0])
+    before = {k: (params[k].copy(), state.m[k].copy(), state.v[k].copy()) for k in params}
+    bad = dict(grads[1])
+    last = list(bad)[-1]
+    bad[last] = bad[last].copy()
+    bad[last][-1] = np.nan
+    with pytest.raises(FloatingPointError, match=last):
+        nn.adam_step(state, params, bad)
+    assert state.t == 1
+    for k, (p, m, v) in before.items():
+        assert np.array_equal(params[k], p)
+        assert np.array_equal(state.m[k], m) and np.array_equal(state.v[k], v)
+
+
+def test_adam_rejects_non_contiguous_parameter():
+    state = nn.AdamState()
+    p = {"w": np.zeros((4, 4))[:, ::2]}
+    with pytest.raises(ValueError, match="contiguous"):
+        nn.adam_step(state, p, {"w": np.ones((4, 2))})
+    assert state.t == 0
 
 
 # ---------------------------------------------------------------------------
