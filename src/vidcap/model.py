@@ -91,24 +91,24 @@ def training_forward(params, feat, dec_in):
     """
     feat = np.asarray(feat)
     dec_in = np.asarray(dec_in)
-    _, h, c, enc_caches = nn.lstm_forward(params.encoder, feat @ params.encoder.W)
-    P, H, dec_caches = decoder_forward(params, h, c, dec_in)
-    return P, (feat, enc_caches, dec_in, dec_caches, H, P)
+    _, h, c, enc_cache = nn.lstm_forward(params.encoder, feat @ params.encoder.W)
+    P, H, dec_cache = decoder_forward(params, h, c, dec_in)
+    return P, (feat, enc_cache, dec_in, dec_cache, H, P)
 
 
 def decoder_forward(params, h, c, dec_in):
     """Teacher-forced decoder and head from the encoder state (h, c).
 
     dec_in holds the decoder's input word indices, 0 at padding steps.
-    Returns (P, H, caches): one probability row and one hidden state
-    per step, and the decoder LSTM's per-step caches.
+    Returns (P, H, cache): one probability row and one hidden state
+    per step, and the decoder LSTM's (Hs, Cs, G) cache.
     """
     dec = params.decoder
     words = dec_in > 0
     XW = np.zeros((len(dec_in), dec.W.shape[1]), dtype=dec.W.dtype)
     XW[words] = dec.W[dec_in[words] - 1]
-    H, _, _, caches = nn.lstm_forward(dec, XW, h, c)
-    return nn.dense_softmax_forward(params.head, H), H, caches
+    H, _, _, cache = nn.lstm_forward(dec, XW, h, c)
+    return nn.dense_softmax_forward(params.head, H), H, cache
 
 
 def training_backward(params, caches, target, mask_padding=True):
@@ -118,15 +118,15 @@ def training_backward(params, caches, target, mask_padding=True):
     Gradients flow from the head through the decoder and on into the
     encoder via the initial-state connection.
     """
-    feat, enc_caches, dec_in, dec_caches, H, P = caches
+    feat, enc_cache, dec_in, dec_cache, H, P = caches
     loss, d_logits = nn.cross_entropy(P, np.asarray(target), mask_padding)
     dW_h, db_h, dH = nn.dense_softmax_backward(params.head, H, d_logits)
-    dXW_d, dU_d, db_d, dh0, dc0 = nn.lstm_backward(params.decoder, dec_caches, dH)
+    dXW_d, dU_d, db_d, dh0, dc0 = nn.lstm_backward(params.decoder, dec_cache, dH)
     dW_d = np.zeros_like(params.decoder.W)
     # step order, as the one-hot product sums; np.add.at is ~15x slower here
     for t in np.flatnonzero(dec_in > 0):
         dW_d[dec_in[t] - 1] += dXW_d[t]
-    dXW_e, dU_e, db_e, _, _ = nn.lstm_backward(params.encoder, enc_caches,
+    dXW_e, dU_e, db_e, _, _ = nn.lstm_backward(params.encoder, enc_cache,
                                                None, dh0, dc0)
     grads = {"encoder.W": feat.T @ dXW_e, "encoder.U": dU_e, "encoder.b": db_e,
              "decoder.W": dW_d, "decoder.U": dU_d, "decoder.b": db_d,
@@ -147,14 +147,14 @@ class DecodeState:
 
 
 def decode_step(params, state, token_index):
-    """One decoder step on a single token index from the given state."""
+    """One decoder step on a single token index from the given state:
+    a T = 1 lstm_forward over the word's embedding row."""
     V = params.decoder.input_dim
     if not 1 <= token_index <= V:
         raise InputError(f"token index {token_index} outside [1, {V}]")
-    xw = params.decoder.W[token_index - 1]
-    h, c, _ = nn.lstm_cell_forward(params.decoder, xw, state.h, state.c)
-    logits = h @ params.head.W + params.head.b
-    probs = nn.softmax_rows(logits[None, :])[0]
+    XW = params.decoder.W[token_index - 1:token_index]
+    H, h, c, _ = nn.lstm_forward(params.decoder, XW, state.h, state.c)
+    probs = nn.softmax_rows(H @ params.head.W + params.head.b)[0]
     return probs, DecodeState(h, c)
 
 

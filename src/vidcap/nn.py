@@ -1,22 +1,23 @@
 """Framework-free neural-network kernels on plain numpy arrays.
 
-Contains the LSTM cell and sequence forward/backward passes, the
-softmax dense head, categorical cross-entropy over index targets, the
-Adam optimizer, parameter initializers, and a finite-difference
-gradient checker.
+Contains the LSTM sequence forward/backward passes, the softmax dense
+head, categorical cross-entropy over index targets, the Adam optimizer,
+parameter initializers, and a finite-difference gradient checker.
 
 The LSTM kernels do the recurrence only: they take the projected input
 XW (T x 4*hidden, row t = x_t W), return its gradient dXW, and leave
 the input kernel W to the caller (one GEMM over dense frames, a row
-gather and a scatter-add for word indices).  dU and db are one matrix
-product each over the whole sequence, not T rank-1 updates.
+gather and a scatter-add for word indices).  lstm_forward is the only
+forward recurrence (a decoder step is a T = 1 call) and its cache is
+three preallocated arrays (Hs, Cs, G), which lstm_backward reads
+directly; dU and db are one matrix product each over the sequence.
 
 adam_step updates the parameters and both moments in place, walking
 each tensor in fixed ADAM_BLOCK-element blocks through two reused
 scratch rows; each block applies the textbook formula's operations in
 the same order, so the result is bitwise that of the allocating form.
 
-Everything is written for single sequences (no batch axis); the trainer
+The kernels take one sequence at a time (no batch axis); the trainer
 loops over samples and averages gradients.  The training path runs in
 float32; build parameters with dtype=np.float64 for gradient checking.
 """
@@ -24,16 +25,6 @@ float32; build parameters with dtype=np.float64 for gradient checking.
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-def sigmoid(x):
-    """Logistic function, evaluated without overflow on either tail."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def softmax_rows(logits):
@@ -141,39 +132,19 @@ def init_dense_params(rng, hidden, out_dim, dtype=np.float32):
 # LSTM forward / backward
 # ---------------------------------------------------------------------------
 
-def lstm_cell_forward(p, xw, h_prev, c_prev):
-    """One LSTM step on a projected input row.
-
-    xw is the timestep's input already multiplied by the input kernel,
-    x W (shape 4*hidden); the cell adds the recurrent term and the bias,
-    [zi zf zg zo] = xw + h_prev U + b, then
-    i = sigmoid(zi), f = sigmoid(zf), g = tanh(zg), o = sigmoid(zo),
-    c = f * c_prev + i * g, h = o * tanh(c).
-
-    Returns (h, c, cache) with cache = (h_prev, c_prev, i, f, g, o, c),
-    the per-step record lstm_backward reads.
-    """
-    hid = p.hidden
-    if xw.shape != (4 * hid,):
-        raise ValueError(f"projected input has shape {xw.shape}, expected ({4 * hid},)")
-    if h_prev.shape != (hid,) or c_prev.shape != (hid,):
-        raise ValueError(f"state has shape {h_prev.shape}/{c_prev.shape}, expected ({hid},)")
-    z = xw + h_prev @ p.U + p.b
-    i = sigmoid(z[:hid])
-    f = sigmoid(z[hid:2 * hid])
-    g = np.tanh(z[2 * hid:3 * hid])
-    o = sigmoid(z[3 * hid:])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return h, c, (h_prev, c_prev, i, f, g, o, c)
-
-
 def lstm_forward(p, XW, h0=None, c0=None):
-    """Chain lstm_cell_forward over the projected rows XW[t] = x_t W, T >= 1.
+    """LSTM recurrence over the projected rows XW[t] = x_t W, T >= 1.
 
-    Returns (H, h_T, c_T, caches) where H[t] is the hidden state after
-    step t, (h_T, c_T) is the final state and caches[t] is the cell's
-    cache for step t.
+    Step t forms [zi zf zg zo] = x_t W + b + h_{t-1} U, then
+    i = sigmoid(zi), f = sigmoid(zf), g = tanh(zg), o = sigmoid(zo),
+    c_t = f * c_{t-1} + i * g, h_t = o * tanh(c_t).  The gates take one
+    tanh, gate = s tanh(s z) + 1 - s with s = 1/2 on the sigmoid blocks
+    (sigmoid(z) = tanh(z/2)/2 + 1/2) and s = 1 on g, so none overflows.
+
+    Returns (H, h_T, c_T, cache) with cache = (Hs, Cs, G) and the views
+    H = Hs[1:], h_T = Hs[T], c_T = Cs[T].  Hs and Cs are (T+1) x hidden,
+    row 0 the initial state (zeros when None) and row t+1 the state after
+    step t; G (T x 4*hidden) holds every step's activated gates [i f g o].
     """
     hid = p.hidden
     if XW.ndim != 2 or XW.shape[1] != 4 * hid:
@@ -181,57 +152,75 @@ def lstm_forward(p, XW, h0=None, c0=None):
     T = XW.shape[0]
     if T < 1:
         raise ValueError("sequence must contain at least one timestep")
+    for name, state in (("h0", h0), ("c0", c0)):
+        if state is not None and state.shape != (hid,):
+            raise ValueError(f"{name} has shape {state.shape}, expected ({hid},)")
     dt = np.result_type(XW.dtype, p.U.dtype)
-    h = h0 if h0 is not None else np.zeros(hid, dtype=dt)
-    c = c0 if c0 is not None else np.zeros(hid, dtype=dt)
-    H = np.empty((T, hid), dtype=dt)
-    caches = []
+    Hs = np.empty((T + 1, hid), dtype=dt)
+    Cs = np.empty((T + 1, hid), dtype=dt)
+    Hs[0] = 0 if h0 is None else h0
+    Cs[0] = 0 if c0 is None else c0
+    G = np.add(XW, p.b, dtype=dt)
+    scale = np.full(4 * hid, 0.5, dtype=dt)
+    scale[2 * hid:3 * hid] = 1.0
+    shift = 1.0 - scale
     for t in range(T):
-        h, c, cache = lstm_cell_forward(p, XW[t], h, c)
-        H[t] = h
-        caches.append(cache)
-    return H, h, c, caches
+        z = G[t]
+        z += Hs[t] @ p.U
+        z *= scale
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
+        i, f, g, o = z[:hid], z[hid:2 * hid], z[2 * hid:3 * hid], z[3 * hid:]
+        c = np.multiply(f, Cs[t], out=Cs[t + 1])
+        c += i * g
+        np.tanh(c, out=Hs[t + 1])
+        Hs[t + 1] *= o
+    return Hs[1:], Hs[T], Cs[T], (Hs, Cs, G)
 
 
-def lstm_backward(p, caches, dH=None, dh_last=None, dc_last=None):
-    """Backpropagation through time over a cached forward pass.
+def lstm_backward(p, cache, dH=None, dh_last=None, dc_last=None):
+    """Backpropagation through time over lstm_forward's (Hs, Cs, G).
 
     dH (T x hidden) holds the loss gradient w.r.t. every per-step hidden
     output; dh_last/dc_last the gradient w.r.t. the final state.  Any of
     them may be None (treated as zero).
 
-    The reverse time loop writes each step's pre-activation gradient,
-    which is also the gradient w.r.t. XW[t], into row t of dXW and
-    carries dh_prev = U dz and dc_prev back one step; then
-    dU = H_prev^T dXW and db = sum_t dXW[t] over the whole sequence.
+    Step t's pre-activation gradient, also that of XW[t], is
+    dz = [dc g i(1-i), dc c_{t-1} f(1-f), dc i(1-g^2), dh tanh(c_t) o(1-o)]
+    for the running dh, dc.  Their factors take a few whole-sequence
+    operations; the reverse time loop scales them into row t of dZ and
+    carries dh = U dz, dc = f dc back one step.  Then dU = Hs[:-1]^T dZ
+    and db = sum_t dZ[t].
 
     Returns (dXW, dU, db, dh0, dc0).
     """
-    T = len(caches)
-    if T < 1:
-        raise ValueError("empty cache list")
+    Hs, Cs, G = cache
+    T = G.shape[0]
     hid = p.hidden
     dt = p.U.dtype
     if dH is not None and dH.shape != (T, hid):
         raise ValueError(f"dH has shape {dH.shape}, expected ({T}, {hid})")
+    i, f, g, o = (G[:, k * hid:(k + 1) * hid] for k in range(4))
+    tc = np.tanh(Cs[1:])
+    dc_from_dh = o * (1.0 - tc * tc)
     dZ = np.empty((T, 4 * hid), dtype=dt)
+    blocks = dZ.reshape(T, 4, hid)
+    blocks[:, 0] = g * i * (1.0 - i)
+    blocks[:, 1] = Cs[:-1] * f * (1.0 - f)
+    blocks[:, 2] = i * (1.0 - g * g)
+    blocks[:, 3] = tc * o * (1.0 - o)
     dh = np.zeros(hid, dtype=dt) if dh_last is None else dh_last.astype(dt, copy=True)
     dc = np.zeros(hid, dtype=dt) if dc_last is None else dc_last.astype(dt, copy=True)
     for t in reversed(range(T)):
-        _, c_prev, i, f, g, o, c = caches[t]
         if dH is not None:
-            dh = dh + dH[t]
-        tc = np.tanh(c)
-        dc = dc + dh * o * (1.0 - tc * tc)
-        dz = dZ[t]
-        dz[:hid] = dc * g * i * (1.0 - i)
-        dz[hid:2 * hid] = dc * c_prev * f * (1.0 - f)
-        dz[2 * hid:3 * hid] = dc * i * (1.0 - g * g)
-        dz[3 * hid:] = dh * tc * o * (1.0 - o)
-        dh = p.U @ dz
-        dc = dc * f
-    H_prev = np.stack([cache[0] for cache in caches], dtype=dt)
-    return dZ, H_prev.T @ dZ, dZ.sum(axis=0), dh, dc
+            dh += dH[t]
+        dc += dh * dc_from_dh[t]
+        blocks[t, :3] *= dc
+        blocks[t, 3] *= dh
+        dh = p.U @ dZ[t]
+        dc *= f[t]
+    return dZ, Hs[:-1].T @ dZ, dZ.sum(axis=0), dh, dc
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +249,8 @@ def cross_entropy(P, target, mask_padding=True):
     1-based class index of row t, or 0 for padding.  With mask_padding
     on, padding rows carry no loss and no gradient.  Returns (loss,
     d_logits): the gradient w.r.t. the logits is P minus 1 at each
-    target cell, divided by the number n of unmasked rows.
+    target cell, divided by the number n of unmasked rows.  The loss
+    sums the log-probabilities in float64 whatever P's dtype.
     """
     T, V = P.shape
     if target.shape != (T,) or target.dtype.kind not in "iu":
@@ -279,7 +269,8 @@ def cross_entropy(P, target, mask_padding=True):
         return 0.0, d_logits
     cols = target[scored] - 1
     tiny = np.finfo(P.dtype).tiny  # guards log against exp underflow to 0
-    loss = -float(np.log(np.maximum(P[scored, cols], tiny)).sum()) / n
+    log_p = np.log(np.maximum(P[scored, cols], tiny))
+    loss = -float(log_p.sum(dtype=np.float64)) / n
     unmasked = target > 0 if mask_padding else slice(None)
     d_logits[unmasked] = P[unmasked]
     d_logits[scored, cols] -= 1.0

@@ -1,7 +1,9 @@
 """Epoch-driven training: batching, Adam updates, metrics, checkpoints."""
 
 from concurrent.futures import ThreadPoolExecutor
+import contextlib
 from dataclasses import dataclass, field
+import functools
 import os
 
 import numpy as np
@@ -176,7 +178,9 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
     allocated once per run and zeroed per batch, so with one thread at
     most one per-sample gradient set is alive and peak memory does not
     grow with the batch size.  Validation encodes each distinct video
-    once and decodes each of its captions from that state.
+    once and decodes each of its captions from that state.  numpy's
+    overflow/invalid warnings are off in the epoch loop and the worker
+    threads (error state is per thread): the finiteness checks report.
     """
     cfg.validate()
     for key in list(train_keys) + list(val_keys):
@@ -194,9 +198,11 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
     history = MetricsHistory()
     tensors = params.tensors()
     grad_sum = {name: np.empty_like(t) for name, t in tensors.items()}  # zeroed per batch
-    pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
+    quiet = {"over": "ignore", "invalid": "ignore"}
+    pool = ThreadPoolExecutor(cfg.threads, initializer=functools.partial(
+        np.seterr, **quiet)) if cfg.threads > 1 else None
     run_map = pool.map if pool else map
-    try:
+    with pool or contextlib.nullcontext(), np.errstate(**quiet):
         for epoch in range(1, cfg.epochs + 1):
             loss_sum = acc_sum = 0.0
             n_seen = 0
@@ -234,7 +240,4 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
                     or (cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0)):
                 mdl.save_checkpoint(os.path.join(out_dir, f"ckpt-{epoch}.sq2s"),
                                     model_cfg, params)
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return params, history

@@ -46,8 +46,9 @@ def lstm_backward_outer(W, U, X, caches, dH=None, dh_last=None, dc_last=None):
     """Step-by-step BPTT: one rank-1 np.outer update per timestep.
 
     X is the unprojected input sequence and caches are the per-step
-    tuples (h_prev, c_prev, i, f, g, o, c) that lstm_forward records
-    for X W.  Returns (dW, dU, db, dX, dh0, dc0).
+    tuples (h_prev, c_prev, i, f, g, o, c) of lstm_forward on X W: step
+    t reads rows t and t+1 of its cache's Hs/Cs and the gate row G[t]
+    split into its four blocks.  Returns (dW, dU, db, dX, dh0, dc0).
     """
     hid = U.shape[0]
     dW = np.zeros_like(W)

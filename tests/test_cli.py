@@ -168,6 +168,24 @@ def test_train_validation_divergence_exits_1_without_traceback(ws, tmp_path):
     assert not (tmp_path / "ckpt-1.sq2s").exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_train_divergence_prints_only_the_error_line(ws, tmp_path, threads):
+    # the overflowing kernels must not add numpy RuntimeWarnings, from
+    # the main thread or from the worker threads
+    base = ["--descriptions", str(ws["data"] / "descriptions.txt"),
+            "--manifest", str(ws["data"] / "manifest.tsv"), "--out", str(tmp_path)]
+    assert run_cli("prepare", *base, "--vocab", "40", "--seed", "42")[0] == 0
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vidcap", "train", *base, *MODEL_ARGS,
+         "--batch-size", "100", "--epochs", "1", "--lr", "1e38",
+         "--threads", threads],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: epoch 1: non-finite probabilities in cross_entropy"]
+
+
 @pytest.mark.parametrize("lr", ["nan", "inf"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_train_non_finite_lr_exits_2(ws, tmp_path, lr, source):

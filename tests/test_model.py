@@ -215,10 +215,9 @@ def test_decode_step_row_gather_equals_one_hot_product(dtype):
     for k in range(1, TOY.vocab + 1):
         onehot = np.zeros(TOY.vocab, dtype=dtype)
         onehot[k - 1] = 1.0
-        h, c, _ = nn.lstm_cell_forward(params.decoder, onehot @ params.decoder.W,
-                                       state.h, state.c)
-        logits = h @ params.head.W + params.head.b
-        probs = nn.softmax_rows(logits[None, :])[0]
+        H, h, c, _ = nn.lstm_forward(params.decoder, onehot[None, :] @ params.decoder.W,
+                                     state.h, state.c)
+        probs = nn.softmax_rows(H @ params.head.W + params.head.b)[0]
         got_probs, got = decode_step(params, state, k)
         assert got_probs.dtype == dtype
         assert np.array_equal(got_probs, probs)
@@ -245,12 +244,12 @@ def test_decoder_gather_and_scatter_equal_one_hot_products(size):
 
     onehot = oracles.one_hot_rows(dec_in, vocab, np.float32)
     _, h, c, _ = nn.lstm_forward(params.encoder, feat @ params.encoder.W)
-    H, _, _, dec_caches = nn.lstm_forward(params.decoder, onehot @ params.decoder.W,
-                                          h, c)
+    H, _, _, dec_cache = nn.lstm_forward(params.decoder, onehot @ params.decoder.W,
+                                         h, c)
     assert np.array_equal(P, nn.dense_softmax_forward(params.head, H))
     _, d_logits = nn.cross_entropy(P, target)
     _, _, dH = nn.dense_softmax_backward(params.head, H, d_logits)
-    dXW, _, _, _, _ = nn.lstm_backward(params.decoder, dec_caches, dH)
+    dXW, _, _, _, _ = nn.lstm_backward(params.decoder, dec_cache, dH)
     assert grads["decoder.W"].dtype == np.float32
     assert np.array_equal(grads["decoder.W"], onehot.T @ dXW)
 

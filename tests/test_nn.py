@@ -19,16 +19,24 @@ def random_lstm(rng, in_dim, hid, dtype=np.float64, scale=0.5):
         (scale * rng.standard_normal(4 * hid)).astype(dtype))
 
 
+def oracle_caches(cache):
+    """lstm_forward's (Hs, Cs, G) as the per-step tuples
+    (h_prev, c_prev, i, f, g, o, c) that lstm_backward_outer reads."""
+    Hs, Cs, G = cache
+    return [(Hs[t], Cs[t], *np.split(G[t], 4), Cs[t + 1])
+            for t in range(len(G))]
+
+
 # ---------------------------------------------------------------------------
-# LSTM cell
+# LSTM single step (T = 1), as decode_step runs it
 # ---------------------------------------------------------------------------
 
 def test_cell_zero_params_zero_state():
     p = nn.LstmParams(np.zeros((3, 8)), np.zeros((2, 8)), np.zeros(8))
-    h, c, cache = nn.lstm_cell_forward(p, np.zeros(3) @ p.W, np.zeros(2), np.zeros(2))
-    assert np.array_equal(h, np.zeros(2))
+    H, h, c, cache = nn.lstm_forward(p, np.zeros((1, 3)) @ p.W, np.zeros(2), np.zeros(2))
+    assert np.array_equal(h, np.zeros(2)) and np.array_equal(H, np.zeros((1, 2)))
     assert np.array_equal(c, np.zeros(2))
-    _, _, i, f, g, o, _ = cache
+    [(_, _, i, f, g, o, _)] = oracle_caches(cache)
     assert np.allclose(i, 0.5) and np.allclose(f, 0.5) and np.allclose(o, 0.5)
     assert np.array_equal(g, np.zeros(2))
 
@@ -37,10 +45,26 @@ def test_cell_saturated_gates_reach_tanh_one():
     # f and o biases at +50 saturate their sigmoids; i at 0 stays 0.5, g = 0
     p = nn.LstmParams(np.zeros((2, 4)), np.zeros((1, 4)),
                       np.array([0.0, 50.0, 0.0, 50.0]))
-    h, c, _ = nn.lstm_cell_forward(p, np.array([3.0, -1.0]) @ p.W, np.zeros(1),
-                                   np.ones(1))
+    _, h, c, _ = nn.lstm_forward(p, np.array([[3.0, -1.0]]) @ p.W, np.zeros(1),
+                                 np.ones(1))
     assert abs(c[0] - 1.0) < 1e-6
     assert abs(h[0] - 0.7615941559557649) < 1e-6
+
+
+def test_forward_float32_gates_saturate_exactly_without_warning():
+    # |z| = 1e4 overflows exp(-z) in float32; the tanh form must not
+    hid = 2
+    z = np.array([1e4, -1e4], dtype=np.float32)
+    p = nn.LstmParams(np.zeros((1, 4 * hid), np.float32),
+                      np.zeros((hid, 4 * hid), np.float32),
+                      np.tile(z, 4))
+    with np.errstate(all="raise"):
+        _, _, _, (_, _, G) = nn.lstm_forward(p, np.zeros((1, 4 * hid), np.float32))
+    assert G.dtype == np.float32
+    i, f, g, o = np.split(G[0], 4)
+    for sig in (i, f, o):
+        assert sig[0] == 1.0 and sig[1] == 0.0
+    assert g[0] == 1.0 and g[1] == -1.0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -50,7 +74,7 @@ def test_cell_matches_scalar_oracle(seed):
     x = rng.standard_normal(3)
     h0 = rng.standard_normal(2)
     c0 = rng.standard_normal(2)
-    h, c, _ = nn.lstm_cell_forward(p, x @ p.W, h0, c0)
+    _, h, c, _ = nn.lstm_forward(p, x[None, :] @ p.W, h0, c0)
     h_ref, c_ref = lstm_cell_scalar(p.W, p.U, p.b, x, h0, c0)
     assert np.max(np.abs(h - np.array(h_ref))) < 1e-12
     assert np.max(np.abs(c - np.array(c_ref))) < 1e-12
@@ -59,9 +83,11 @@ def test_cell_matches_scalar_oracle(seed):
 def test_cell_dimension_errors():
     p = nn.LstmParams(np.zeros((3, 8)), np.zeros((2, 8)), np.zeros(8))
     with pytest.raises(ValueError):
-        nn.lstm_cell_forward(p, np.zeros(7), np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        nn.lstm_cell_forward(p, np.zeros(8), np.zeros(3), np.zeros(2))
+        nn.lstm_forward(p, np.zeros((1, 7)), np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError, match="h0"):
+        nn.lstm_forward(p, np.zeros((1, 8)), np.zeros(3), np.zeros(2))
+    with pytest.raises(ValueError, match="c0"):
+        nn.lstm_forward(p, np.zeros((1, 8)), np.zeros(2), np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +95,22 @@ def test_cell_dimension_errors():
 # ---------------------------------------------------------------------------
 
 def test_forward_single_step_equals_cell():
+    # a one-row call from zero state returns views of its own cache
     rng = np.random.default_rng(0)
     p = random_lstm(rng, 3, 2)
     XW = rng.standard_normal((1, 3)) @ p.W
-    H, hT, cT, _ = nn.lstm_forward(p, XW)
-    h, c, _ = nn.lstm_cell_forward(p, XW[0], np.zeros(2), np.zeros(2))
+    H, hT, cT, (Hs, Cs, G) = nn.lstm_forward(p, XW)
+    _, h, c, _ = nn.lstm_forward(p, XW, np.zeros(2), np.zeros(2))
     assert np.array_equal(H[0], h) and np.array_equal(hT, h)
     assert np.array_equal(cT, c)
+    assert Hs.shape == Cs.shape == (2, 2) and G.shape == (1, 8)
+    assert np.array_equal(Hs[0], np.zeros(2)) and np.array_equal(Cs[0], np.zeros(2))
+    assert np.array_equal(Hs[1], hT) and np.array_equal(Cs[1], cT)
 
 
 def test_forward_equals_chained_cells():
+    # chained one-step calls, as greedy decoding makes them, give the
+    # sequence forward's states bitwise
     rng = np.random.default_rng(1)
     p = random_lstm(rng, 3, 2)
     XW = rng.standard_normal((4, 3)) @ p.W
@@ -86,7 +118,7 @@ def test_forward_equals_chained_cells():
     h = np.zeros(2)
     c = np.zeros(2)
     for t in range(4):
-        h, c, _ = nn.lstm_cell_forward(p, XW[t], h, c)
+        _, h, c, _ = nn.lstm_forward(p, XW[t:t + 1], h, c)
         assert np.array_equal(H[t], h)
     assert np.array_equal(hT, h) and np.array_equal(cT, c)
 
@@ -145,8 +177,8 @@ def test_forward_rejects_empty_and_misshaped():
 def test_backward_zero_upstream_zero_grads():
     rng = np.random.default_rng(3)
     p = random_lstm(rng, 3, 2)
-    _, _, _, caches = nn.lstm_forward(p, rng.standard_normal((3, 3)) @ p.W)
-    dXW, dU, db, dh0, dc0 = nn.lstm_backward(p, caches)
+    _, _, _, cache = nn.lstm_forward(p, rng.standard_normal((3, 3)) @ p.W)
+    dXW, dU, db, dh0, dc0 = nn.lstm_backward(p, cache)
     for g in (dXW, dU, db, dh0, dc0):
         assert np.array_equal(g, np.zeros_like(g))
 
@@ -169,8 +201,8 @@ def _sequence_loss_setup(seed, in_dim=3, hid=2, T=3):
 
     q = nn.LstmParams(tensors["W"], tensors["U"], tensors["b"])
     X = tensors["X"]
-    _, _, _, caches = nn.lstm_forward(q, X @ q.W, tensors["h0"], tensors["c0"])
-    dXW, dU, db, dh0, dc0 = nn.lstm_backward(q, caches, R, r_h, r_c)
+    _, _, _, cache = nn.lstm_forward(q, X @ q.W, tensors["h0"], tensors["c0"])
+    dXW, dU, db, dh0, dc0 = nn.lstm_backward(q, cache, R, r_h, r_c)
     grads = {"W": X.T @ dXW, "U": dU, "b": db, "X": dXW @ q.W.T,
              "h0": dh0, "c0": dc0}
     return loss, tensors, grads
@@ -187,9 +219,9 @@ def test_backward_duplicated_batch_doubles_grads():
     p = random_lstm(rng, 3, 2)
     X = rng.standard_normal((3, 3))
     R = rng.standard_normal((3, 2))
-    _, _, _, caches = nn.lstm_forward(p, X @ p.W)
-    one = nn.lstm_backward(p, caches, R)
-    two = [a + b for a, b in zip(nn.lstm_backward(p, caches, R), one)]
+    _, _, _, cache = nn.lstm_forward(p, X @ p.W)
+    one = nn.lstm_backward(p, cache, R)
+    two = [a + b for a, b in zip(nn.lstm_backward(p, cache, R), one)]
     for g1, g2 in zip(one, two):
         assert np.array_equal(2.0 * g1, g2)
 
@@ -215,21 +247,21 @@ def _backward_case(seed, T, in_dim, hid, with_dH, with_dh, with_dc):
     X = rng.standard_normal((T, in_dim))
     h0 = rng.standard_normal(hid)
     c0 = rng.standard_normal(hid)
-    _, _, _, caches = nn.lstm_forward(p, X @ p.W, h0, c0)
+    _, _, _, cache = nn.lstm_forward(p, X @ p.W, h0, c0)
     dH = rng.standard_normal((T, hid)) if with_dH else None
     dh_last = rng.standard_normal(hid) if with_dh else None
     dc_last = rng.standard_normal(hid) if with_dc else None
-    return p, X, h0, c0, caches, dH, dh_last, dc_last
+    return p, X, h0, c0, cache, dH, dh_last, dc_last
 
 
 @pytest.mark.parametrize("case", range(len(BACKWARD_CASES)))
 def test_backward_matches_outer_product_oracle(case):
-    p, X, _, _, caches, dH, dh_last, dc_last = _backward_case(
+    p, X, _, _, cache, dH, dh_last, dc_last = _backward_case(
         case, *BACKWARD_CASES[case])
-    dXW, dU, db, dh0, dc0 = nn.lstm_backward(p, caches, dH, dh_last, dc_last)
+    dXW, dU, db, dh0, dc0 = nn.lstm_backward(p, cache, dH, dh_last, dc_last)
     # the caller's projection gradients, as the encoder forms them
     got = (X.T @ dXW, dU, db, dXW @ p.W.T, dh0, dc0)
-    want = lstm_backward_outer(p.W, p.U, X, caches, dH, dh_last, dc_last)
+    want = lstm_backward_outer(p.W, p.U, X, oracle_caches(cache), dH, dh_last, dc_last)
     for name, g, w in zip(("dW", "dU", "db", "dX", "dh0", "dc0"), got, want):
         assert g.shape == w.shape and g.dtype == np.float64, name
         assert np.max(np.abs(g - w)) < 1e-12, name
@@ -237,14 +269,20 @@ def test_backward_matches_outer_product_oracle(case):
 
 @pytest.mark.parametrize("case", range(len(BACKWARD_CASES)))
 def test_backward_over_chained_cell_caches_is_bitwise_identical(case):
-    # lstm_forward's caches are exactly the cell's: backward needs no input
-    p, X, h, c, caches, dH, dh_last, dc_last = _backward_case(
+    # the caches of T one-step calls, stacked, are exactly the sequence's:
+    # backward needs nothing but the three arrays
+    p, X, h, c, cache, dH, dh_last, dc_last = _backward_case(
         case, *BACKWARD_CASES[case])
-    chained = []
+    steps = []
     for xw in X @ p.W:
-        h, c, cache = nn.lstm_cell_forward(p, xw, h, c)
-        chained.append(cache)
-    want = nn.lstm_backward(p, caches, dH, dh_last, dc_last)
+        _, h, c, step = nn.lstm_forward(p, xw[None, :], h, c)
+        steps.append(step)
+    chained = (np.concatenate([steps[0][0][:1]] + [s[0][1:] for s in steps]),
+               np.concatenate([steps[0][1][:1]] + [s[1][1:] for s in steps]),
+               np.concatenate([s[2] for s in steps]))
+    for a, b in zip(chained, cache):
+        assert np.array_equal(a, b)
+    want = nn.lstm_backward(p, cache, dH, dh_last, dc_last)
     got = nn.lstm_backward(p, chained, dH, dh_last, dc_last)
     assert len(got) == 5
     for g, w in zip(got, want):
@@ -349,6 +387,20 @@ def test_cross_entropy_matches_one_hot_reference(mask, dtype):
         want_loss, want_d = cross_entropy_one_hot(P, one_hot_rows(target, V, dtype), mask)
         assert d.dtype == dtype and np.array_equal(d, want_d)
         assert abs(loss - want_loss) < 1e-6
+
+
+def test_cross_entropy_float32_loss_sums_in_float64():
+    # target probabilities from ~1 down to 1e-30: log-probabilities from
+    # ~-1e-7 to ~-69, whose float32 sum would be off in the 7th digit
+    rng = np.random.default_rng(7)
+    n = 1000
+    p = (10.0 ** rng.uniform(-30.0, 0.0, size=n)).astype(np.float32)
+    P = np.stack([p, 1.0 - p], axis=1).astype(np.float32)
+    target = np.full(n, 1)
+    loss, _ = nn.cross_entropy(P, target)
+    # the same float32 log-probabilities, summed exactly
+    want = -math.fsum(float(v) for v in np.log(p)) / n
+    assert abs(loss - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("seed", range(5))
