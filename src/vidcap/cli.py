@@ -103,6 +103,8 @@ def _resolve_options(ns):
         if getattr(ns, dest) is None:
             raise InputError(f"missing required option --{dest.replace('_', '-')} "
                              f"(or config key '{dest}')")
+    if getattr(ns, "threads", 1) < 1:
+        raise InputError(f"threads must be >= 1, got {ns.threads}")
 
 
 _MODEL_OPTS = [
@@ -171,7 +173,7 @@ def cmd_train(ns):
     tcfg = training.TrainConfig(
         batch_size=ns.batch_size, epochs=ns.epochs, lr=ns.lr, seed=ns.seed,
         mask_padding=not ns.no_mask_padding, prefix_expansion=ns.prefix_expansion,
-        checkpoint_every=ns.checkpoint_every, threads=ns.threads)
+        checkpoint_every=ns.checkpoint_every)
     params, history = training.train(params, tcfg, cfg, train_keys, val_keys,
                                      corp, tok, store, out_dir=ns.out, log=print)
     history.to_csv(os.path.join(ns.out, METRICS_FILE))
@@ -261,7 +263,9 @@ def build_parser():
         (["--epochs"], "epochs", int, 80, False, "training epochs"),
         (["--lr"], "lr", float, 1e-4, False, "Adam learning rate"),
         (["--seed"], "seed", int, 42, False, "init and shuffle seed"),
-        (["--threads"], "threads", int, 1, False, "worker threads per batch"),
+        (["--threads"], "threads", int, 1, False,
+         "accepted, no effect: training runs on one thread; set "
+         "OPENBLAS_NUM_THREADS to use more cores"),
         (["--checkpoint-every"], "checkpoint_every", int, 0, False,
          "extra checkpoint every N epochs (0 = final only)"),
         (["--prefix-expansion"], "prefix_expansion", bool, False, False,

@@ -55,19 +55,25 @@ def write_feature_file(path, matrix):
 
 
 def read_feature_file(path):
-    """Read a .vfm file back into a float32 matrix, bit-exactly."""
+    """Read a .vfm file back into a float32 matrix, bit-exactly.
+
+    The file size is checked against the header before the matrix is
+    allocated, and the payload is read straight into it.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER_BYTES:
-        raise InputError(f"{path}: truncated header ({len(blob)} bytes)")
-    if blob[:4] != MAGIC:
-        raise InputError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    rows, cols = struct.unpack_from("<II", blob, 4)
-    expected = _HEADER_BYTES + 4 * rows * cols
-    if len(blob) != expected:
-        raise InputError(f"{path}: payload is {len(blob)} bytes, expected {expected}")
-    data = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=_HEADER_BYTES)
-    m = data.reshape(rows, cols).copy()
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER_BYTES)
+        if len(head) < _HEADER_BYTES:
+            raise InputError(f"{path}: truncated header ({len(head)} bytes)")
+        if head[:4] != MAGIC:
+            raise InputError(f"{path}: bad magic {head[:4]!r}, expected {MAGIC!r}")
+        rows, cols = struct.unpack_from("<II", head, 4)
+        expected = _HEADER_BYTES + 4 * rows * cols
+        if size != expected:
+            raise InputError(f"{path}: payload is {size} bytes, expected {expected}")
+        m = np.empty((rows, cols), dtype="<f4")
+        if fh.readinto(m.reshape(-1).view(np.uint8)) != m.nbytes:
+            raise InputError(f"{path}: payload is shorter than its header says")
     if not np.all(np.isfinite(m)):
         raise InputError(f"{path}: non-finite feature entries")
     return m

@@ -1,9 +1,6 @@
 """Epoch-driven training: batching, Adam updates, metrics, checkpoints."""
 
-from concurrent.futures import ThreadPoolExecutor
-import contextlib
 from dataclasses import dataclass, field
-import functools
 import os
 
 import numpy as np
@@ -26,7 +23,6 @@ class TrainConfig:
     mask_padding: bool = True
     prefix_expansion: bool = False
     checkpoint_every: int = 0  # extra checkpoints every N epochs; final always
-    threads: int = 1
 
     def validate(self):
         if self.batch_size < 1:
@@ -37,8 +33,6 @@ class TrainConfig:
             raise InputError(f"lr must be finite and >= 0, got {self.lr}")
         if self.checkpoint_every < 0:
             raise InputError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if self.threads < 1:
-            raise InputError(f"threads must be >= 1, got {self.threads}")
         return self
 
 
@@ -142,7 +136,7 @@ def _sample_eval(params, state, sample, mask_padding):
     return loss, accuracy(P, sample.target, mask_padding)
 
 
-def evaluate_samples(params, store, samples, mask_padding=True, pool=None):
+def evaluate_samples(params, store, samples, mask_padding=True):
     """Forward-only mean (loss, accuracy); (0, 0) for an empty list.
 
     Each distinct video is encoded once; the decoder and head then run
@@ -151,12 +145,10 @@ def evaluate_samples(params, store, samples, mask_padding=True, pool=None):
     """
     if not samples:
         return 0.0, 0.0
-    run_map = pool.map if pool else map
-    videos = list(dict.fromkeys(s.video_id for s in samples))
-    states = dict(zip(videos, run_map(
-        lambda key: mdl.encode_video(params, store.get(key)), videos)))
-    results = list(run_map(
-        lambda s: _sample_eval(params, states[s.video_id], s, mask_padding), samples))
+    states = {key: mdl.encode_video(params, store.get(key))
+              for key in dict.fromkeys(s.video_id for s in samples)}
+    results = [_sample_eval(params, states[s.video_id], s, mask_padding)
+               for s in samples]
     n = len(results)
     return sum(r[0] for r in results) / n, sum(r[1] for r in results) / n
 
@@ -166,21 +158,20 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
     """Run the optimization loop; returns (params, MetricsHistory).
 
     Per epoch: shuffle samples with a seed derived from (seed, epoch),
-    accumulate batch-mean gradients in fixed sample order (so the thread
-    count cannot change results), take one Adam step per batch, then run
-    a forward-only validation pass.  Epoch metrics are per-sample means.
-    A non-finite loss or gradient, in training or in validation, raises
-    TrainingDiverged before the batch's Adam step; checkpoints already
-    on disk are left in place.
+    accumulate batch-mean gradients in fixed sample order, take one Adam
+    step per batch, then run a forward-only validation pass.  Epoch
+    metrics are per-sample means.  A non-finite loss or gradient, in
+    training or in validation, raises TrainingDiverged before the
+    batch's Adam step; checkpoints already on disk are left in place.
 
     Each sample's gradients are added into one grad_sum buffer per
     tensor as soon as its pass returns, then dropped: the buffers are
-    allocated once per run and zeroed per batch, so with one thread at
-    most one per-sample gradient set is alive and peak memory does not
-    grow with the batch size.  Validation encodes each distinct video
-    once and decodes each of its captions from that state.  numpy's
-    overflow/invalid warnings are off in the epoch loop and the worker
-    threads (error state is per thread): the finiteness checks report.
+    allocated once per run and zeroed per batch, so at most one
+    per-sample gradient set is alive and peak memory does not grow with
+    the batch size.  Validation encodes each distinct video once and
+    decodes each of its captions from that state.  numpy's
+    overflow/invalid warnings are off in the epoch loop: the finiteness
+    checks report.
     """
     cfg.validate()
     for key in list(train_keys) + list(val_keys):
@@ -198,11 +189,7 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
     history = MetricsHistory()
     tensors = params.tensors()
     grad_sum = {name: np.empty_like(t) for name, t in tensors.items()}  # zeroed per batch
-    quiet = {"over": "ignore", "invalid": "ignore"}
-    pool = ThreadPoolExecutor(cfg.threads, initializer=functools.partial(
-        np.seterr, **quiet)) if cfg.threads > 1 else None
-    run_map = pool.map if pool else map
-    with pool or contextlib.nullcontext(), np.errstate(**quiet):
+    with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
             loss_sum = acc_sum = 0.0
             n_seen = 0
@@ -210,9 +197,8 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
                 for batch in make_batches(train_samples, cfg.batch_size, cfg.seed, epoch):
                     for g in grad_sum.values():
                         g.fill(0)
-                    results = run_map(
-                        lambda s: _sample_pass(params, store, s, cfg.mask_padding), batch)
-                    for loss, acc, grads in results:  # fixed sample order
+                    for s in batch:
+                        loss, acc, grads = _sample_pass(params, store, s, cfg.mask_padding)
                         if not np.isfinite(loss):
                             raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
                         loss_sum += loss
@@ -225,7 +211,7 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
                     nn.adam_step(opt, tensors, grad_sum)
                     n_seen += len(batch)
                 val_loss, val_acc = evaluate_samples(params, store, val_samples,
-                                                     cfg.mask_padding, pool)
+                                                     cfg.mask_padding)
             except FloatingPointError as e:
                 raise TrainingDiverged(f"epoch {epoch}: {e}") from e
             row = EpochMetrics(epoch, loss_sum / n_seen, acc_sum / n_seen,

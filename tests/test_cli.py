@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -170,8 +171,8 @@ def test_train_validation_divergence_exits_1_without_traceback(ws, tmp_path):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_train_divergence_prints_only_the_error_line(ws, tmp_path, threads):
-    # the overflowing kernels must not add numpy RuntimeWarnings, from
-    # the main thread or from the worker threads
+    # the overflowing kernels must not add numpy RuntimeWarnings, whatever
+    # --threads says
     base = ["--descriptions", str(ws["data"] / "descriptions.txt"),
             "--manifest", str(ws["data"] / "manifest.tsv"), "--out", str(tmp_path)]
     assert run_cli("prepare", *base, "--vocab", "40", "--seed", "42")[0] == 0
@@ -196,6 +197,44 @@ def test_train_non_finite_lr_exits_2(ws, tmp_path, lr, source):
     assert code == 2
     assert out == ""
     assert err.strip() == f"error: lr must be finite and >= 0, got {lr}"
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_threads_below_one_exits_2(ws, tmp_path, command, source, threads):
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text(f"threads = {threads}\n", encoding="utf-8")
+    extra = ["--threads", threads] if source == "flag" else ["--config", str(cfg)]
+    if command == "train":
+        args = ["train", *ws["base"], *MODEL_ARGS, "--epochs", "1"]
+    else:
+        args = ["eval", "--checkpoint", str(ws["ckpt"]), *ws["base"], "--split", "train"]
+    code, out, err = run_cli(*args, *extra)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: threads must be >= 1, got {threads}"
+
+
+def test_train_starts_no_threads_and_ignores_threads(ws, tmp_path, monkeypatch):
+    def refuse(self):
+        raise RuntimeError(f"training started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    outputs = {}
+    for threads in ("1", "4"):
+        out = tmp_path / threads
+        shutil.copytree(ws["run"], out)
+        code, _, err = run_cli(
+            "train", "--descriptions", str(ws["data"] / "descriptions.txt"),
+            "--manifest", str(ws["data"] / "manifest.tsv"), "--out", str(out),
+            "--frames", "8", "--feature-dim", "16", "--latent", "32", "--vocab", "40",
+            "--epochs", "20", "--batch-size", "6", "--lr", "0.001",
+            "--threads", threads)
+        assert code == 0, err
+        outputs[threads] = [(out / name).read_bytes()
+                            for name in ("metrics.csv", "ckpt-20.sq2s")]
+    assert outputs["4"] == outputs["1"]
 
 
 def test_train_tokenizer_cap_mismatch_exits_1(ws):

@@ -128,6 +128,10 @@ def test_read_rejects_truncated_files(tmp_path):
     long = MAGIC + struct.pack("<II", 1, 1) + b"\x00" * 8
     with pytest.raises(InputError, match="expected"):
         read_feature_file(write_blob(tmp_path, long))
+    # the size is checked before the 64 EiB matrix would be allocated
+    huge = MAGIC + struct.pack("<II", 2 ** 32 - 1, 2 ** 32 - 1)
+    with pytest.raises(InputError, match="expected"):
+        read_feature_file(write_blob(tmp_path, huge))
 
 
 def test_read_rejects_non_finite_payload(tmp_path):

@@ -1,6 +1,5 @@
 """Training loop tests: sample layout, batching, determinism, divergence."""
 
-from concurrent.futures import ThreadPoolExecutor
 import os
 import tracemalloc
 
@@ -34,12 +33,12 @@ def pipeline(tmp_path):
     return corp, tok, store, keys
 
 
-def run_training(tmp_path, lr=1e-3, epochs=3, threads=1, seed=11,
-                 out_dir=None, checkpoint_every=0):
+def run_training(tmp_path, lr=1e-3, epochs=3, seed=11, out_dir=None,
+                 checkpoint_every=0):
     corp, tok, store, keys = pipeline(tmp_path)
     params = ModelParams.init(MCFG, seed=seed)
     tcfg = TrainConfig(batch_size=4, epochs=epochs, lr=lr, seed=seed,
-                       threads=threads, checkpoint_every=checkpoint_every)
+                       checkpoint_every=checkpoint_every)
     return train(params, tcfg, MCFG, keys[:5], keys[5:], corp, tok, store,
                  out_dir=out_dir)
 
@@ -190,13 +189,6 @@ def test_reruns_are_bitwise_identical(tmp_path):
     assert h1.rows == h2.rows
 
 
-def test_thread_count_cannot_change_results(tmp_path):
-    p1, h1 = run_training(tmp_path / "a", threads=1)
-    p4, h4 = run_training(tmp_path / "b", threads=4)
-    assert tensor_bytes(p1) == tensor_bytes(p4)
-    assert h1.rows == h4.rows
-
-
 def test_evaluation_does_not_mutate_parameters(tmp_path):
     corp, tok, store, keys = pipeline(tmp_path)
     params = ModelParams.init(MCFG, seed=3)
@@ -222,9 +214,7 @@ def test_evaluate_samples_equals_per_sample_forward(tmp_path, mask):
         losses.append(nn.cross_entropy(P, s.target, mask)[0])
         accs.append(accuracy(P, s.target, mask))
     expected = (sum(losses) / len(samples), sum(accs) / len(samples))
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        got = [evaluate_samples(params, store, samples, mask, p) for p in (None, pool)]
-    assert got == [expected, expected]
+    assert evaluate_samples(params, store, samples, mask) == expected
 
 
 def test_evaluate_samples_encodes_each_video_once(tmp_path, monkeypatch):
@@ -377,7 +367,7 @@ def test_metrics_csv_layout(tmp_path):
 def test_train_config_validation():
     TrainConfig().validate()
     bad = [dict(batch_size=0), dict(epochs=0), dict(lr=-1.0),
-           dict(threads=0), dict(checkpoint_every=-1)]
+           dict(checkpoint_every=-1)]
     for kwargs in bad:
         with pytest.raises(InputError):
             TrainConfig(**kwargs).validate()
