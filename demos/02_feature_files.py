@@ -1,5 +1,5 @@
 """Show the frame-feature side: temporal decimation of raw frame counts
-down to a fixed 80 rows, the .vfm binary format, and the cached store.
+down to a fixed 80 rows, the .vfm binary format, and the id-keyed store.
 
 Usage: python3 demos/02_feature_files.py
 """
@@ -41,6 +41,6 @@ first = store.get("clip")
 second = store.get("clip")
 print(f"\n== FeatureStore ==")
 print(f"  ids: {store.ids()}")
-print(f"  cached (same object on second get): {first is second}")
-print(f"  matrices come back read-only: writeable={first.flags.writeable}")
+print(f"  each get reads the file again: new array {first is not second}, "
+      f"equal values {np.array_equal(first, second)}")
 print(f"\nscratch dir: {work}")

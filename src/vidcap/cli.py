@@ -167,8 +167,7 @@ def cmd_train(ns):
     train_keys = corpus_mod.load_split_keys(ns.out, "train")
     val_keys = corpus_mod.load_split_keys(ns.out, "val")
     corp = corpus_mod.build_corpus(corpus_mod.parse_descriptions(ns.descriptions))
-    store = FeatureStore(ns.manifest, cache=not ns.no_cache,
-                         expected_shape=(cfg.frames, cfg.feature_dim))
+    store = FeatureStore(ns.manifest, expected_shape=(cfg.frames, cfg.feature_dim))
     params = mdl.ModelParams.init(cfg, ns.seed)
     tcfg = training.TrainConfig(
         batch_size=ns.batch_size, epochs=ns.epochs, lr=ns.lr, seed=ns.seed,
@@ -207,8 +206,7 @@ def cmd_eval(ns):
     tok = _load_tokenizer_for(ns, cfg)
     keys = corpus_mod.load_split_keys(ns.out, ns.split)
     corp = corpus_mod.build_corpus(corpus_mod.parse_descriptions(ns.descriptions))
-    store = FeatureStore(ns.manifest, cache=not ns.no_cache,
-                         expected_shape=(cfg.frames, cfg.feature_dim))
+    store = FeatureStore(ns.manifest, expected_shape=(cfg.frames, cfg.feature_dim))
     decode = lambda key: mdl.greedy_decode(params, tok, store.get(key), cfg.max_words)
     if ns.threads > 1:
         with ThreadPoolExecutor(max_workers=ns.threads) as pool:
@@ -273,7 +271,7 @@ def build_parser():
         (["--no-mask-padding"], "no_mask_padding", bool, False, False,
          "score padding rows in the loss"),
         (["--no-cache"], "no_cache", bool, False, False,
-         "re-read feature files instead of caching"),
+         "accepted, no effect: feature files are read on every use"),
     ])
     p.set_defaults(func=cmd_train)
 
@@ -296,7 +294,7 @@ def build_parser():
         (["--split"], "split", str, "test", False, "train, val or test"),
         (["--threads"], "threads", int, 1, False, "decoding worker threads"),
         (["--no-cache"], "no_cache", bool, False, False,
-         "re-read feature files instead of caching"),
+         "accepted, no effect: feature files are read on every use"),
     ])
     p.set_defaults(func=cmd_eval)
 

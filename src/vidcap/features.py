@@ -1,4 +1,4 @@
-"""Feature-matrix storage: binary file format, decimation map, cached store.
+"""Feature-matrix storage: binary file format, decimation map, id lookup.
 
 A feature file (.vfm) holds one 2-D float32 matrix: magic `VFM1`, row
 and column counts as unsigned 32-bit little-endian, then the row-major
@@ -7,7 +7,6 @@ IEEE-754 binary32 payload.  A manifest maps video ids to feature files.
 
 import os
 import struct
-import threading
 
 import numpy as np
 
@@ -105,19 +104,15 @@ def load_manifest(path):
 
 
 class FeatureStore:
-    """Serves feature matrices by video id, caching reads in memory.
+    """Serves feature matrices by video id, reading the file on every get.
 
-    Matrices come back read-only so cached data cannot be mutated by a
-    caller.  Lookups are thread-safe with single-writer insertion; pass
-    cache=False to re-read files on every access instead.
+    Nothing is kept between calls, so memory does not grow with the
+    number of videos served and each caller owns the array it gets.
     """
 
-    def __init__(self, manifest_path, cache=True, expected_shape=None):
+    def __init__(self, manifest_path, expected_shape=None):
         self.entries = load_manifest(manifest_path)
-        self.cache_enabled = cache
         self.expected_shape = expected_shape
-        self._cache = {}
-        self._lock = threading.Lock()
 
     def __contains__(self, video_id):
         return video_id in self.entries
@@ -126,19 +121,10 @@ class FeatureStore:
         return list(self.entries)
 
     def get(self, video_id):
-        if self.cache_enabled:
-            with self._lock:
-                hit = self._cache.get(video_id)
-            if hit is not None:
-                return hit
         if video_id not in self.entries:
             raise InputError(f"unknown video id '{video_id}'")
         m = read_feature_file(self.entries[video_id])
         if self.expected_shape is not None and m.shape != self.expected_shape:
             raise InputError(f"features for '{video_id}' have shape {m.shape}, "
                              f"expected {self.expected_shape}")
-        m.flags.writeable = False
-        if self.cache_enabled:
-            with self._lock:
-                self._cache[video_id] = m
         return m

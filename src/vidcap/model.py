@@ -158,6 +158,10 @@ def decode_step(params, state, token_index):
     return probs, DecodeState(h, c)
 
 
+class DecodeDiverged(RuntimeError):
+    """Greedy decoding produced non-finite probabilities."""
+
+
 def greedy_decode(params, tok, feat, max_words=10):
     """Greedy captioning: feed bos, take the argmax, re-feed, stop on eos.
 
@@ -165,23 +169,30 @@ def greedy_decode(params, tok, feat, max_words=10):
     max_words words; the returned list contains neither sentinel.  The
     argmax runs over the fitted vocabulary (ties to the lowest index); a
     degenerate bos prediction is re-fed but left out of the caption.
+    Finite weights can still overflow; a step whose probabilities are
+    not all finite raises DecodeDiverged instead of numpy warnings.
     """
     bos = tok.word_to_index.get("bos")
     eos = tok.word_to_index.get("eos")
     if bos is None or eos is None:
         raise InputError("tokenizer must contain 'bos' and 'eos'")
-    h, c = encode_video(params, feat)
-    state = DecodeState(h, c)
-    prev = bos
-    words = []
-    for _ in range(max_words):
-        probs, state = decode_step(params, state, prev)
-        nxt = int(np.argmax(probs[:tok.size])) + 1
-        if nxt == eos:
-            break
-        if nxt != bos:
-            words.append(tok.index_to_word[nxt])
-        prev = nxt
+    # numpy's error state is per thread, so it is set here, where every
+    # decoding thread runs
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, c = encode_video(params, feat)
+        state = DecodeState(h, c)
+        prev = bos
+        words = []
+        for step in range(1, max_words + 1):
+            probs, state = decode_step(params, state, prev)
+            if not np.isfinite(probs).all():
+                raise DecodeDiverged(f"decode step {step}: non-finite probabilities")
+            nxt = int(np.argmax(probs[:tok.size])) + 1
+            if nxt == eos:
+                break
+            if nxt != bos:
+                words.append(tok.index_to_word[nxt])
+            prev = nxt
     return words
 
 

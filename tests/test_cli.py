@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,18 +170,15 @@ def test_train_validation_divergence_exits_1_without_traceback(ws, tmp_path):
     assert not (tmp_path / "ckpt-1.sq2s").exists()
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_train_divergence_prints_only_the_error_line(ws, tmp_path, threads):
-    # the overflowing kernels must not add numpy RuntimeWarnings, whatever
-    # --threads says
+def test_train_divergence_prints_only_the_error_line(ws, tmp_path):
+    # the overflowing kernels must not add numpy RuntimeWarnings
     base = ["--descriptions", str(ws["data"] / "descriptions.txt"),
             "--manifest", str(ws["data"] / "manifest.tsv"), "--out", str(tmp_path)]
     assert run_cli("prepare", *base, "--vocab", "40", "--seed", "42")[0] == 0
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "vidcap", "train", *base, *MODEL_ARGS,
-         "--batch-size", "100", "--epochs", "1", "--lr", "1e38",
-         "--threads", threads],
+         "--batch-size", "100", "--epochs", "1", "--lr", "1e38"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
@@ -222,19 +220,20 @@ def test_train_starts_no_threads_and_ignores_threads(ws, tmp_path, monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     outputs = {}
-    for threads in ("1", "4"):
-        out = tmp_path / threads
+    for name, extra in (("1", ["--threads", "1"]), ("4", ["--threads", "4"]),
+                        ("no-cache", ["--no-cache"])):
+        out = tmp_path / name
         shutil.copytree(ws["run"], out)
         code, _, err = run_cli(
             "train", "--descriptions", str(ws["data"] / "descriptions.txt"),
             "--manifest", str(ws["data"] / "manifest.tsv"), "--out", str(out),
             "--frames", "8", "--feature-dim", "16", "--latent", "32", "--vocab", "40",
-            "--epochs", "20", "--batch-size", "6", "--lr", "0.001",
-            "--threads", threads)
+            "--epochs", "20", "--batch-size", "6", "--lr", "0.001", *extra)
         assert code == 0, err
-        outputs[threads] = [(out / name).read_bytes()
-                            for name in ("metrics.csv", "ckpt-20.sq2s")]
+        outputs[name] = [(out / f).read_bytes()
+                         for f in ("metrics.csv", "ckpt-20.sq2s")]
     assert outputs["4"] == outputs["1"]
+    assert outputs["no-cache"] == outputs["1"]
 
 
 def test_train_tokenizer_cap_mismatch_exits_1(ws):
@@ -382,6 +381,73 @@ def test_eval_unknown_split_exits_2(ws):
                            "--split", "dev")
     assert code == 2
     assert "unknown split" in err
+
+
+def traced_eval_peak(tmp_path, n_videos):
+    """tracemalloc peak of one in-process `eval --split train` above what
+    was live before it, on 16 x 2048 features with an untrained model."""
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert run_cli("make-fixture", "--out", str(data), "--n-videos", str(n_videos),
+                   "--frames", "16", "--feature-dim", "2048")[0] == 0
+    base = ["--descriptions", str(data / "descriptions.txt"),
+            "--manifest", str(data / "manifest.tsv"), "--out", str(run)]
+    assert run_cli("prepare", *base, "--vocab", "40")[0] == 0
+    cfg = ModelConfig(frames=16, feature_dim=2048, latent=8, max_words=10, vocab=40)
+    save_checkpoint(str(run / "init.sq2s"), cfg, ModelParams.init(cfg, seed=3))
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        code, _, err = run_cli("eval", "--checkpoint", str(run / "init.sq2s"),
+                               *base, "--split", "train")
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    return peak
+
+
+def test_eval_peak_memory_does_not_grow_with_the_split(tmp_path):
+    # 5 against 27 train-split videos; a 16 x 2048 feature matrix is
+    # 128 KB, so keeping every decoded video's matrix would add ~2.8 MB
+    small = traced_eval_peak(tmp_path / "a", n_videos=6)
+    large = traced_eval_peak(tmp_path / "b", n_videos=30)
+    assert large <= small + 256 * 1024, (small, large)
+
+
+def _overflowing_checkpoint(ws, path):
+    """Finite weights whose head logits overflow at every decode step of
+    every video: the encoder is zero, saturated decoder gates give
+    h = tanh(1) in every unit, and each logit sums 8 x tanh(1) x 3e38."""
+    cfg, params, _ = load_checkpoint(str(ws["ckpt"]))
+    for tensor in params.tensors().values():
+        tensor[...] = 0
+    params.decoder.b[:] = 100
+    params.head.W[:] = 3e38
+    save_checkpoint(str(path), cfg, params)
+
+
+@pytest.mark.parametrize("command", ["caption", "eval-threads-1", "eval-threads-2"])
+def test_decode_divergence_prints_only_the_error_line(ws, tmp_path, command):
+    ckpt, run = tmp_path / "overflow.sq2s", tmp_path / "run"
+    _overflowing_checkpoint(ws, ckpt)
+    run.mkdir()
+    for name in ("train.keys", "val.keys", "test.keys", "tokenizer.txt"):
+        shutil.copy(ws["run"] / name, run / name)
+    manifest = str(ws["data"] / "manifest.tsv")
+    if command == "caption":
+        args = ["caption", "--tokenizer", str(run / "tokenizer.txt"),
+                "--manifest", manifest, "--video-id", "vid003"]
+    else:
+        args = ["eval", "--descriptions", str(ws["data"] / "descriptions.txt"),
+                "--manifest", manifest, "--out", str(run), "--split", "train",
+                "--threads", command[-1]]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vidcap", *args, "--checkpoint", str(ckpt)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: decode step 1: non-finite probabilities"]
+    assert not (run / "report.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -187,18 +187,8 @@ def test_manifest_rejects_duplicates_missing_files_and_bad_rows(tmp_path):
 # FeatureStore
 # ---------------------------------------------------------------------------
 
-def test_store_caches_and_freezes_matrices(tmp_path):
-    store = FeatureStore(make_corpus_dir(tmp_path))
-    first = store.get("a")
-    second = store.get("a")
-    assert first is second
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[0, 0] = 5.0
-
-
 def test_store_without_cache_rereads(tmp_path):
-    store = FeatureStore(make_corpus_dir(tmp_path), cache=False)
+    store = FeatureStore(make_corpus_dir(tmp_path))
     first = store.get("a")
     second = store.get("a")
     assert first is not second

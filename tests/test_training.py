@@ -285,10 +285,14 @@ def test_training_equals_batch_list_reference(tmp_path):
     assert tensor_bytes(params) == tensor_bytes(ref)
 
 
-def traced_peak(tmp_path, batch_size):
-    """tracemalloc peak of one train() call above what was live before it."""
-    mcfg = ModelConfig(frames=8, feature_dim=256, latent=64, max_words=10, vocab=40)
-    paths = make_fixture(str(tmp_path), n_videos=6, seed=1, frames=8, feature_dim=256)
+def traced_peak(tmp_path, batch_size, n_videos=6,
+                mcfg=ModelConfig(frames=8, feature_dim=256, latent=64,
+                                 max_words=10, vocab=40)):
+    """tracemalloc peak of one train() call above what was live before it.
+
+    The last of the n_videos videos is the validation split."""
+    paths = make_fixture(str(tmp_path), n_videos=n_videos, seed=1,
+                         frames=mcfg.frames, feature_dim=mcfg.feature_dim)
     corp = build_corpus(parse_descriptions(paths["descriptions"]))
     keys = sorted(corp.entries)
     tok = Tokenizer(cap=40).fit(c for k in keys for c in corp.entries[k])
@@ -298,7 +302,7 @@ def traced_peak(tmp_path, batch_size):
     tracemalloc.start()
     try:
         live = tracemalloc.get_traced_memory()[0]
-        train(params, tcfg, mcfg, keys[:5], keys[5:], corp, tok, store)
+        train(params, tcfg, mcfg, keys[:-1], keys[-1:], corp, tok, store)
         return tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
@@ -311,6 +315,15 @@ def test_peak_memory_does_not_grow_with_batch_size(tmp_path):
     one = traced_peak(tmp_path / "a", batch_size=1)
     whole = traced_peak(tmp_path / "b", batch_size=15)
     assert whole <= one + 256 * 1024, (one, whole)
+
+
+def test_peak_memory_does_not_grow_with_the_split(tmp_path):
+    # a 16 x 2048 feature matrix is 128 KB, so keeping the 24 extra
+    # videos' matrices alive would add ~3 MB to the peak
+    mcfg = ModelConfig(frames=16, feature_dim=2048, latent=8, max_words=10, vocab=40)
+    small = traced_peak(tmp_path / "a", batch_size=4, n_videos=6, mcfg=mcfg)
+    large = traced_peak(tmp_path / "b", batch_size=4, n_videos=30, mcfg=mcfg)
+    assert large <= small + 256 * 1024, (small, large)
 
 
 def test_non_finite_parameters_abort_the_run(tmp_path):
