@@ -292,7 +292,8 @@ def build_parser():
         (["--manifest"], "manifest", str, None, True, "feature manifest file"),
         (["--out"], "out", str, None, True, "directory with prepare artifacts"),
         (["--split"], "split", str, "test", False, "train, val or test"),
-        (["--threads"], "threads", int, 1, False, "decoding worker threads"),
+        (["--threads"], "threads", int, 1, False,
+         "decoding worker threads; faster only with OPENBLAS_NUM_THREADS=1"),
         (["--no-cache"], "no_cache", bool, False, False,
          "accepted, no effect: feature files are read on every use"),
     ])

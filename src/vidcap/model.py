@@ -10,6 +10,7 @@ the backward pass scatter-adds each step's gradient into that row.
 """
 
 from dataclasses import dataclass
+import math
 import os
 import struct
 
@@ -21,10 +22,19 @@ from .util import InputError
 CHECKPOINT_MAGIC = b"SQ2S"
 CHECKPOINT_VERSION = 1
 
-# fixed serialization order; Adam mirrors are written as m.<name>, v.<name>
-TENSOR_ORDER = ("encoder.W", "encoder.U", "encoder.b",
-                "decoder.W", "decoder.U", "decoder.b",
-                "head.W", "head.b")
+# a checkpoint's eight records, in file order, and the shape the config
+# gives each
+_EXPECTED_SHAPES = {
+    "encoder.W": lambda c: (c.feature_dim, 4 * c.latent),
+    "encoder.U": lambda c: (c.latent, 4 * c.latent),
+    "encoder.b": lambda c: (4 * c.latent,),
+    "decoder.W": lambda c: (c.vocab, 4 * c.latent),
+    "decoder.U": lambda c: (c.latent, 4 * c.latent),
+    "decoder.b": lambda c: (4 * c.latent,),
+    "head.W": lambda c: (c.latent, c.vocab),
+    "head.b": lambda c: (c.vocab,),
+}
+TENSOR_ORDER = tuple(_EXPECTED_SHAPES)
 
 
 @dataclass
@@ -40,6 +50,8 @@ class ModelConfig:
             value = getattr(self, name)
             if value < 1:
                 raise InputError(f"{name} must be positive, got {value}")
+        if self.latent >= 2 ** 30:  # 4 * latent is a 32-bit checkpoint dim
+            raise InputError(f"latent must be below 2**30, got {self.latent}")
         return self
 
 
@@ -196,32 +208,29 @@ def greedy_decode(params, tok, feat, max_words=10):
     return words
 
 
+def _record_header(name, shape):
+    """A tensor record's header: name length, UTF-8 name, rank, dims."""
+    encoded = name.encode("utf-8")
+    return struct.pack(f"<H{len(encoded)}sB{len(shape)}I",
+                       len(encoded), encoded, len(shape), *shape)
+
+
 def _write_tensor(fh, name, arr):
     data = np.ascontiguousarray(arr, dtype="<f4")
-    encoded = name.encode("utf-8")
-    fh.write(struct.pack("<H", len(encoded)))
-    fh.write(encoded)
-    fh.write(struct.pack("<B", data.ndim))
-    for dim in data.shape:
-        fh.write(struct.pack("<I", dim))
+    fh.write(_record_header(name, data.shape))
     fh.write(data.tobytes())
 
 
-def save_checkpoint(path, cfg, params, adam=None):
-    """Serialize config and parameters, optionally with Adam moments.
+def save_checkpoint(path, cfg, params):
+    """Serialize the config header and the eight TENSOR_ORDER tensors.
 
-    Tensors are written as float32 in a fixed order, so identical
-    training runs produce byte-identical files.  The bytes go to
-    <path>.tmp in the same directory, which then replaces path in one
-    step: a failed save leaves any previous file at path untouched.
+    Tensors are written as float32 in that fixed order and nothing else
+    follows (no optimizer state), so identical training runs produce
+    byte-identical files.  The bytes go to <path>.tmp in the same
+    directory, which then replaces path in one step: a failed save
+    leaves any previous file at path untouched.
     """
-    tensors = dict(params.tensors())
-    if adam is not None:
-        for prefix, table in (("m", adam.m), ("v", adam.v)):
-            for name in TENSOR_ORDER:
-                if name not in table:
-                    raise InputError(f"optimizer state is missing tensor '{name}'")
-                tensors[f"{prefix}.{name}"] = table[name]
+    tensors = params.tensors()
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -229,8 +238,8 @@ def save_checkpoint(path, cfg, params, adam=None):
             fh.write(struct.pack("<I", CHECKPOINT_VERSION))
             fh.write(struct.pack("<5I", cfg.frames, cfg.feature_dim, cfg.latent,
                                  cfg.max_words, cfg.vocab))
-            for name, arr in tensors.items():
-                _write_tensor(fh, name, arr)
+            for name in TENSOR_ORDER:
+                _write_tensor(fh, name, tensors[name])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -238,36 +247,16 @@ def save_checkpoint(path, cfg, params, adam=None):
         raise
 
 
-_EXPECTED_SHAPES = {
-    "encoder.W": lambda c: (c.feature_dim, 4 * c.latent),
-    "encoder.U": lambda c: (c.latent, 4 * c.latent),
-    "encoder.b": lambda c: (4 * c.latent,),
-    "decoder.W": lambda c: (c.vocab, 4 * c.latent),
-    "decoder.U": lambda c: (c.latent, 4 * c.latent),
-    "decoder.b": lambda c: (4 * c.latent,),
-    "head.W": lambda c: (c.latent, c.vocab),
-    "head.b": lambda c: (c.vocab,),
-}
-
-
-_KNOWN_TENSORS = frozenset(TENSOR_ORDER).union(
-    f"{prefix}.{name}" for prefix in "mv" for name in TENSOR_ORDER)
-
-
-def _read_record(fh, path, size):
-    data = fh.read(size)
-    if len(data) != size:
-        raise InputError(f"{path}: truncated tensor record")
-    return data
-
-
 def load_checkpoint(path):
-    """Read a checkpoint; returns (config, params, (m, v) or None).
+    """Read a checkpoint; returns (config, params, None).
 
-    Payloads are read straight into their arrays.  A header dimension of
-    0, a malformed record, a repeated or unknown tensor name (anything
-    but TENSOR_ORDER and its m./v. Adam mirrors) or a non-finite value
-    raises InputError.
+    The file must be exactly what save_checkpoint writes: the 28-byte
+    header, then the eight TENSOR_ORDER records in order, each with the
+    shape the header's config implies, and no trailing bytes.  Each
+    record's size is checked against the file before its header is
+    compared and its payload is read straight into its array.  A header
+    dimension of 0, any other layout or a non-finite value raises
+    InputError.  The third slot is always None.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -285,45 +274,24 @@ def load_checkpoint(path):
         except InputError as e:
             raise InputError(f"{path}: {e}") from None
         tensors = {}
-        while fh.tell() < size:
-            (name_len,) = struct.unpack("<H", _read_record(fh, path, 2))
-            raw_name = _read_record(fh, path, name_len)
-            try:
-                name = raw_name.decode("utf-8")
-            except UnicodeDecodeError:
-                raise InputError(f"{path}: tensor name at byte "
-                                 f"{fh.tell() - name_len} is not valid UTF-8") from None
-            if name in tensors:
-                raise InputError(f"{path}: duplicate tensor '{name}'")
-            (rank,) = struct.unpack("<B", _read_record(fh, path, 1))
-            dims = struct.unpack(f"<{rank}I", _read_record(fh, path, 4 * rank))
-            count = 1
-            for dim in dims:
-                count *= dim
-            if fh.tell() + 4 * count > size:
-                raise InputError(f"{path}: truncated payload for tensor '{name}'")
-            if name not in _KNOWN_TENSORS:
-                raise InputError(f"{path}: unknown tensor '{name}'")
-            arr = np.empty(dims, dtype="<f4")
-            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
-                raise InputError(f"{path}: truncated payload for tensor '{name}'")
+        for name, make_shape in _EXPECTED_SHAPES.items():
+            shape = make_shape(cfg)
+            header = _record_header(name, shape)
+            # math.prod: header dims near 2**32 overflow np.prod's int64
+            nbytes = 4 * math.prod(shape)
+            pos = fh.tell()
+            if pos + len(header) + nbytes > size:
+                raise InputError(f"{path}: tensor '{name}' is missing or truncated")
+            if fh.read(len(header)) != header:
+                raise InputError(f"{path}: record at byte {pos} is not tensor "
+                                 f"'{name}' with shape {shape}")
+            arr = np.empty(shape, dtype="<f4")
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+                raise InputError(f"{path}: tensor '{name}' is missing or truncated")
             if not np.isfinite(arr).all():
                 raise InputError(f"{path}: tensor '{name}' has non-finite values")
             tensors[name] = arr
-    missing = [n for n in TENSOR_ORDER if n not in tensors]
-    if missing:
-        raise InputError(f"{path}: missing tensors {missing}")
-    for name, make_shape in _EXPECTED_SHAPES.items():
-        want = make_shape(cfg)
-        if tensors[name].shape != want:
-            raise InputError(f"{path}: tensor '{name}' has shape "
-                             f"{tensors[name].shape}, config implies {want}")
-    params = _params_from_tensors(tensors)
-    adam = None
-    if any(k.startswith(("m.", "v.")) for k in tensors):
-        for n in TENSOR_ORDER:
-            if f"m.{n}" not in tensors or f"v.{n}" not in tensors:
-                raise InputError(f"{path}: incomplete optimizer state for '{n}'")
-        adam = ({n: tensors[f"m.{n}"] for n in TENSOR_ORDER},
-                {n: tensors[f"v.{n}"] for n in TENSOR_ORDER})
-    return cfg, params, adam
+        if fh.tell() != size:
+            raise InputError(f"{path}: {size - fh.tell()} trailing bytes after "
+                             f"tensor '{TENSOR_ORDER[-1]}'")
+    return cfg, _params_from_tensors(tensors), None

@@ -65,8 +65,9 @@ def test_version_flag():
 
 
 def test_version_subprocess():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-m", "vidcap", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"vidcap {__version__} (checkpoint format 1)"
 
@@ -315,7 +316,8 @@ def test_caption_corrupt_checkpoint_exits_2(ws, tmp_path, kind):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
-    assert ("not valid UTF-8" if kind == "name" else "'encoder.W' has non-finite") in err
+    assert ("record at byte 28 is not tensor 'encoder.W'" if kind == "name"
+            else "'encoder.W' has non-finite") in err
 
 
 def test_caption_unknown_tensor_checkpoint_exits_2(ws, tmp_path):
@@ -330,7 +332,29 @@ def test_caption_unknown_tensor_checkpoint_exits_2(ws, tmp_path):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
-    assert "unknown tensor 'encoder.Wx'" in err
+    assert "trailing bytes after tensor 'head.b'" in err
+
+
+# quick-start header (8/16/32/10/40), then one encoder.W record whose dims
+# once escaped numpy as ValueError: rank 65 with 65 zero dims, and a
+# rank-4 shape of 0 x (2**32 - 1)**3 elements
+_BAD_DIMS = {"rank65": [0] * 65, "huge": [0] + [2**32 - 1] * 3}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_DIMS))
+def test_caption_bad_record_dims_exit_2(ws, tmp_path, kind):
+    dims = _BAD_DIMS[kind]
+    path = tmp_path / f"{kind}.sq2s"
+    path.write_bytes(b"SQ2S" + struct.pack("<6I", 1, 8, 16, 32, 10, 40)
+                     + struct.pack("<H", 9) + b"encoder.W"
+                     + struct.pack(f"<B{len(dims)}I", len(dims), *dims))
+    code, out, err = run_cli("caption", "--checkpoint", str(path),
+                             "--tokenizer", str(ws["tok"]),
+                             "--features", str(ws["data"] / "feat" / "vid001.vfm"))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "tensor 'encoder.W' is missing or truncated" in err
 
 
 def test_caption_zero_dim_checkpoint_exits_2(ws, tmp_path):

@@ -1,6 +1,7 @@
 """Model assembly tests: counts, training pass, inference, checkpoints."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,22 +319,6 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(loaded.tensors()[name], t)
 
 
-def test_checkpoint_round_trip_with_adam(tmp_path):
-    params = ModelParams.init(TOY, seed=11)
-    state = nn.AdamState(lr=1e-3)
-    tensors = params.tensors()
-    grads = {k: np.full_like(v, 0.25) for k, v in tensors.items()}
-    nn.adam_step(state, tensors, grads)
-    path = tmp_path / "model.sq2s"
-    save_checkpoint(path, TOY, params, adam=state)
-    _, _, adam = load_checkpoint(path)
-    assert adam is not None
-    m, v = adam
-    for name in tensors:
-        assert np.array_equal(m[name], state.m[name])
-        assert np.array_equal(v[name], state.v[name])
-
-
 def test_checkpoint_rerun_is_byte_identical(tmp_path):
     params = ModelParams.init(TOY, seed=12)
     a, b = tmp_path / "a.sq2s", tmp_path / "b.sq2s"
@@ -401,7 +386,8 @@ def test_checkpoint_tensor_name_not_utf8(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[30] = 0xFF  # first byte of the first tensor name
     path.write_bytes(bytes(blob))
-    with pytest.raises(InputError, match="byte 30 is not valid UTF-8"):
+    with pytest.raises(InputError, match=r"record at byte 28 is not tensor "
+                                         r"'encoder.W' with shape \(3, 16\)"):
         load_checkpoint(path)
 
 
@@ -411,19 +397,49 @@ def test_checkpoint_duplicate_tensor(tmp_path):
     save_checkpoint(path, TOY, params)
     with open(path, "ab") as fh:
         _write_tensor(fh, "head.b", params.head.b)
-    with pytest.raises(InputError, match="duplicate tensor 'head.b'"):
+    with pytest.raises(InputError, match="trailing bytes after tensor 'head.b'"):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("name", ["encoder.Wx", "m.head", "x"])
+@pytest.mark.parametrize("name", ["encoder.Wx", "m.head", "x", "m.encoder.W"])
 def test_checkpoint_unknown_tensor(tmp_path, name):
+    # m.encoder.W is a former Adam-moment record: no longer part of the format
     params = ModelParams.init(TOY, seed=17)
     path = tmp_path / "model.sq2s"
     save_checkpoint(path, TOY, params)
+    extra = 3 + len(name) + 8 + params.encoder.W.nbytes  # one rank-2 record
     with open(path, "ab") as fh:
         _write_tensor(fh, name, params.encoder.W)
-    with pytest.raises(InputError, match=f"unknown tensor '{name}'"):
+    with pytest.raises(InputError, match=f"{extra} trailing bytes after tensor 'head.b'"):
         load_checkpoint(path)
+
+
+def test_checkpoint_swapped_records(tmp_path):
+    params = ModelParams.init(TOY, seed=17)
+    tensors = params.tensors()
+    path = tmp_path / "model.sq2s"
+    save_checkpoint(path, TOY, params)
+    with open(path, "r+b") as fh:
+        fh.seek(28)
+        _write_tensor(fh, "encoder.U", tensors["encoder.U"])
+        _write_tensor(fh, "encoder.W", tensors["encoder.W"])
+    with pytest.raises(InputError, match="record at byte 28 is not tensor 'encoder.W'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_record_layout_is_fixed(tmp_path):
+    params = ModelParams.init(TOY, seed=17)
+    path = tmp_path / "model.sq2s"
+    save_checkpoint(path, TOY, params)
+    blob, pos = path.read_bytes(), 28
+    for name, t in params.tensors().items():
+        header = (struct.pack("<H", len(name)) + name.encode()
+                  + struct.pack(f"<B{t.ndim}I", t.ndim, *t.shape))
+        assert blob[pos:pos + len(header)] == header
+        pos += len(header)
+        assert blob[pos:pos + t.nbytes] == t.astype("<f4").tobytes()
+        pos += t.nbytes
+    assert pos == len(blob)
 
 
 def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
@@ -457,24 +473,32 @@ def test_checkpoint_nonfinite_weights(tmp_path, name, bad):
         load_checkpoint(path)
 
 
-def test_checkpoint_nonfinite_adam_moment(tmp_path):
-    params = ModelParams.init(TOY, seed=19)
-    state = nn.AdamState()
-    tensors = params.tensors()
-    nn.adam_step(state, tensors, {k: np.ones_like(v) for k, v in tensors.items()})
-    state.v["decoder.U"][0, 0] = np.nan
-    path = tmp_path / "model.sq2s"
-    save_checkpoint(path, TOY, params, adam=state)
-    with pytest.raises(InputError, match="tensor 'v.decoder.U' has non-finite"):
-        load_checkpoint(path)
-
-
 def test_checkpoint_oversized_dims_rejected_before_allocation(tmp_path):
+    # only encoder.W's record header is present; its payload would be
+    # ~2**66 bytes (past int64) or 64 MB
+    path = tmp_path / "model.sq2s"
+    for feature_dim, latent in [(2**32 - 1, 2**30 - 1), (4096, 1024)]:
+        path.write_bytes(CHECKPOINT_MAGIC
+                         + struct.pack("<6I", 1, 1, feature_dim, latent, 1, 1)
+                         + model._record_header("encoder.W", (feature_dim, 4 * latent)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="'encoder.W' is missing or truncated"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+def test_checkpoint_latent_beyond_32_bit_dims(tmp_path):
+    # 4 * latent must fit a record's 32-bit dim, or no record could match
     path = tmp_path / "model.sq2s"
     save_checkpoint(path, TOY, ModelParams.init(TOY, seed=20))
-    with open(path, "ab") as fh:
-        fh.write(struct.pack("<H", 1) + b"x" + struct.pack("<B3I", 3, *[2**31] * 3))
-    with pytest.raises(InputError, match="truncated payload for tensor 'x'"):
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 16, 2**30)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(InputError, match=r"latent must be below 2\*\*30"):
         load_checkpoint(path)
 
 
