@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 """
 
 import argparse
-from concurrent.futures import ThreadPoolExecutor
 import os
 import sys
 
@@ -207,12 +206,8 @@ def cmd_eval(ns):
     keys = corpus_mod.load_split_keys(ns.out, ns.split)
     corp = corpus_mod.build_corpus(corpus_mod.parse_descriptions(ns.descriptions))
     store = FeatureStore(ns.manifest, expected_shape=(cfg.frames, cfg.feature_dim))
-    decode = lambda key: mdl.greedy_decode(params, tok, store.get(key), cfg.max_words)
-    if ns.threads > 1:
-        with ThreadPoolExecutor(max_workers=ns.threads) as pool:
-            predictions = dict(zip(keys, pool.map(decode, keys)))
-    else:
-        predictions = {key: decode(key) for key in keys}
+    videos = (store.get(key) for key in keys)  # read inside greedy_decode
+    predictions = dict(zip(keys, mdl.greedy_decode(params, tok, videos, cfg.max_words)))
     report = evaluation.evaluate_split(predictions, corp, keys, ns.split)
     evaluation.write_report_csv(os.path.join(ns.out, "report.csv"), report)
     evaluation.write_summary_csv(os.path.join(ns.out, "summary.csv"), report)
@@ -293,7 +288,8 @@ def build_parser():
         (["--out"], "out", str, None, True, "directory with prepare artifacts"),
         (["--split"], "split", str, "test", False, "train, val or test"),
         (["--threads"], "threads", int, 1, False,
-         "decoding worker threads; faster only with OPENBLAS_NUM_THREADS=1"),
+         "accepted, no effect: decoding runs on one thread; set "
+         "OPENBLAS_NUM_THREADS to use more cores"),
         (["--no-cache"], "no_cache", bool, False, False,
          "accepted, no effect: feature files are read on every use"),
     ])

@@ -10,6 +10,7 @@ the backward pass scatter-adds each step's gradient into that row.
 """
 
 from dataclasses import dataclass
+import itertools
 import math
 import os
 import struct
@@ -21,6 +22,10 @@ from .util import InputError
 
 CHECKPOINT_MAGIC = b"SQ2S"
 CHECKPOINT_VERSION = 1
+MAX_WORDS = 1024  # ~100x the paper's 10, so no header can decode without end
+# videos per encoder GEMM and decoder batch when greedy_decode captions
+# a split: 16 x 80 x 4096 float32 features are a 21 MB chunk buffer
+EVAL_CHUNK = 16
 
 # a checkpoint's eight records, in file order, and the shape the config
 # gives each
@@ -52,6 +57,9 @@ class ModelConfig:
                 raise InputError(f"{name} must be positive, got {value}")
         if self.latent >= 2 ** 30:  # 4 * latent is a 32-bit checkpoint dim
             raise InputError(f"latent must be below 2**30, got {self.latent}")
+        if self.max_words > MAX_WORDS:
+            raise InputError(f"max_words must be at most {MAX_WORDS}, "
+                             f"got {self.max_words}")
         return self
 
 
@@ -147,8 +155,13 @@ def training_backward(params, caches, target, mask_padding=True):
 
 
 def encode_video(params, feat):
-    """Final encoder state only; per-frame outputs are discarded."""
-    _, h, c, _ = nn.lstm_forward(params.encoder, np.asarray(feat) @ params.encoder.W)
+    """Final encoder state of one video (frames x D) or of B stacked ones
+    (B x frames x D, one GEMM with encoder.W); frame outputs are dropped."""
+    feat = np.asarray(feat)
+    XW = feat.reshape(-1, feat.shape[-1]) @ params.encoder.W
+    if feat.ndim == 3:  # rows are video-major; the recurrence steps time
+        XW = XW.reshape(feat.shape[0], feat.shape[1], -1).swapaxes(0, 1)
+    _, h, c, _ = nn.lstm_forward(params.encoder, XW)
     return h, c
 
 
@@ -159,12 +172,14 @@ class DecodeState:
 
 
 def decode_step(params, state, token_index):
-    """One decoder step on a single token index from the given state:
-    a T = 1 lstm_forward over the word's embedding row."""
+    """One decoder step on a token index, or on B indices with (B, latent)
+    state rows: a T = 1 lstm_forward over the words' embedding rows.
+    Returns (probs, state), probs (V,) or (B, V)."""
     V = params.decoder.input_dim
-    if not 1 <= token_index <= V:
+    index = np.asarray(token_index)
+    if index.min() < 1 or index.max() > V:
         raise InputError(f"token index {token_index} outside [1, {V}]")
-    XW = params.decoder.W[token_index - 1:token_index]
+    XW = params.decoder.W[index - 1][None]
     H, h, c, _ = nn.lstm_forward(params.decoder, XW, state.h, state.c)
     probs = nn.softmax_rows(H @ params.head.W + params.head.b)[0]
     return probs, DecodeState(h, c)
@@ -174,37 +189,65 @@ class DecodeDiverged(RuntimeError):
     """Greedy decoding produced non-finite probabilities."""
 
 
-def greedy_decode(params, tok, feat, max_words=10):
+def greedy_decode(params, tok, feats, max_words=10):
     """Greedy captioning: feed bos, take the argmax, re-feed, stop on eos.
 
-    At most max_words decode steps run, so the caption never exceeds
-    max_words words; the returned list contains neither sentinel.  The
+    feats is one video's frames x D matrix, which gives its word list,
+    or an iterable of such matrices, which gives their word lists.  The
+    iterable is read lazily into one EVAL_CHUNK-video buffer, so memory
+    is bounded by the chunk; each chunk is one encode_video pass whose
+    rows step together, each leaving the batch at its eos.
+
+    At most max_words steps run and no list contains a sentinel.  The
     argmax runs over the fitted vocabulary (ties to the lowest index); a
-    degenerate bos prediction is re-fed but left out of the caption.
-    Finite weights can still overflow; a step whose probabilities are
-    not all finite raises DecodeDiverged instead of numpy warnings.
+    degenerate bos prediction is re-fed but left out of the caption.  A
+    step whose probabilities are not all finite (finite weights can
+    still overflow) raises DecodeDiverged instead of numpy warnings.
     """
     bos = tok.word_to_index.get("bos")
     eos = tok.word_to_index.get("eos")
     if bos is None or eos is None:
         raise InputError("tokenizer must contain 'bos' and 'eos'")
-    # numpy's error state is per thread, so it is set here, where every
-    # decoding thread runs
     with np.errstate(over="ignore", invalid="ignore"):
-        h, c = encode_video(params, feat)
-        state = DecodeState(h, c)
-        prev = bos
-        words = []
-        for step in range(1, max_words + 1):
-            probs, state = decode_step(params, state, prev)
-            if not np.isfinite(probs).all():
-                raise DecodeDiverged(f"decode step {step}: non-finite probabilities")
-            nxt = int(np.argmax(probs[:tok.size])) + 1
-            if nxt == eos:
+        if isinstance(feats, np.ndarray) and feats.ndim == 2:
+            state = DecodeState(*encode_video(params, feats))
+            return _greedy_rows(params, tok, state, bos, max_words)[0]
+        captions, videos, chunk, n = [], iter(feats), None, EVAL_CHUNK
+        while n == EVAL_CHUNK:
+            n = 0
+            for n, feat in enumerate(itertools.islice(videos, EVAL_CHUNK), 1):
+                if chunk is None:
+                    chunk = np.empty((EVAL_CHUNK,) + feat.shape, dtype=feat.dtype)
+                if feat.shape != chunk.shape[1:]:
+                    raise ValueError(f"video shape {feat.shape} is not {chunk.shape[1:]}")
+                chunk[n - 1] = feat
+            if n:
+                state = DecodeState(*encode_video(params, chunk[:n]))
+                captions += _greedy_rows(params, tok, state, np.full(n, bos), max_words)
+    return captions
+
+
+def _greedy_rows(params, tok, state, prev, max_words):
+    """Greedy steps from state, feeding prev (a token, or one per state
+    row), until every row has emitted eos or max_words steps have run;
+    returns each row's words."""
+    bos, eos = tok.word_to_index["bos"], tok.word_to_index["eos"]
+    rows = np.arange(np.size(prev))  # the caption each remaining row extends
+    words = [[] for _ in rows]
+    for step in range(1, max_words + 1):
+        probs, state = decode_step(params, state, prev)
+        if not np.isfinite(probs).all():
+            raise DecodeDiverged(f"decode step {step}: non-finite probabilities")
+        prev = probs[..., :tok.size].argmax(axis=-1) + 1
+        for row, k in zip(rows, np.atleast_1d(prev)):
+            if k != eos and k != bos:
+                words[row].append(tok.index_to_word[k])
+        going = np.atleast_1d(prev != eos)
+        if not going.all():
+            rows = rows[going]
+            if rows.size == 0:
                 break
-            if nxt != bos:
-                words.append(tok.index_to_word[nxt])
-            prev = nxt
+            prev, state = prev[going], DecodeState(state.h[going], state.c[going])
     return words
 
 
@@ -288,7 +331,8 @@ def load_checkpoint(path):
             arr = np.empty(shape, dtype="<f4")
             if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
                 raise InputError(f"{path}: tensor '{name}' is missing or truncated")
-            if not np.isfinite(arr).all():
+            # min and max, unlike isfinite, build no tensor-sized temporary
+            if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                 raise InputError(f"{path}: tensor '{name}' has non-finite values")
             tensors[name] = arr
         if fh.tell() != size:

@@ -17,9 +17,10 @@ each tensor in fixed ADAM_BLOCK-element blocks through two reused
 scratch rows; each block applies the textbook formula's operations in
 the same order, so the result is bitwise that of the allocating form.
 
-The kernels take one sequence at a time (no batch axis); the trainer
-loops over samples and averages gradients.  The training path runs in
-float32; build parameters with dtype=np.float64 for gradient checking.
+lstm_forward also steps B sequences at once (T x B x 4*hidden), as
+batched greedy decoding does; lstm_backward takes one, so the trainer
+loops over samples and averages gradients.  Training runs in float32;
+build parameters with dtype=np.float64 for gradient checking.
 """
 
 from dataclasses import dataclass, field
@@ -135,29 +136,32 @@ def init_dense_params(rng, hidden, out_dim, dtype=np.float32):
 def lstm_forward(p, XW, h0=None, c0=None):
     """LSTM recurrence over the projected rows XW[t] = x_t W, T >= 1.
 
-    Step t forms [zi zf zg zo] = x_t W + b + h_{t-1} U, then
+    XW is one sequence (T x 4*hidden), or B (T x B x 4*hidden) with
+    (B, hidden) states, whose h_{t-1} U is one B-row GEMM.  Step t forms
+    [zi zf zg zo] = x_t W + b + h_{t-1} U, then
     i = sigmoid(zi), f = sigmoid(zf), g = tanh(zg), o = sigmoid(zo),
     c_t = f * c_{t-1} + i * g, h_t = o * tanh(c_t).  The gates take one
     tanh, gate = s tanh(s z) + 1 - s with s = 1/2 on the sigmoid blocks
     (sigmoid(z) = tanh(z/2)/2 + 1/2) and s = 1 on g, so none overflows.
 
     Returns (H, h_T, c_T, cache) with cache = (Hs, Cs, G) and the views
-    H = Hs[1:], h_T = Hs[T], c_T = Cs[T].  Hs and Cs are (T+1) x hidden,
-    row 0 the initial state (zeros when None) and row t+1 the state after
-    step t; G (T x 4*hidden) holds every step's activated gates [i f g o].
+    H = Hs[1:], h_T = Hs[T], c_T = Cs[T].  Hs and Cs are (T+1) x [B x]
+    hidden, row 0 the initial state (zeros when None) and row t+1 the
+    state after step t; G (XW's shape) holds the activated gates [i f g o].
     """
     hid = p.hidden
-    if XW.ndim != 2 or XW.shape[1] != 4 * hid:
-        raise ValueError(f"sequence has shape {XW.shape}, expected (T, {4 * hid})")
+    if XW.ndim not in (2, 3) or XW.shape[-1] != 4 * hid:
+        raise ValueError(f"sequence has shape {XW.shape}, expected (T, [B,] {4 * hid})")
     T = XW.shape[0]
     if T < 1:
         raise ValueError("sequence must contain at least one timestep")
+    state_shape = XW.shape[1:-1] + (hid,)
     for name, state in (("h0", h0), ("c0", c0)):
-        if state is not None and state.shape != (hid,):
-            raise ValueError(f"{name} has shape {state.shape}, expected ({hid},)")
+        if state is not None and state.shape != state_shape:
+            raise ValueError(f"{name} has shape {state.shape}, expected {state_shape}")
     dt = np.result_type(XW.dtype, p.U.dtype)
-    Hs = np.empty((T + 1, hid), dtype=dt)
-    Cs = np.empty((T + 1, hid), dtype=dt)
+    Hs = np.empty((T + 1,) + state_shape, dtype=dt)
+    Cs = np.empty((T + 1,) + state_shape, dtype=dt)
     Hs[0] = 0 if h0 is None else h0
     Cs[0] = 0 if c0 is None else c0
     G = np.add(XW, p.b, dtype=dt)
@@ -171,7 +175,8 @@ def lstm_forward(p, XW, h0=None, c0=None):
         np.tanh(z, out=z)
         z *= scale
         z += shift
-        i, f, g, o = z[:hid], z[hid:2 * hid], z[2 * hid:3 * hid], z[3 * hid:]
+        i, f = z[..., :hid], z[..., hid:2 * hid]
+        g, o = z[..., 2 * hid:3 * hid], z[..., 3 * hid:]
         c = np.multiply(f, Cs[t], out=Cs[t + 1])
         c += i * g
         np.tanh(c, out=Hs[t + 1])

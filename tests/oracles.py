@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from vidcap import model
+
 
 def sigmoid_scalar(x):
     if x >= 0:
@@ -75,6 +77,26 @@ def lstm_backward_outer(W, U, X, caches, dH=None, dh_last=None, dc_last=None):
         dh = U @ dz
         dc = dc_total * f
     return dW, dU, db, dX, dh, dc
+
+
+def greedy_caption_per_video(params, tok, feat, max_words):
+    """The textbook greedy loop for one video: encode_video, then one
+    decode_step per word on a scalar index, each fed the previous
+    argmax.  Returns (words, chosen), chosen being every step's argmax
+    index, eos and bos included."""
+    bos, eos = tok.word_to_index["bos"], tok.word_to_index["eos"]
+    h, c = model.encode_video(params, feat)
+    state = model.DecodeState(h, c)
+    token, words, chosen = bos, [], []
+    for _ in range(max_words):
+        probs, state = model.decode_step(params, state, token)
+        token = int(np.argmax(probs[:tok.size])) + 1
+        chosen.append(token)
+        if token == eos:
+            break
+        if token != bos:
+            words.append(tok.index_to_word[token])
+    return words, chosen
 
 
 def one_hot_rows(indices, width, dtype=np.float64):

@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import ast
 import contextlib
 import io
 import os
@@ -357,6 +358,32 @@ def test_caption_bad_record_dims_exit_2(ws, tmp_path, kind):
     assert "tensor 'encoder.W' is missing or truncated" in err
 
 
+def test_caption_huge_max_words_checkpoint_exits_2(ws, tmp_path):
+    # a subprocess with a timeout: an uncapped max_words decodes for hours
+    path = tmp_path / "huge.sq2s"
+    blob = bytearray(ws["ckpt"].read_bytes())
+    struct.pack_into("<I", blob, 20, 2**32 - 1)  # header max_words
+    path.write_bytes(bytes(blob))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vidcap", "caption", "--checkpoint", str(path),
+         "--tokenizer", str(ws["tok"]),
+         "--features", str(ws["data"] / "feat" / "vid001.vfm")],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: {path}: max_words must be at most 1024, got {2**32 - 1}"]
+
+
+def test_train_max_words_above_cap_exits_2(ws):
+    code, out, err = run_cli("train", *ws["base"], *MODEL_ARGS, "--epochs", "1",
+                             "--max-words", "1025")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: max_words must be at most 1024, got 1025"]
+
+
 def test_caption_zero_dim_checkpoint_exits_2(ws, tmp_path):
     path = tmp_path / "zero.sq2s"
     blob = bytearray(ws["ckpt"].read_bytes())
@@ -398,6 +425,41 @@ def test_eval_rerun_is_byte_identical(ws):
             "--split", "train", "--threads", "3")
     for name, blob in first.items():
         assert (ws["run"] / name).read_bytes() == blob
+
+
+def test_eval_starts_no_threads_and_ignores_threads(ws, tmp_path, monkeypatch):
+    def refuse(self):
+        raise RuntimeError(f"eval started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    outputs = {}
+    for threads in ("1", "4"):
+        out = tmp_path / threads
+        shutil.copytree(ws["run"], out)
+        code, _, err = run_cli("eval", "--checkpoint", str(ws["ckpt"]),
+                               "--descriptions", str(ws["data"] / "descriptions.txt"),
+                               "--manifest", str(ws["data"] / "manifest.tsv"),
+                               "--out", str(out), "--split", "train",
+                               "--threads", threads)
+        assert code == 0, err
+        outputs[threads] = [(out / f).read_bytes()
+                            for f in ("report.csv", "summary.csv", "histogram.csv")]
+    assert outputs["4"] == outputs["1"]
+
+
+def test_no_module_imports_threads():
+    # the package runs on one thread; more cores come from OpenBLAS
+    for path in sorted((SRC / "vidcap").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("threading", "concurrent"), \
+                    f"{path.name} imports {name}"
 
 
 def test_eval_unknown_split_exits_2(ws):

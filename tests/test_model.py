@@ -190,6 +190,27 @@ def test_decode_step_rejects_bad_index():
         decode_step(params, state, 0)
     with pytest.raises(InputError):
         decode_step(params, state, TOY.vocab + 1)
+    rows = DecodeState(np.zeros((3, 4), np.float32), np.zeros((3, 4), np.float32))
+    with pytest.raises(InputError):
+        decode_step(params, rows, np.array([1, 0, 2]))
+
+
+def test_stacked_encode_and_vector_decode_match_single_rows():
+    # float32: the toy recurrences round exactly as one row at a time,
+    # the 5-row head GEMM differs from the 1-row one by about an ulp
+    params = ModelParams.init(TOY, seed=10)
+    feats = _videos(5, seed=10)
+    h, c = encode_video(params, feats)
+    assert h.shape == c.shape == (5, TOY.latent)
+    tokens = np.array([3, 1, 7, 3, 5])
+    probs, state = decode_step(params, DecodeState(h, c), tokens)
+    assert probs.shape == (5, TOY.vocab)
+    for b in range(5):
+        h1, c1 = encode_video(params, feats[b])
+        assert np.array_equal(h[b], h1) and np.array_equal(c[b], c1)
+        p1, s1 = decode_step(params, DecodeState(h1, c1), int(tokens[b]))
+        assert np.max(np.abs(probs[b] - p1)) < 1e-6
+        assert np.array_equal(state.h[b], s1.h) and np.array_equal(state.c[b], s1.c)
 
 
 def test_decode_steps_match_teacher_forced_rows():
@@ -303,6 +324,104 @@ def test_greedy_output_excludes_sentinels_and_respects_cap():
         words = greedy_decode(params, tok, feat, TOY.max_words)
         assert len(words) <= TOY.max_words
         assert "bos" not in words and "eos" not in words
+
+
+def _diverse_params():
+    """Seeded weights, scaled up so that over _videos(35) the greedy rows
+    stop after 1, 2, 3 and 4 steps, some choose bos and some run to
+    max_words (pinned by test_diverse_params_cover_every_stop_and_bos)."""
+    params = ModelParams.init(TOY, seed=7)
+    params.head.W *= 6
+    params.encoder.W *= 3
+    params.decoder.W *= 3
+    return params
+
+
+def _videos(n, seed=7):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, TOY.frames, TOY.feature_dim)).astype(np.float32)
+
+
+def test_diverse_params_cover_every_stop_and_bos():
+    tok = small_tokenizer()
+    params = _diverse_params()
+    chosen = [oracles.greedy_caption_per_video(params, tok, f, TOY.max_words)[1]
+              for f in _videos(35)]
+    eos, bos = tok.word_to_index["eos"], tok.word_to_index["bos"]
+    assert {len(c) for c in chosen if c[-1] == eos} == {1, 2, 3, 4}
+    assert any(len(c) == TOY.max_words and c[-1] != eos for c in chosen)
+    assert any(bos in c for c in chosen)
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 35])
+@pytest.mark.parametrize("weights", ["diverse", "init"])
+def test_greedy_split_matches_per_video_oracle(n, weights):
+    # chunks of EVAL_CHUNK rows leaving the batch at their own eos must
+    # caption each video as the one-video loop does
+    tok = small_tokenizer()
+    params = _diverse_params() if weights == "diverse" else ModelParams.init(TOY, seed=9)
+    videos = _videos(n)
+    want = [oracles.greedy_caption_per_video(params, tok, f, TOY.max_words)[0]
+            for f in videos]
+    assert greedy_decode(params, tok, iter(list(videos)), TOY.max_words) == want
+    assert [greedy_decode(params, tok, f, TOY.max_words) for f in videos] == want
+
+
+def _recording_decode_step(monkeypatch, drawn):
+    """Patch model.decode_step to log (videos drawn so far, token)."""
+    calls, step = [], model.decode_step
+
+    def recording(params, state, token):
+        calls.append((len(drawn), np.array(token)))
+        return step(params, state, token)
+
+    monkeypatch.setattr(model, "decode_step", recording)
+    return calls
+
+
+def test_greedy_reads_a_split_one_chunk_at_a_time(monkeypatch):
+    tok = small_tokenizer()
+    drawn = []
+
+    def videos():
+        for f in _videos(35):
+            drawn.append(f)
+            yield f
+
+    calls = _recording_decode_step(monkeypatch, drawn)
+    captions = greedy_decode(_diverse_params(), tok, videos(), TOY.max_words)
+    assert len(captions) == len(drawn) == 35
+    # each chunk's first step feeds bos to all of its rows, and no video
+    # is drawn before the chunk that decodes it
+    firsts = [(n, t) for i, (n, t) in enumerate(calls) if i == 0 or calls[i - 1][0] != n]
+    assert [(n, t.size) for n, t in firsts] == [(16, 16), (32, 16), (35, 3)]
+    assert all((t == tok.word_to_index["bos"]).all() for _, t in firsts)
+    assert all(t.ndim == 1 and 1 <= t.size <= model.EVAL_CHUNK for _, t in calls)
+
+
+def test_greedy_one_video_feeds_scalar_tokens(monkeypatch):
+    # perfbench's rescore check records these tokens as scalars
+    tok = small_tokenizer()
+    calls = _recording_decode_step(monkeypatch, [])
+    greedy_decode(_diverse_params(), tok, _videos(1)[0], TOY.max_words)
+    assert calls and all(t.ndim == 0 for _, t in calls)
+    assert calls[0][1] == tok.word_to_index["bos"]
+
+
+def test_greedy_empty_split_and_misshaped_video():
+    tok = small_tokenizer()
+    params = ModelParams.init(TOY, seed=9)
+    assert greedy_decode(params, tok, iter([]), TOY.max_words) == []
+    videos = [np.zeros((TOY.frames, TOY.feature_dim), np.float32),
+              np.zeros((TOY.frames + 1, TOY.feature_dim), np.float32)]
+    with pytest.raises(ValueError):
+        greedy_decode(params, tok, videos, TOY.max_words)
+
+
+def test_max_words_cap():
+    ModelConfig(max_words=model.MAX_WORDS).validate()
+    with pytest.raises(InputError, match="max_words must be at most 1024"):
+        ModelConfig(max_words=model.MAX_WORDS + 1).validate()
 
 
 # ---------------------------------------------------------------------------

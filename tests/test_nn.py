@@ -164,10 +164,55 @@ def test_forward_zero_params_zero_outputs():
 
 def test_forward_rejects_empty_and_misshaped():
     p = nn.LstmParams(np.zeros((3, 8)), np.zeros((2, 8)), np.zeros(8))
-    with pytest.raises(ValueError):
-        nn.lstm_forward(p, np.zeros((0, 8)))
-    with pytest.raises(ValueError):
-        nn.lstm_forward(p, np.zeros((4, 2)))
+    for shape in ((0, 8), (4, 2), (8,), (4, 3, 2, 8), (4, 3, 7)):
+        with pytest.raises(ValueError):
+            nn.lstm_forward(p, np.zeros(shape))
+
+
+# (T, hidden, B): toy sizes, one row, and the encoder's full width, where
+# a 16-row h @ U GEMM rounds unlike 16 mat-vecs (measured up to 3e-7)
+BATCH_CASES = [(5, 4, 3), (7, 8, 16), (3, 2, 1), (80, 512, 16), (80, 512, 1)]
+
+
+@pytest.mark.parametrize("case", range(len(BATCH_CASES)))
+def test_forward_batch_matches_per_sequence_calls(case):
+    # float32 as in eval; within 1e-5 of one (T, 4H) call per sequence,
+    # and bitwise at B = 1, where the GEMM has one row (measured exact)
+    T, hid, B = BATCH_CASES[case]
+    rng = np.random.default_rng(200 + case)
+    p = nn.init_lstm_params(rng, 6, hid)
+    XW = rng.standard_normal((T, B, 4 * hid)).astype(np.float32)
+    h0 = rng.standard_normal((B, hid)).astype(np.float32)
+    c0 = rng.standard_normal((B, hid)).astype(np.float32)
+    H, hT, cT, (Hs, Cs, G) = nn.lstm_forward(p, XW, h0, c0)
+    assert H.shape == (T, B, hid) and hT.shape == cT.shape == (B, hid)
+    assert Hs.shape == Cs.shape == (T + 1, B, hid) and G.shape == XW.shape
+    for b in range(B):
+        H1, h1, c1, _ = nn.lstm_forward(p, np.ascontiguousarray(XW[:, b]), h0[b], c0[b])
+        got, want = (H[:, b], hT[b], cT[b]), (H1, h1, c1)
+        if B == 1:
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        assert max(np.max(np.abs(x - y)) for x, y in zip(got, want)) < 1e-5
+
+
+def test_forward_batch_zero_state_default():
+    rng = np.random.default_rng(5)
+    p = random_lstm(rng, 3, 2)
+    XW = rng.standard_normal((4, 3, 8))
+    zeros = np.zeros((3, 2))
+    for x, y in zip(nn.lstm_forward(p, XW)[:3], nn.lstm_forward(p, XW, zeros, zeros)[:3]):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (2, 2), (3, 3), (1, 3, 2)])
+@pytest.mark.parametrize("which", ["h0", "c0"])
+def test_forward_batch_rejects_misshaped_states(shape, which):
+    # a batch of 3 sequences needs (3, 2) states
+    p = nn.LstmParams(np.zeros((3, 8)), np.zeros((2, 8)), np.zeros(8))
+    good = np.zeros((3, 2))
+    states = {"h0": good, "c0": good, which: np.zeros(shape)}
+    with pytest.raises(ValueError, match=which):
+        nn.lstm_forward(p, np.zeros((4, 3, 8)), **states)
 
 
 # ---------------------------------------------------------------------------
