@@ -265,8 +265,6 @@ def build_parser():
          "one training sample per caption prefix instead of shift-by-one"),
         (["--no-mask-padding"], "no_mask_padding", bool, False, False,
          "score padding rows in the loss"),
-        (["--no-cache"], "no_cache", bool, False, False,
-         "accepted, no effect: feature files are read on every use"),
     ])
     p.set_defaults(func=cmd_train)
 
@@ -290,8 +288,6 @@ def build_parser():
         (["--threads"], "threads", int, 1, False,
          "accepted, no effect: decoding runs on one thread; set "
          "OPENBLAS_NUM_THREADS to use more cores"),
-        (["--no-cache"], "no_cache", bool, False, False,
-         "accepted, no effect: feature files are read on every use"),
     ])
     p.set_defaults(func=cmd_eval)
 

@@ -101,68 +101,75 @@ def _params_from_tensors(t):
         nn.DenseParams(t["head.W"], t["head.b"]))
 
 
-def training_forward(params, feat, dec_in):
-    """Teacher-forced pass: encode all frames, decode all target steps.
+def training_forward(params, feats, dec_in, video=slice(None)):
+    """Teacher-forced pass over a batch: each feats row encoded once,
+    every caption decoded.
 
-    dec_in holds the decoder's input word indices, 0 at padding steps.
-    The encoder's final (h, c) seed the decoder; every decoder hidden
-    state goes through the softmax head.  Returns (P, caches) with one
-    probability row per decoder step.
+    feats stacks Bv videos (Bv x frames x D), dec_in holds B captions'
+    decoder input word indices (B x T, 0 at padding steps) and video
+    (B,) the feats row each caption reads, by default row i for caption
+    i.  The captions' decoders start from their rows' final (h, c) and
+    step as one recurrence; the head maps all T·B hidden states in one
+    product.  Returns (P, caches), P time-major (T x B x V).  A 1-D
+    dec_in is one caption and feats its video (frames x D): the B = 1
+    case, whose P is T x V.
     """
-    feat = np.asarray(feat)
-    dec_in = np.asarray(dec_in)
-    _, h, c, enc_cache = nn.lstm_forward(params.encoder, feat @ params.encoder.W)
-    P, H, dec_cache = decoder_forward(params, h, c, dec_in)
-    return P, (feat, enc_cache, dec_in, dec_cache, H, P)
-
-
-def decoder_forward(params, h, c, dec_in):
-    """Teacher-forced decoder and head from the encoder state (h, c).
-
-    dec_in holds the decoder's input word indices, 0 at padding steps.
-    Returns (P, H, cache): one probability row and one hidden state
-    per step, and the decoder LSTM's (Hs, Cs, G) cache.
-    """
-    dec = params.decoder
-    words = dec_in > 0
-    XW = np.zeros((len(dec_in), dec.W.shape[1]), dtype=dec.W.dtype)
-    XW[words] = dec.W[dec_in[words] - 1]
-    H, _, _, cache = nn.lstm_forward(dec, XW, h, c)
-    return nn.dense_softmax_forward(params.head, H), H, cache
+    single = np.ndim(dec_in) == 1
+    if single:
+        feats, dec_in = np.asarray(feats)[None], np.asarray(dec_in)[None]
+    _, h, c, enc_cache = _encoder_forward(params, feats)
+    dec, steps = params.decoder, np.asarray(dec_in).T
+    XW = np.where((steps > 0)[..., None], dec.W[steps - 1], 0)  # padding reads zeros
+    H, _, _, dec_cache = nn.lstm_forward(dec, XW, h[video], c[video])
+    P = nn.dense_softmax_forward(params.head, H.reshape(-1, dec.hidden))
+    P = P.reshape(steps.shape + (-1,))
+    return (P[:, 0] if single else P), (feats, video, enc_cache, steps, dec_cache, H, P)
 
 
 def training_backward(params, caches, target, mask_padding=True):
-    """Loss and parameter gradients for a cached training_forward pass.
+    """Batch-mean loss and parameter gradients for a cached training_forward pass.
 
-    target holds each step's correct word index, 0 at padding steps.
-    Gradients flow from the head through the decoder and on into the
-    encoder via the initial-state connection.
+    target ((B, T), or (T,) for one caption) holds each step's correct
+    word index, 0 at padding steps; nn.cross_entropy weighs the rows.
+    The (dh0, dc0) rows of captions that share a video are summed before
+    the encoder's backward, which is exact: lstm_backward is linear in
+    them.
     """
-    feat, enc_cache, dec_in, dec_cache, H, P = caches
-    loss, d_logits = nn.cross_entropy(P, np.asarray(target), mask_padding)
-    dW_h, db_h, dH = nn.dense_softmax_backward(params.head, H, d_logits)
-    dXW_d, dU_d, db_d, dh0, dc0 = nn.lstm_backward(params.decoder, dec_cache, dH)
+    feats, video, enc_cache, steps, dec_cache, H, P = caches
+    loss, d_logits = nn.cross_entropy(P, np.atleast_2d(target).T, mask_padding)
+    dW_h, db_h, dH = nn.dense_softmax_backward(params.head, H.reshape(-1, H.shape[-1]),
+                                               d_logits.reshape(-1, P.shape[-1]))
+    dXW_d, dU_d, db_d, dh0, dc0 = nn.lstm_backward(params.decoder, dec_cache,
+                                                   dH.reshape(H.shape))
     dW_d = np.zeros_like(params.decoder.W)
-    # step order, as the one-hot product sums; np.add.at is ~15x slower here
-    for t in np.flatnonzero(dec_in > 0):
-        dW_d[dec_in[t] - 1] += dXW_d[t]
-    dXW_e, dU_e, db_e, _, _ = nn.lstm_backward(params.encoder, enc_cache,
-                                               None, dh0, dc0)
-    grads = {"encoder.W": feat.T @ dXW_e, "encoder.U": dU_e, "encoder.b": db_e,
+    # row by row in step order, as the one-hot product sums; np.add.at
+    # took 16x as long (200 rows of 2048 floats, numpy 2.4)
+    for k, row in zip(steps[steps > 0] - 1, dXW_d[steps > 0]):
+        dW_d[k] += row
+    owner = np.eye(len(feats), dtype=dh0.dtype)[:, video]  # Bv x B, 1 where row feeds caption
+    dXW_e, dU_e, db_e, _, _ = nn.lstm_backward(params.encoder, enc_cache, None,
+                                               owner @ dh0, owner @ dc0)
+    dXW_e = dXW_e.swapaxes(0, 1).reshape(-1, dXW_e.shape[-1])  # video-major, as feats
+    grads = {"encoder.W": feats.reshape(-1, feats.shape[-1]).T @ dXW_e,
+             "encoder.U": dU_e, "encoder.b": db_e,
              "decoder.W": dW_d, "decoder.U": dU_d, "decoder.b": db_d,
              "head.W": dW_h, "head.b": db_h}
     return loss, grads
 
 
-def encode_video(params, feat):
-    """Final encoder state of one video (frames x D) or of B stacked ones
-    (B x frames x D, one GEMM with encoder.W); frame outputs are dropped."""
+def _encoder_forward(params, feat):
+    """encode_video's pass; returns lstm_forward's (H, h, c, cache)."""
     feat = np.asarray(feat)
     XW = feat.reshape(-1, feat.shape[-1]) @ params.encoder.W
     if feat.ndim == 3:  # rows are video-major; the recurrence steps time
         XW = XW.reshape(feat.shape[0], feat.shape[1], -1).swapaxes(0, 1)
-    _, h, c, _ = nn.lstm_forward(params.encoder, XW)
-    return h, c
+    return nn.lstm_forward(params.encoder, XW)
+
+
+def encode_video(params, feat):
+    """Final encoder state of one video (frames x D) or of B stacked ones
+    (B x frames x D, one GEMM with encoder.W); frame outputs are dropped."""
+    return _encoder_forward(params, feat)[1:3]
 
 
 @dataclass

@@ -17,10 +17,11 @@ each tensor in fixed ADAM_BLOCK-element blocks through two reused
 scratch rows; each block applies the textbook formula's operations in
 the same order, so the result is bitwise that of the allocating form.
 
-lstm_forward also steps B sequences at once (T x B x 4*hidden), as
-batched greedy decoding does; lstm_backward takes one, so the trainer
-loops over samples and averages gradients.  Training runs in float32;
-build parameters with dtype=np.float64 for gradient checking.
+Both LSTM kernels also step B sequences at once (T x B x 4*hidden),
+one B-row GEMM per step, and cross_entropy scores such a time-major
+batch, so a training batch runs through each kernel once, as batched
+greedy decoding does.  Training runs in float32; build parameters with
+dtype=np.float64 for gradient checking.
 """
 
 from dataclasses import dataclass, field
@@ -187,16 +188,17 @@ def lstm_forward(p, XW, h0=None, c0=None):
 def lstm_backward(p, cache, dH=None, dh_last=None, dc_last=None):
     """Backpropagation through time over lstm_forward's (Hs, Cs, G).
 
-    dH (T x hidden) holds the loss gradient w.r.t. every per-step hidden
-    output; dh_last/dc_last the gradient w.r.t. the final state.  Any of
-    them may be None (treated as zero).
+    The cache holds one sequence or B of them, as lstm_forward made it.
+    dH (T x [B x] hidden) holds the loss gradient w.r.t. every per-step
+    hidden output; dh_last/dc_last ([B x] hidden) the gradient w.r.t.
+    the final state.  Any of them may be None (treated as zero).
 
     Step t's pre-activation gradient, also that of XW[t], is
     dz = [dc g i(1-i), dc c_{t-1} f(1-f), dc i(1-g^2), dh tanh(c_t) o(1-o)]
     for the running dh, dc.  Their factors take a few whole-sequence
     operations; the reverse time loop scales them into row t of dZ and
-    carries dh = U dz, dc = f dc back one step.  Then dU = Hs[:-1]^T dZ
-    and db = sum_t dZ[t].
+    carries dh = (U dz^T)^T (half dz U^T's time for B > 1), dc = f dc
+    back one step.  Then dU = Hs[:-1]^T dZ and db = sum dZ over all rows.
 
     Returns (dXW, dU, db, dh0, dc0).
     """
@@ -204,28 +206,30 @@ def lstm_backward(p, cache, dH=None, dh_last=None, dc_last=None):
     T = G.shape[0]
     hid = p.hidden
     dt = p.U.dtype
-    if dH is not None and dH.shape != (T, hid):
-        raise ValueError(f"dH has shape {dH.shape}, expected ({T}, {hid})")
-    i, f, g, o = (G[:, k * hid:(k + 1) * hid] for k in range(4))
+    state_shape = G.shape[1:-1] + (hid,)
+    if dH is not None and dH.shape != (T,) + state_shape:
+        raise ValueError(f"dH has shape {dH.shape}, expected {(T,) + state_shape}")
+    i, f, g, o = (G[..., k * hid:(k + 1) * hid] for k in range(4))
     tc = np.tanh(Cs[1:])
     dc_from_dh = o * (1.0 - tc * tc)
-    dZ = np.empty((T, 4 * hid), dtype=dt)
-    blocks = dZ.reshape(T, 4, hid)
-    blocks[:, 0] = g * i * (1.0 - i)
-    blocks[:, 1] = Cs[:-1] * f * (1.0 - f)
-    blocks[:, 2] = i * (1.0 - g * g)
-    blocks[:, 3] = tc * o * (1.0 - o)
-    dh = np.zeros(hid, dtype=dt) if dh_last is None else dh_last.astype(dt, copy=True)
-    dc = np.zeros(hid, dtype=dt) if dc_last is None else dc_last.astype(dt, copy=True)
+    dZ = np.empty(G.shape, dtype=dt)
+    blocks = dZ.reshape(G.shape[:-1] + (4, hid))
+    blocks[..., 0, :] = g * i * (1.0 - i)
+    blocks[..., 1, :] = Cs[:-1] * f * (1.0 - f)
+    blocks[..., 2, :] = i * (1.0 - g * g)
+    blocks[..., 3, :] = tc * o * (1.0 - o)
+    dh = np.zeros(state_shape, dtype=dt) if dh_last is None else dh_last.astype(dt, copy=True)
+    dc = np.zeros(state_shape, dtype=dt) if dc_last is None else dc_last.astype(dt, copy=True)
     for t in reversed(range(T)):
         if dH is not None:
             dh += dH[t]
         dc += dh * dc_from_dh[t]
-        blocks[t, :3] *= dc
-        blocks[t, 3] *= dh
-        dh = p.U @ dZ[t]
+        blocks[t, ..., :3, :] *= dc[..., None, :]
+        blocks[t, ..., 3, :] *= dh
+        dh = (p.U @ dZ[t].T).T
         dc *= f[t]
-    return dZ, Hs[:-1].T @ dZ, dZ.sum(axis=0), dh, dc
+    rows = dZ.reshape(-1, 4 * hid)
+    return dZ, Hs[:-1].reshape(-1, hid).T @ rows, rows.sum(axis=0), dh, dc
 
 
 # ---------------------------------------------------------------------------
@@ -248,39 +252,43 @@ def dense_softmax_backward(p, H, d_logits):
 
 
 def cross_entropy(P, target, mask_padding=True):
-    """Mean categorical cross-entropy over unmasked rows.
+    """Mean categorical cross-entropy of one sequence (T x V P, (T,)
+    target) or of B (T x B x V, (T, B)), time-major as lstm_forward steps.
 
-    P rows must be probability vectors over V classes; target[t] is the
-    1-based class index of row t, or 0 for padding.  With mask_padding
-    on, padding rows carry no loss and no gradient.  Returns (loss,
-    d_logits): the gradient w.r.t. the logits is P minus 1 at each
-    target cell, divided by the number n of unmasked rows.  The loss
-    sums the log-probabilities in float64 whatever P's dtype.
+    target holds 1-based class indices, 0 for padding.  A sequence's
+    loss is the mean over its n unmasked rows (n = T with mask_padding
+    off: padding rows carry a gradient but no loss), the batch's the
+    mean over sequences.  Returns (loss, d_logits): P minus 1 at each
+    target cell on unmasked rows, divided by B n.  The loss sums the
+    log-probabilities in float64 whatever P's dtype.
     """
-    T, V = P.shape
-    if target.shape != (T,) or target.dtype.kind not in "iu":
-        raise ValueError(f"target must be an integer vector of shape ({T},), "
+    V = P.shape[-1]
+    if target.shape != P.shape[:-1] or target.dtype.kind not in "iu":
+        raise ValueError(f"target must be an integer array of shape {P.shape[:-1]}, "
                          f"got {target.dtype} {target.shape}")
-    if T and (target.min() < 0 or target.max() > V):
+    if target.size and (target.min() < 0 or target.max() > V):
         raise ValueError(f"target indices must lie in [0, {V}]")
     if not np.all(np.isfinite(P)):
         raise FloatingPointError("non-finite probabilities in cross_entropy")
-    if np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-4):
+    if np.any(np.abs(P.sum(axis=-1) - 1.0) > 1e-4):
         raise ValueError("P rows are not normalized probability vectors")
-    scored = np.flatnonzero(target)
-    n = scored.size if mask_padding else T
-    d_logits = np.zeros_like(P)
-    if n == 0:
-        return 0.0, d_logits
-    cols = target[scored] - 1
+    seq = target.reshape(len(target), -1)  # T x B
+    rows = P.reshape(seq.shape + (V,))
+    T, B = seq.shape
+    scored = seq > 0
+    n = np.maximum(scored.sum(axis=0) if mask_padding else np.full(B, T), 1)
+    t, b = np.nonzero(scored)
+    cols = seq[t, b] - 1
     tiny = np.finfo(P.dtype).tiny  # guards log against exp underflow to 0
-    log_p = np.log(np.maximum(P[scored, cols], tiny))
-    loss = -float(log_p.sum(dtype=np.float64)) / n
-    unmasked = target > 0 if mask_padding else slice(None)
-    d_logits[unmasked] = P[unmasked]
-    d_logits[scored, cols] -= 1.0
-    d_logits /= n
-    return loss, d_logits
+    nll = np.bincount(b, weights=-np.log(np.maximum(rows[t, b, cols], tiny)),
+                      minlength=B)
+    loss = float(np.sum(nll / n)) / B
+    d_logits = np.zeros(rows.shape, dtype=P.dtype)
+    unmasked = scored if mask_padding else slice(None)
+    d_logits[unmasked] = rows[unmasked]
+    d_logits[t, b, cols] -= 1.0
+    d_logits /= (B * n).astype(P.dtype)[:, None]
+    return loss, d_logits.reshape(P.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -87,19 +87,18 @@ def make_batches(samples, batch_size, seed, epoch):
 
 
 def accuracy(P, target, mask_padding=True):
-    """Fraction of unmasked timesteps whose argmax hits the target.
+    """Fraction of unmasked timesteps whose argmax hits the target,
+    averaged over the sequences of a time-major batch (T x B x V P,
+    (T, B) target) or for one sequence (T x V, (T,)).
 
     target holds 1-based word indices, 0 at padding steps; the argmax
     column j hits index j + 1.  With masking off, padding rows count as
     misses.  Argmax ties go to the lowest index.
     """
-    target = np.asarray(target)
-    rows = target > 0 if mask_padding else np.ones(len(target), dtype=bool)
-    sel = np.flatnonzero(rows)
-    if sel.size == 0:
-        return 0.0
-    hits = P[sel].argmax(axis=1) == target[sel] - 1
-    return float(hits.sum()) / sel.size
+    seq = np.asarray(target).reshape(len(target), -1)
+    rows = seq > 0 if mask_padding else np.ones(seq.shape, dtype=bool)
+    hits = rows & (P.reshape(seq.shape + (-1,)).argmax(axis=-1) == seq - 1)
+    return float(np.mean(hits.sum(axis=0) / np.maximum(rows.sum(axis=0), 1)))
 
 
 @dataclass
@@ -123,34 +122,32 @@ class MetricsHistory:
                          f"{fmt6(r.val_loss)},{fmt6(r.val_acc)}\n")
 
 
-def _sample_pass(params, store, sample, mask_padding):
-    feat = store.get(sample.video_id)
-    P, caches = mdl.training_forward(params, feat, sample.dec_in)
-    loss, grads = mdl.training_backward(params, caches, sample.target, mask_padding)
-    return loss, accuracy(P, sample.target, mask_padding), grads
-
-
-def _sample_eval(params, state, sample, mask_padding):
-    P, _, _ = mdl.decoder_forward(params, *state, sample.dec_in)
-    loss, _ = nn.cross_entropy(P, sample.target, mask_padding)
-    return loss, accuracy(P, sample.target, mask_padding)
+def batch_arrays(store, samples):
+    """Samples as arrays: their distinct videos stacked in first-use order,
+    each read once (Bv x frames x D), each sample's row in that stack
+    (B,), and the stacked dec_in and target vectors (B x T)."""
+    keys = list(dict.fromkeys(s.video_id for s in samples))
+    return (np.stack([store.get(key) for key in keys]),
+            np.array([keys.index(s.video_id) for s in samples]),
+            np.stack([s.dec_in for s in samples]), np.stack([s.target for s in samples]))
 
 
 def evaluate_samples(params, store, samples, mask_padding=True):
     """Forward-only mean (loss, accuracy); (0, 0) for an empty list.
 
-    Each distinct video is encoded once; the decoder and head then run
-    per caption from that video's final encoder state, so the results
-    equal those of training_forward sample by sample.
+    One training_forward pass per distinct video decodes all of that
+    video's samples, so each video is read and encoded once.
     """
-    if not samples:
-        return 0.0, 0.0
-    states = {key: mdl.encode_video(params, store.get(key))
-              for key in dict.fromkeys(s.video_id for s in samples)}
-    results = [_sample_eval(params, states[s.video_id], s, mask_padding)
-               for s in samples]
-    n = len(results)
-    return sum(r[0] for r in results) / n, sum(r[1] for r in results) / n
+    by_video = {}
+    for s in samples:
+        by_video.setdefault(s.video_id, []).append(s)
+    loss_sum = acc_sum = 0.0
+    for group in by_video.values():
+        feats, video, dec_in, target = batch_arrays(store, group)
+        P, _ = mdl.training_forward(params, feats, dec_in, video)
+        loss_sum += nn.cross_entropy(P, target.T, mask_padding)[0] * len(group)
+        acc_sum += accuracy(P, target.T, mask_padding) * len(group)
+    return loss_sum / max(len(samples), 1), acc_sum / max(len(samples), 1)
 
 
 def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
@@ -158,20 +155,18 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
     """Run the optimization loop; returns (params, MetricsHistory).
 
     Per epoch: shuffle samples with a seed derived from (seed, epoch),
-    accumulate batch-mean gradients in fixed sample order, take one Adam
-    step per batch, then run a forward-only validation pass.  Epoch
+    then run each batch as one set of arrays (batch_arrays): one
+    training_forward and one training_backward, one encoder row per
+    caption however the shuffle grouped videos, give its batch-mean
+    gradients and one Adam step applies them; validation follows.  Epoch
     metrics are per-sample means.  A non-finite loss or gradient, in
     training or in validation, raises TrainingDiverged before the
     batch's Adam step; checkpoints already on disk are left in place.
 
-    Each sample's gradients are added into one grad_sum buffer per
-    tensor as soon as its pass returns, then dropped: the buffers are
-    allocated once per run and zeroed per batch, so at most one
-    per-sample gradient set is alive and peak memory does not grow with
-    the batch size.  Validation encodes each distinct video once and
-    decodes each of its captions from that state.  numpy's
-    overflow/invalid warnings are off in the epoch loop: the finiteness
-    checks report.
+    A batch's activations and gradients are dropped before the next
+    batch's pass, and Adam updates its moments and the weights in place.
+    numpy's overflow/invalid warnings are off in the epoch loop: the
+    finiteness checks report.
     """
     cfg.validate()
     for key in list(train_keys) + list(val_keys):
@@ -188,34 +183,27 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
     opt = nn.AdamState(lr=cfg.lr)
     history = MetricsHistory()
     tensors = params.tensors()
-    grad_sum = {name: np.empty_like(t) for name, t in tensors.items()}  # zeroed per batch
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
             loss_sum = acc_sum = 0.0
-            n_seen = 0
             try:
                 for batch in make_batches(train_samples, cfg.batch_size, cfg.seed, epoch):
-                    for g in grad_sum.values():
-                        g.fill(0)
-                    for s in batch:
-                        loss, acc, grads = _sample_pass(params, store, s, cfg.mask_padding)
-                        if not np.isfinite(loss):
-                            raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-                        loss_sum += loss
-                        acc_sum += acc
-                        for name, g in grad_sum.items():
-                            g += grads[name]
-                        del grads  # free it before the next sample's pass
-                    for g in grad_sum.values():
-                        g /= len(batch)
-                    nn.adam_step(opt, tensors, grad_sum)
-                    n_seen += len(batch)
+                    feats, video, dec_in, target = batch_arrays(store, batch)
+                    P, caches = mdl.training_forward(params, feats[video], dec_in)
+                    loss, grads = mdl.training_backward(params, caches, target,
+                                                        cfg.mask_padding)
+                    if not np.isfinite(loss):
+                        raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+                    loss_sum += loss * len(batch)
+                    acc_sum += accuracy(P, target.T, cfg.mask_padding) * len(batch)
+                    nn.adam_step(opt, tensors, grads)
+                    del feats, P, caches, grads  # before the next batch's pass
                 val_loss, val_acc = evaluate_samples(params, store, val_samples,
                                                      cfg.mask_padding)
             except FloatingPointError as e:
                 raise TrainingDiverged(f"epoch {epoch}: {e}") from e
-            row = EpochMetrics(epoch, loss_sum / n_seen, acc_sum / n_seen,
-                               val_loss, val_acc)
+            row = EpochMetrics(epoch, loss_sum / len(train_samples),
+                               acc_sum / len(train_samples), val_loss, val_acc)
             history.rows.append(row)
             if log is not None:
                 log(f"epoch {row.epoch}: train_loss={fmt6(row.train_loss)} "

@@ -202,3 +202,21 @@ def accuracy_scalar(P, Y, mask_padding=True):
         if not is_pad and row[best] == 1:
             hits += 1
     return hits / total if total else 0.0
+
+
+def batch_gradients_per_sample(params, get, batch, mask_padding=True):
+    """A batch's per-sample losses and batch-mean gradients, formed one
+    sample at a time: training_forward and training_backward on each
+    sample alone (its features from get(video_id)), the gradients summed
+    in sample order, then divided by the batch size."""
+    losses = []
+    grad_sum = {k: np.zeros_like(t) for k, t in params.tensors().items()}
+    for s in batch:
+        _, caches = model.training_forward(params, get(s.video_id), s.dec_in)
+        loss, grads = model.training_backward(params, caches, s.target, mask_padding)
+        losses.append(loss)
+        for k, g in grad_sum.items():
+            g += grads[k]
+    for g in grad_sum.values():
+        g /= len(batch)
+    return losses, grad_sum

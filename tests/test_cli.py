@@ -222,8 +222,7 @@ def test_train_starts_no_threads_and_ignores_threads(ws, tmp_path, monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     outputs = {}
-    for name, extra in (("1", ["--threads", "1"]), ("4", ["--threads", "4"]),
-                        ("no-cache", ["--no-cache"])):
+    for name, extra in (("1", ["--threads", "1"]), ("4", ["--threads", "4"])):
         out = tmp_path / name
         shutil.copytree(ws["run"], out)
         code, _, err = run_cli(
@@ -235,7 +234,13 @@ def test_train_starts_no_threads_and_ignores_threads(ws, tmp_path, monkeypatch):
         outputs[name] = [(out / f).read_bytes()
                          for f in ("metrics.csv", "ckpt-20.sq2s")]
     assert outputs["4"] == outputs["1"]
-    assert outputs["no-cache"] == outputs["1"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_no_cache_option_is_gone(ws, command):
+    code, _, err = run_cli(command, *ws["base"], "--no-cache")
+    assert code == 2
+    assert "--no-cache" in err
 
 
 def test_train_tokenizer_cap_mismatch_exits_1(ws):
@@ -568,18 +573,24 @@ def test_config_rejects_unknown_keys(ws, tmp_path):
 
 
 def test_config_boolean_coercion(ws, tmp_path):
-    good = tmp_path / "good.cfg"
-    good.write_text("no-cache = yes\nsplit = train\n", encoding="utf-8")
-    code, _, err = run_cli("eval", "--checkpoint", str(ws["ckpt"]), *ws["base"],
-                           "--config", str(good))
-    assert code == 0, err
-
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("no-cache = maybe\n", encoding="utf-8")
-    code, _, err = run_cli("eval", "--checkpoint", str(ws["ckpt"]), *ws["base"],
-                           "--config", str(bad))
-    assert code == 2
-    assert "not a boolean" in err
+    metrics = {}
+    for value in ("yes", "no", "maybe"):
+        out = tmp_path / value
+        shutil.copytree(ws["run"], out)
+        cfg = tmp_path / f"{value}.cfg"
+        cfg.write_text(f"no-mask-padding = {value}\nepochs = 1\n", encoding="utf-8")
+        code, _, err = run_cli(
+            "train", "--descriptions", str(ws["data"] / "descriptions.txt"),
+            "--manifest", str(ws["data"] / "manifest.tsv"), "--out", str(out),
+            *MODEL_ARGS, "--config", str(cfg))
+        if value == "maybe":
+            assert code == 2
+            assert "not a boolean" in err
+        else:
+            assert code == 0, err
+            metrics[value] = (out / "metrics.csv").read_text(encoding="utf-8")
+    # "yes" scores the padding rows, which changes every loss
+    assert metrics["yes"] != metrics["no"]
 
 
 @pytest.mark.parametrize("name", ["tokenizer", "config", "descriptions",

@@ -312,6 +312,42 @@ def test_backward_matches_outer_product_oracle(case):
         assert np.max(np.abs(g - w)) < 1e-12, name
 
 
+@pytest.mark.parametrize("upstream", ["all", "dH", "final"])
+def test_backward_batch_equals_per_sequence_calls(upstream):
+    # B stacked sequences: each dXW column and dh0/dc0 row is that
+    # sequence's own; dU and db are the sums of the per-sequence ones
+    rng = np.random.default_rng(12)
+    T, B, in_dim, hid = 6, 4, 3, 5
+    p = random_lstm(rng, in_dim, hid)
+    XW = rng.standard_normal((T, B, in_dim)) @ p.W
+    h0, c0 = rng.standard_normal((2, B, hid))
+    dH = rng.standard_normal((T, B, hid)) if upstream != "final" else None
+    dh_last, dc_last = (rng.standard_normal((2, B, hid)) if upstream != "dH"
+                        else (None, None))
+    _, _, _, cache = nn.lstm_forward(p, XW, h0, c0)
+    dXW, dU, db, dh0, dc0 = nn.lstm_backward(p, cache, dH, dh_last, dc_last)
+    dU_sum, db_sum = np.zeros_like(dU), np.zeros_like(db)
+    for b in range(B):
+        _, _, _, one = nn.lstm_forward(p, XW[:, b], h0[b], c0[b])
+        got = nn.lstm_backward(p, one, None if dH is None else dH[:, b],
+                               None if dh_last is None else dh_last[b],
+                               None if dc_last is None else dc_last[b])
+        for batch_part, single in zip((dXW[:, b], dh0[b], dc0[b]),
+                                      (got[0], got[3], got[4])):
+            assert np.max(np.abs(batch_part - single)) < 1e-12
+        dU_sum += got[1]
+        db_sum += got[2]
+    assert np.max(np.abs(dU - dU_sum)) < 1e-12
+    assert np.max(np.abs(db - db_sum)) < 1e-12
+
+
+def test_backward_rejects_misshaped_batch_dH():
+    p = random_lstm(np.random.default_rng(0), 3, 2)
+    _, _, _, cache = nn.lstm_forward(p, np.zeros((4, 3, 8)))
+    with pytest.raises(ValueError, match="dH"):
+        nn.lstm_backward(p, cache, np.zeros((4, 2)))
+
+
 @pytest.mark.parametrize("case", range(len(BACKWARD_CASES)))
 def test_backward_over_chained_cell_caches_is_bitwise_identical(case):
     # the caches of T one-step calls, stacked, are exactly the sequence's:
@@ -432,6 +468,23 @@ def test_cross_entropy_matches_one_hot_reference(mask, dtype):
         want_loss, want_d = cross_entropy_one_hot(P, one_hot_rows(target, V, dtype), mask)
         assert d.dtype == dtype and np.array_equal(d, want_d)
         assert abs(loss - want_loss) < 1e-6
+
+
+@pytest.mark.parametrize("mask", [True, False])
+def test_cross_entropy_batch_is_the_mean_over_sequences(mask):
+    # time-major T x B x V: the loss is the mean of the B sequences'
+    # losses and each gradient column that sequence's, divided by B
+    rng = np.random.default_rng(8)
+    T, B, V = 5, 3, 6
+    P = nn.softmax_rows(rng.standard_normal((T, B, V)))
+    target = rng.integers(1, V + 1, size=(T, B))
+    target[3:, 0] = 0
+    target[1:, 2] = 0
+    loss, d = nn.cross_entropy(P, target, mask)
+    parts = [nn.cross_entropy(P[:, b], target[:, b], mask) for b in range(B)]
+    assert abs(loss - sum(part[0] for part in parts) / B) < 1e-12
+    for b, (_, d_b) in enumerate(parts):
+        assert np.max(np.abs(d[:, b] - d_b / B)) < 1e-15
 
 
 def test_cross_entropy_float32_loss_sums_in_float64():
