@@ -64,7 +64,6 @@ class DescriptionCorpus:
     """Per-video lists of sentinel-wrapped token lists."""
 
     entries: dict
-    max_caption_tokens: int = MAX_TOKENS
     kept: int = 0
     dropped: int = 0
 
@@ -72,23 +71,23 @@ class DescriptionCorpus:
         return list(self.entries)
 
 
-def build_corpus(raw, min_tokens=MIN_TOKENS, max_tokens=MAX_TOKENS):
+def build_corpus(raw):
     """Wrap captions with bos/eos and keep those within the length window.
 
-    The window applies to the token count INCLUDING the sentinels, so
-    every stored list fits a max_tokens-step decoder without truncation.
+    The window [MIN_TOKENS, MAX_TOKENS] applies to the token count INCLUDING
+    the sentinels, so every stored list fits a MAX_TOKENS-step decoder.
     Videos whose captions are all filtered out are dropped.
     """
     entries = {}
     kept = dropped = 0
     for vid, caption in raw.pairs:
         tokens = [BOS] + caption.split() + [EOS]
-        if min_tokens <= len(tokens) <= max_tokens:
+        if MIN_TOKENS <= len(tokens) <= MAX_TOKENS:
             entries.setdefault(vid, []).append(tokens)
             kept += 1
         else:
             dropped += 1
-    return DescriptionCorpus(entries, max_tokens, kept, dropped)
+    return DescriptionCorpus(entries, kept, dropped)
 
 
 @dataclass

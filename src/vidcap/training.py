@@ -36,17 +36,11 @@ class TrainConfig:
         return self
 
 
-@dataclass
-class Sample:
-    """Decoder input and target word indices, each zero-padded to max_words."""
-
-    video_id: str
-    dec_in: np.ndarray
-    target: np.ndarray
-
-
 def build_samples(keys, corpus, tok, max_words, prefix_expansion=False):
-    """Teacher-forcing pairs for every (video, caption) in key order.
+    """Teacher-forcing pairs for every (video, caption) in key order, as
+    one table (keys, video, dec_in, target): the key list, each sample's
+    (N,) index into it, and (N x max_words) decoder input and target word
+    indices, zero-padded.  A video's samples are consecutive rows.
 
     Shift mode pairs input tokens[0..L-2] with target tokens[1..L-1].
     Prefix-expansion mode emits one sample per prefix instead, scoring
@@ -54,22 +48,27 @@ def build_samples(keys, corpus, tok, max_words, prefix_expansion=False):
     Captions that shrink below two indices after vocabulary filtering
     are skipped.
     """
-    samples = []
-    for key in keys:
+    keys, video, dec_in, target = list(keys), [], [], []
+    for v, key in enumerate(keys):
         for caption in corpus.entries.get(key, ()):
             idx = tok.encode(caption)
             if len(idx) < 2:
                 continue
             if prefix_expansion:
                 for k in range(1, len(idx)):
-                    dec_in = tok.pad(idx[:k], max_words)
-                    tgt = np.zeros_like(dec_in)
+                    tgt = np.zeros(max_words, dtype=np.intp)
                     tgt[k - 1] = idx[k]
-                    samples.append(Sample(key, dec_in, tgt))
+                    video.append(v)
+                    dec_in.append(tok.pad(idx[:k], max_words))
+                    target.append(tgt)
             else:
-                samples.append(Sample(key, tok.pad(idx[:-1], max_words),
-                                      tok.pad(idx[1:], max_words)))
-    return samples
+                video.append(v)
+                dec_in.append(tok.pad(idx[:-1], max_words))
+                target.append(tok.pad(idx[1:], max_words))
+    shape = (len(video), max_words)
+    return (keys, np.array(video, dtype=np.intp),
+            np.array(dec_in, dtype=np.intp).reshape(shape),
+            np.array(target, dtype=np.intp).reshape(shape))
 
 
 def epoch_order(n, seed, epoch):
@@ -79,11 +78,12 @@ def epoch_order(n, seed, epoch):
     return order
 
 
-def make_batches(samples, batch_size, seed, epoch):
-    """Yield shuffled batches of batch_size plus a final partial batch."""
-    order = epoch_order(len(samples), seed, epoch)
-    for start in range(0, len(order), batch_size):
-        yield [samples[i] for i in order[start:start + batch_size]]
+def make_batches(n, batch_size, seed, epoch):
+    """Yield the epoch_order of n sample rows as index arrays of
+    batch_size, plus a final partial batch."""
+    order = np.array(epoch_order(n, seed, epoch), dtype=np.intp)
+    for start in range(0, n, batch_size):
+        yield order[start:start + batch_size]
 
 
 def accuracy(P, target, mask_padding=True):
@@ -122,46 +122,39 @@ class MetricsHistory:
                          f"{fmt6(r.val_loss)},{fmt6(r.val_acc)}\n")
 
 
-def batch_arrays(store, samples):
-    """Samples as arrays: their distinct videos stacked in first-use order,
-    each read once (Bv x frames x D), each sample's row in that stack
-    (B,), and the stacked dec_in and target vectors (B x T)."""
-    keys = list(dict.fromkeys(s.video_id for s in samples))
-    return (np.stack([store.get(key) for key in keys]),
-            np.array([keys.index(s.video_id) for s in samples]),
-            np.stack([s.dec_in for s in samples]), np.stack([s.target for s in samples]))
-
-
 def evaluate_samples(params, store, samples, mask_padding=True):
-    """Forward-only mean (loss, accuracy); (0, 0) for an empty list.
+    """Forward-only mean (loss, accuracy) over a build_samples table;
+    (0, 0) for an empty one.
 
     One training_forward pass per distinct video decodes all of that
-    video's samples, so each video is read and encoded once.
+    video's rows, so each video is read and encoded once.
     """
-    by_video = {}
-    for s in samples:
-        by_video.setdefault(s.video_id, []).append(s)
+    keys, video, dec_in, target = samples
     loss_sum = acc_sum = 0.0
-    for group in by_video.values():
-        feats, video, dec_in, target = batch_arrays(store, group)
-        P, _ = mdl.training_forward(params, feats, dec_in, video)
-        loss_sum += nn.cross_entropy(P, target.T, mask_padding)[0] * len(group)
-        acc_sum += accuracy(P, target.T, mask_padding) * len(group)
-    return loss_sum / max(len(samples), 1), acc_sum / max(len(samples), 1)
+    for v in dict.fromkeys(video.tolist()):
+        rows = np.flatnonzero(video == v)
+        tgt = target[rows].T
+        P, _ = mdl.training_forward(params, store.get(keys[v])[None], dec_in[rows],
+                                    np.zeros(len(rows), dtype=np.intp))
+        loss_sum += nn.cross_entropy(P, tgt, mask_padding)[0] * len(rows)
+        acc_sum += accuracy(P, tgt, mask_padding) * len(rows)
+    return loss_sum / max(len(video), 1), acc_sum / max(len(video), 1)
 
 
 def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
           out_dir=None, log=None):
     """Run the optimization loop; returns (params, MetricsHistory).
 
-    Per epoch: shuffle samples with a seed derived from (seed, epoch),
-    then run each batch as one set of arrays (batch_arrays): one
-    training_forward and one training_backward, one encoder row per
-    caption however the shuffle grouped videos, give its batch-mean
-    gradients and one Adam step applies them; validation follows.  Epoch
-    metrics are per-sample means.  A non-finite loss or gradient, in
-    training or in validation, raises TrainingDiverged before the
-    batch's Adam step; checkpoints already on disk are left in place.
+    Per epoch: shuffle the sample table's rows with a seed derived from
+    (seed, epoch), then run each batch of rows as one set of arrays: the
+    batch's distinct videos are read once and stacked, each caption gets
+    its own encoder row of that stack however the shuffle grouped videos,
+    and one training_forward and one training_backward over those rows
+    of dec_in and target give the batch-mean gradients that one Adam step
+    applies; validation follows.  Epoch metrics are per-sample means.
+    A non-finite loss or gradient, in training or in validation, raises
+    TrainingDiverged before the batch's Adam step; checkpoints already
+    on disk are left in place.
 
     A batch's activations and gradients are dropped before the next
     batch's pass, and Adam updates its moments and the weights in place.
@@ -174,11 +167,11 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
             raise InputError(f"video '{key}' has no feature manifest entry")
         if not corpus.entries.get(key):
             raise InputError(f"video '{key}' has no descriptions")
-    train_samples = build_samples(train_keys, corpus, tok, model_cfg.max_words,
-                                  cfg.prefix_expansion)
+    keys, video, dec_in, target = build_samples(train_keys, corpus, tok, model_cfg.max_words,
+                                                cfg.prefix_expansion)
     val_samples = build_samples(val_keys, corpus, tok, model_cfg.max_words,
                                 cfg.prefix_expansion)
-    if not train_samples:
+    if not len(video):
         raise InputError("no trainable samples in the training split")
     opt = nn.AdamState(lr=cfg.lr)
     history = MetricsHistory()
@@ -187,23 +180,26 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
         for epoch in range(1, cfg.epochs + 1):
             loss_sum = acc_sum = 0.0
             try:
-                for batch in make_batches(train_samples, cfg.batch_size, cfg.seed, epoch):
-                    feats, video, dec_in, target = batch_arrays(store, batch)
-                    P, caches = mdl.training_forward(params, feats[video], dec_in)
-                    loss, grads = mdl.training_backward(params, caches, target,
-                                                        cfg.mask_padding)
+                for rows in make_batches(len(video), cfg.batch_size, cfg.seed, epoch):
+                    vids = video[rows]
+                    distinct = list(dict.fromkeys(vids.tolist()))
+                    feats = np.stack([store.get(keys[v]) for v in distinct])
+                    row_video = np.argmax(vids[:, None] == distinct, axis=1)  # slot in feats
+                    tgt = target[rows]
+                    P, caches = mdl.training_forward(params, feats[row_video], dec_in[rows])
+                    loss, grads = mdl.training_backward(params, caches, tgt, cfg.mask_padding)
                     if not np.isfinite(loss):
                         raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-                    loss_sum += loss * len(batch)
-                    acc_sum += accuracy(P, target.T, cfg.mask_padding) * len(batch)
+                    loss_sum += loss * len(rows)
+                    acc_sum += accuracy(P, tgt.T, cfg.mask_padding) * len(rows)
                     nn.adam_step(opt, tensors, grads)
                     del feats, P, caches, grads  # before the next batch's pass
                 val_loss, val_acc = evaluate_samples(params, store, val_samples,
                                                      cfg.mask_padding)
             except FloatingPointError as e:
                 raise TrainingDiverged(f"epoch {epoch}: {e}") from e
-            row = EpochMetrics(epoch, loss_sum / len(train_samples),
-                               acc_sum / len(train_samples), val_loss, val_acc)
+            row = EpochMetrics(epoch, loss_sum / len(video), acc_sum / len(video),
+                               val_loss, val_acc)
             history.rows.append(row)
             if log is not None:
                 log(f"epoch {row.epoch}: train_loss={fmt6(row.train_loss)} "

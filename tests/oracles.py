@@ -204,19 +204,21 @@ def accuracy_scalar(P, Y, mask_padding=True):
     return hits / total if total else 0.0
 
 
-def batch_gradients_per_sample(params, get, batch, mask_padding=True):
-    """A batch's per-sample losses and batch-mean gradients, formed one
-    sample at a time: training_forward and training_backward on each
-    sample alone (its features from get(video_id)), the gradients summed
-    in sample order, then divided by the batch size."""
+def batch_gradients_per_sample(params, get, samples, rows, mask_padding=True):
+    """A batch's per-row losses and batch-mean gradients, formed one row
+    at a time: training_forward and training_backward on each row of the
+    (keys, video, dec_in, target) sample table alone (its features from
+    get(keys[video[row]])), the gradients summed in row order, then
+    divided by the batch size."""
+    keys, video, dec_in, target = samples
     losses = []
     grad_sum = {k: np.zeros_like(t) for k, t in params.tensors().items()}
-    for s in batch:
-        _, caches = model.training_forward(params, get(s.video_id), s.dec_in)
-        loss, grads = model.training_backward(params, caches, s.target, mask_padding)
+    for i in rows:
+        _, caches = model.training_forward(params, get(keys[video[i]]), dec_in[i])
+        loss, grads = model.training_backward(params, caches, target[i], mask_padding)
         losses.append(loss)
         for k, g in grad_sum.items():
             g += grads[k]
     for g in grad_sum.values():
-        g /= len(batch)
+        g /= len(rows)
     return losses, grad_sum

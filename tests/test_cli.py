@@ -293,6 +293,30 @@ def test_caption_rejects_wrong_feature_shape(ws, tmp_path):
     assert "shape" in err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_wrong_feature_shape_exits_2_before_writing(ws, tmp_path, command):
+    # train and eval read through a FeatureStore that checks the shape
+    # (an InputError, exit 2); caption checks it itself (exit 1, above)
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(ws["data"], data)
+    run.mkdir()
+    for name in ("train.keys", "val.keys", "test.keys", "tokenizer.txt"):
+        shutil.copy(ws["run"] / name, run / name)
+    write_feature_file(str(data / "feat" / "vid004.vfm"), np.zeros((9, 16), dtype=np.float32))
+    base = ["--descriptions", str(data / "descriptions.txt"),
+            "--manifest", str(data / "manifest.tsv"), "--out", str(run)]
+    if command == "train":
+        args = ["train", *base, *MODEL_ARGS, "--epochs", "1"]
+    else:
+        args = ["eval", *base, "--checkpoint", str(ws["ckpt"]), "--split", "train"]
+    code, _, err = run_cli(*args)
+    assert code == 2
+    assert err.splitlines() == [
+        "error: features for 'vid004' have shape (9, 16), expected (8, 16)"]
+    assert not list(run.glob("*.sq2s"))
+    assert not (run / "report.csv").exists() and not (run / "metrics.csv").exists()
+
+
 def test_caption_missing_checkpoint_exits_1(ws, tmp_path):
     code, _, _ = run_cli("caption", "--checkpoint", str(tmp_path / "none.sq2s"),
                          "--tokenizer", str(ws["tok"]),

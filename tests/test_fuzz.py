@@ -1,6 +1,7 @@
 """Byte-level fuzzers for the binary artifacts (.sq2s checkpoints, .vfm
-feature files): every mutation of a valid file either loads or raises
-InputError, never any other exception."""
+feature files) and the text ones (tokenizer, config, descriptions,
+manifest, split keys): every mutation of a valid file either loads or
+raises InputError, never any other exception."""
 
 import functools
 import struct
@@ -11,8 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from vidcap.features import read_feature_file, write_feature_file
+from vidcap.cli import _coerce, build_parser, read_config_file
+from vidcap.corpus import build_corpus, load_split_keys, parse_descriptions
+from vidcap.features import load_manifest, read_feature_file, write_feature_file
 from vidcap.model import ModelConfig, ModelParams, load_checkpoint, save_checkpoint
+from vidcap.tokenizer import Tokenizer
 from vidcap.util import InputError
 
 TOY = ModelConfig(frames=2, feature_dim=3, latent=2, max_words=2, vocab=3)
@@ -46,8 +50,9 @@ RANK_65 = _header(8, 16, 32, 10, 40) + _record("encoder.W", [0] * 65)
 HUGE_DIMS = _header(8, 16, 32, 10, 40) + _record("encoder.W", [0] + [2**32 - 1] * 3)
 
 
-def mutants(valid):
-    """Truncations, single-bit flips and overwrites in the first 120 bytes."""
+def mutants(valid, chunks=st.binary(min_size=1, max_size=8)):
+    """Truncations, single-bit flips and overwrites with chunks in the
+    first 120 bytes."""
     n = len(valid)
 
     def flip(bit):
@@ -58,7 +63,7 @@ def mutants(valid):
     return st.one_of(
         st.integers(0, n - 1).map(lambda k: valid[:k]),
         st.integers(0, 8 * n - 1).map(flip),
-        st.tuples(st.integers(0, min(n, 120) - 1), st.binary(min_size=1, max_size=8))
+        st.tuples(st.integers(0, min(n, 120) - 1), chunks)
         .map(lambda a: valid[:a[0]] + a[1] + valid[a[0] + len(a[1]):]))
 
 
@@ -99,3 +104,52 @@ def test_checkpoint_bytes_load_or_raise_input_error(mutant_dir, blob):
 @given(blob=st.deferred(lambda: mutants(valid_bytes("vfm"))))
 def test_feature_file_bytes_load_or_raise_input_error(mutant_dir, blob):
     _loads_or_raises_input_error(mutant_dir / "mutant.vfm", blob, read_feature_file)
+
+
+# Text artifacts, each well under 120 bytes so every byte can be
+# overwritten.  Chunks mix raw bytes with the characters the formats
+# give meaning to.
+TEXT_FILES = {
+    "tokenizer.txt": "V=8\n1\tbos\n2\teos\n3\ta\n4\tdog\n5\truns\n",
+    "train.cfg": "# train\nepochs = 3\nlr = 0.001\nprefix-expansion = true\nout = run\n",
+    "descriptions.txt": "vid0 A dog runs, fast!\nvid1\tthe cat sleeps\n# note\nvid1 a cat\n",
+    "manifest.tsv": "vid0\ta.vfm\nvid1\tb.vfm\n",
+    "train.keys": "vid0\nvid1\nvid2\n",
+}
+text_chunks = st.binary(min_size=1, max_size=8) | st.text(
+    "\t\n\r =#-_.:/0189aeVvé\x00", min_size=1, max_size=8).map(str.encode)
+TRAIN_TYPES = build_parser().parse_args(["train"])._types
+
+
+def load_config(path):
+    values = read_config_file(path)
+    return {k: _coerce(v, TRAIN_TYPES[k], k) for k, v in values.items() if k in TRAIN_TYPES}
+
+
+@pytest.fixture(scope="module")
+def text_dir(tmp_path_factory):
+    """A directory holding the two feature files the manifest names."""
+    d = tmp_path_factory.mktemp("fuzz_text")
+    for name in ("a.vfm", "b.vfm"):
+        (d / name).write_bytes(valid_bytes("vfm"))
+    return d
+
+
+@pytest.mark.parametrize("name, load", [
+    ("tokenizer.txt", Tokenizer.load),
+    ("train.cfg", load_config),
+    ("descriptions.txt", lambda path: build_corpus(parse_descriptions(path))),
+    ("manifest.tsv", load_manifest),
+    ("train.keys", lambda path: load_split_keys(path.parent, "train")),
+])
+def test_text_file_bytes_load_or_raise_input_error(text_dir, name, load):
+    valid = TEXT_FILES[name].encode()
+    (text_dir / name).write_bytes(valid)
+    load(text_dir / name)  # the unmutated file loads
+
+    @settings(deadline=None, max_examples=150)
+    @given(blob=mutants(valid, text_chunks))
+    def fuzz(blob):
+        _loads_or_raises_input_error(text_dir / name, blob, load)
+
+    fuzz()

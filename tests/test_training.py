@@ -13,7 +13,7 @@ from vidcap.features import FeatureStore
 from vidcap.fixture import make_fixture
 from vidcap.model import ModelConfig, ModelParams, _params_from_tensors
 from vidcap.tokenizer import Tokenizer
-from vidcap.training import (EpochMetrics, MetricsHistory, Sample, TrainConfig,
+from vidcap.training import (EpochMetrics, MetricsHistory, TrainConfig,
                              TrainingDiverged, accuracy, build_samples,
                              epoch_order, evaluate_samples, make_batches,
                              train)
@@ -63,11 +63,11 @@ def nine_token_setup():
 
 def test_build_samples_shift_by_one_layout():
     corp, tok = nine_token_setup()
-    (sample,) = build_samples(["v"], corp, tok, max_words=10)
-    assert sample.video_id == "v"
-    dec, tgt = sample.dec_in, sample.target
+    keys, video, dec_in, target = build_samples(["v"], corp, tok, max_words=10)
+    assert keys == ["v"] and video.tolist() == [0]
+    assert dec_in.shape == target.shape == (1, 10)
+    dec, tgt = dec_in[0], target[0]
     assert np.count_nonzero(dec) == 8 and np.count_nonzero(tgt) == 8
-    assert dec.shape == tgt.shape == (10,)
     for r in range(8):
         assert dec[r] == r + 1       # token r
         assert tgt[r] == r + 2       # token r+1
@@ -76,10 +76,11 @@ def test_build_samples_shift_by_one_layout():
 
 def test_build_samples_prefix_expansion_layout():
     corp, tok = nine_token_setup()
-    samples = build_samples(["v"], corp, tok, max_words=10, prefix_expansion=True)
-    assert len(samples) == 8  # one per prefix of the 9-index caption
-    for j, sample in enumerate(samples, start=1):
-        dec, tgt = sample.dec_in, sample.target
+    keys, video, dec_in, target = build_samples(["v"], corp, tok, max_words=10,
+                                                prefix_expansion=True)
+    assert keys == ["v"] and video.tolist() == [0] * 8  # one per prefix
+    assert dec_in.shape == target.shape == (8, 10)
+    for j, (dec, tgt) in enumerate(zip(dec_in, target), start=1):
         assert np.count_nonzero(dec) == j
         for r in range(j):
             assert dec[r] == r + 1
@@ -95,16 +96,36 @@ def test_build_samples_skips_captions_below_two_indices():
         ["bos", "u1", "u2", "u3", "u4", "u5"],     # one index survives
         ["bos", "a", "u1", "u2", "u3", "eos"],     # three survive: kept
     ]})
-    samples = build_samples(["v"], corp, tok, max_words=10)
-    assert len(samples) == 1
-    assert np.count_nonzero(samples[0].dec_in) == 2
+    _, video, dec_in, _ = build_samples(["v"], corp, tok, max_words=10)
+    assert len(video) == len(dec_in) == 1
+    assert np.count_nonzero(dec_in[0]) == 2
 
 
 def test_build_samples_follows_key_order():
     corp, tok = nine_token_setup()
     corp.entries["w"] = [list(corp.entries["v"][0])]
-    ids = [s.video_id for s in build_samples(["w", "v"], corp, tok, 10)]
-    assert ids == ["w", "v"]
+    keys, video, _, _ = build_samples(["w", "v"], corp, tok, 10)
+    assert [keys[v] for v in video] == ["w", "v"]
+
+
+def test_build_samples_keeps_at_most_256_bytes_per_sample():
+    # the table holds 8 B of video index and 2 x 10 x 8 B of word indices
+    # per sample (168 B); a list of per-sample objects, each holding its
+    # own two vectors, measured 490 B here
+    words = [f"w{i}" for i in range(20)]
+    entries = {f"v{i:03d}": [["bos"] + words[j:j + 6] + ["eos"] for j in range(8)]
+               for i in range(250)}
+    corp, keys, n = DescriptionCorpus(entries), list(entries), 250 * 8
+    tok = Tokenizer(cap=40).fit(c for caps in entries.values() for c in caps)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = build_samples(keys, corp, tok, max_words=10)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 256 * n, kept / n
+    assert len(table[1]) == n
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +133,10 @@ def test_build_samples_follows_key_order():
 # ---------------------------------------------------------------------------
 
 def test_make_batches_sizes_and_coverage():
-    samples = [Sample(f"s{i}", None, None) for i in range(7)]
-    batches = list(make_batches(samples, 3, seed=0, epoch=1))
+    batches = list(make_batches(7, 3, seed=0, epoch=1))
     assert [len(b) for b in batches] == [3, 3, 1]
-    seen = sorted(s.video_id for b in batches for s in b)
-    assert seen == sorted(s.video_id for s in samples)
+    assert np.concatenate(batches).tolist() == epoch_order(7, seed=0, epoch=1)
+    assert sorted(np.concatenate(batches).tolist()) == list(range(7))
 
 
 def test_epoch_order_is_a_deterministic_permutation():
@@ -211,8 +231,12 @@ def test_evaluation_does_not_mutate_parameters(tmp_path):
     assert np.isfinite(loss) and 0.0 <= acc <= 1.0
 
 
-def test_evaluate_samples_empty_list():
-    assert evaluate_samples(None, None, []) == (0.0, 0.0)
+def test_evaluate_samples_empty_table():
+    corp, tok = nine_token_setup()
+    empty = build_samples([], corp, tok, 10)
+    keys, video, dec_in, target = empty
+    assert keys == [] and video.shape == (0,) and dec_in.shape == target.shape == (0, 10)
+    assert evaluate_samples(None, None, empty) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("mask", [True, False])
@@ -220,12 +244,13 @@ def test_evaluate_samples_equals_per_sample_forward(tmp_path, mask):
     corp, tok, store, keys = pipeline(tmp_path)
     params = ModelParams.init(MCFG, seed=4)
     samples = build_samples(keys, corp, tok, MCFG.max_words, prefix_expansion=True)
+    table_keys, video, dec_in, target = samples
     losses, accs = [], []
-    for s in samples:
-        P, _ = mdl.training_forward(params, store.get(s.video_id), s.dec_in)
-        losses.append(nn.cross_entropy(P, s.target, mask)[0])
-        accs.append(accuracy(P, s.target, mask))
-    expected = (sum(losses) / len(samples), sum(accs) / len(samples))
+    for v, dec, tgt in zip(video, dec_in, target):
+        P, _ = mdl.training_forward(params, store.get(table_keys[v]), dec)
+        losses.append(nn.cross_entropy(P, tgt, mask)[0])
+        accs.append(accuracy(P, tgt, mask))
+    expected = (sum(losses) / len(video), sum(accs) / len(video))
     got = evaluate_samples(params, store, samples, mask)
     assert got == pytest.approx(expected, rel=0, abs=BATCH_TOL)
 
@@ -244,8 +269,9 @@ def test_evaluate_samples_encodes_each_video_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(nn, "lstm_forward", counting)
     evaluate_samples(params, store, samples)
-    assert len(samples) > 4
-    assert len(encoded) == len({s.video_id for s in samples}) == 4
+    _, video, _, _ = samples
+    assert len(video) > 4
+    assert len(encoded) == len(set(video.tolist())) == 4
 
 
 def test_non_finite_loss_mid_batch_skips_the_adam_step(tmp_path, monkeypatch):
@@ -281,6 +307,7 @@ def test_training_equals_batch_list_reference(tmp_path):
     at 4, parameters and train losses within BATCH_TOL."""
     corp, tok, store, keys = pipeline(tmp_path)
     samples = build_samples(keys[:5], corp, tok, MCFG.max_words)
+    n = len(samples[1])
     for batch_size in (1, 4):
         params = ModelParams.init(MCFG, seed=6)
         ref = ModelParams.init(MCFG, seed=6)
@@ -289,9 +316,9 @@ def test_training_equals_batch_list_reference(tmp_path):
         state, tensors = nn.AdamState(lr=tcfg.lr), ref.tensors()
         for epoch, row in enumerate(history.rows, start=1):
             losses = []
-            for batch in make_batches(samples, tcfg.batch_size, tcfg.seed, epoch):
+            for rows in make_batches(n, tcfg.batch_size, tcfg.seed, epoch):
                 batch_losses, grads = oracles.batch_gradients_per_sample(
-                    ref, store.get, batch)
+                    ref, store.get, samples, rows)
                 losses += batch_losses
                 oracles.adam_step_reference(state, tensors, grads)
             want = sum(losses) / len(losses)
@@ -319,7 +346,7 @@ def test_train_runs_one_forward_and_backward_per_batch(tmp_path, monkeypatch):
 
     monkeypatch.setattr(mdl, "training_forward", counted("forward", forward))
     monkeypatch.setattr(mdl, "training_backward", counted("backward", backward))
-    n = len(build_samples(keys[:5], corp, tok, MCFG.max_words))
+    n = len(build_samples(keys[:5], corp, tok, MCFG.max_words)[1])
     tcfg = TrainConfig(batch_size=4, epochs=2, lr=1e-3, seed=2)
     train(ModelParams.init(MCFG, seed=2), tcfg, MCFG, keys[:5], [], corp, tok, store)
     batches = -(-n // 4)
@@ -328,7 +355,7 @@ def test_train_runs_one_forward_and_backward_per_batch(tmp_path, monkeypatch):
 
 def test_batch_reads_each_video_once_and_encodes_each_caption(tmp_path, monkeypatch):
     corp, tok, store, keys = pipeline(tmp_path)
-    samples = build_samples(keys[:5], corp, tok, MCFG.max_words)
+    n = len(build_samples(keys[:5], corp, tok, MCFG.max_words)[1])
     gets, encoded = [], []
     get, lstm_forward = store.get, nn.lstm_forward
     encoders = []
@@ -340,16 +367,16 @@ def test_batch_reads_each_video_once_and_encodes_each_caption(tmp_path, monkeypa
 
     monkeypatch.setattr(store, "get", lambda key: gets.append(key) or get(key))
     monkeypatch.setattr(nn, "lstm_forward", counting)
-    for batch_size, epochs in ((len(samples), 1), (4, 2)):
+    for batch_size, epochs in ((n, 1), (4, 2)):
         gets.clear()
         encoded.clear()
         params = ModelParams.init(MCFG, seed=5)
         encoders.append(params.encoder)
         tcfg = TrainConfig(batch_size=batch_size, epochs=epochs, lr=1e-3, seed=5)
         train(params, tcfg, MCFG, keys[:5], [], corp, tok, store)
-        if batch_size == len(samples):
+        if batch_size == n:
             # 15 samples of 5 videos in one batch: five reads, 15 encoder rows
-            assert len(samples) == 15
+            assert n == 15
             assert sorted(gets) == sorted(keys[:5]) and encoded == [15]
     # one row per caption whichever videos the shuffle put in each batch
     assert encoded == [4, 4, 4, 3] * 2
@@ -369,8 +396,9 @@ def test_batch_gradient_equals_per_sample_oracle_float64():
         target[i, :n] = rng.integers(1, cfg.vocab + 1, size=n)
     _, caches = mdl.training_forward(params, feats, dec_in, video)
     loss, grads = mdl.training_backward(params, caches, target)
-    batch = [Sample(v, d, t) for v, d, t in zip(video, dec_in, target)]
-    losses, want = oracles.batch_gradients_per_sample(params, feats.__getitem__, batch)
+    samples = ([0, 1], video, dec_in, target)
+    losses, want = oracles.batch_gradients_per_sample(params, feats.__getitem__, samples,
+                                                      range(len(video)))
     assert abs(loss - sum(losses) / len(losses)) < 1e-12
     for name, g in grads.items():
         assert np.max(np.abs(g - want[name])) < 1e-10, name
