@@ -104,6 +104,8 @@ def _resolve_options(ns):
                              f"(or config key '{dest}')")
     if getattr(ns, "threads", 1) < 1:
         raise InputError(f"threads must be >= 1, got {ns.threads}")
+    if getattr(ns, "seed", 0) < 0:
+        raise InputError(f"seed must be >= 0, got {ns.seed}")
 
 
 _MODEL_OPTS = [

@@ -95,7 +95,6 @@ class SplitAssignment:
     train_keys: list
     val_keys: list
     test_keys: list
-    seed: int
 
 
 def split_sizes(n):
@@ -125,8 +124,7 @@ def split_keys(corpus, seed):
     fisher_yates(keys, np.random.default_rng(seed))
     return SplitAssignment(keys[:n_train],
                            keys[n_train:n_train + n_val],
-                           keys[n_train + n_val:],
-                           seed)
+                           keys[n_train + n_val:])
 
 
 def save_split(split, out_dir):

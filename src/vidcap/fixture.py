@@ -32,6 +32,8 @@ def make_fixture(out_dir, n_videos=6, seed=1, captions_per_video=3,
         raise InputError(f"need at least 3 videos, got {n_videos}")
     if captions_per_video < 1:
         raise InputError(f"captions_per_video must be >= 1, got {captions_per_video}")
+    if frames < 1 or feature_dim < 1:
+        raise InputError(f"frames and feature_dim must be >= 1, got {frames} x {feature_dim}")
     rng = np.random.default_rng(seed)
     feat_dir = os.path.join(out_dir, "feat")
     os.makedirs(feat_dir, exist_ok=True)

@@ -71,9 +71,6 @@ class LstmParams:
     def hidden(self):
         return self.U.shape[0]
 
-    def param_count(self):
-        return self.W.size + self.U.size + self.b.size
-
 
 @dataclass
 class DenseParams:
@@ -85,9 +82,6 @@ class DenseParams:
     @property
     def hidden(self):
         return self.W.shape[0]
-
-    def param_count(self):
-        return self.W.size + self.b.size
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +294,12 @@ class AdamState:
     """Optimizer state: per-tensor first/second moments plus step count."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-7
 
 # Elements per block: a block's four operand slices and two scratch rows
 # (6 x 128 KB in float32) stay in L2.  A full-size step (Xeon, 2 MB L2
@@ -326,7 +319,7 @@ def adam_step(state, params, grads):
     a tensor's first step and kept as the same arrays afterwards) are
     updated in place, one ADAM_BLOCK-element block at a time through two
     scratch rows, so no step allocates a tensor-sized temporary.  Each
-    block runs the ufuncs of
+    block runs the ufuncs of (beta1, beta2, eps = ADAM_BETA1/2, ADAM_EPS)
         m = beta1 m + (1 - beta1) g
         v = beta2 v + (1 - beta2) g^2
         p -= lr (m / b1c) / (sqrt(v / b2c) + eps)
@@ -346,7 +339,7 @@ def adam_step(state, params, grads):
                    for s in range(0, flat.size, ADAM_BLOCK)):
             raise FloatingPointError(f"non-finite gradient for tensor '{name}'")
     state.t += 1
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.lr, ADAM_EPS
     b1c = 1.0 - b1 ** state.t
     b2c = 1.0 - b2 ** state.t
     for name, p in params.items():
@@ -382,33 +375,36 @@ def adam_step(state, params, grads):
 # Gradient checking
 # ---------------------------------------------------------------------------
 
-def finite_difference_check(f, params, analytic_grads, step=1e-5,
-                            full_limit=512, sample_size=64, seed=0):
+FD_STEP, FD_FULL_LIMIT, FD_SAMPLE_SIZE, FD_SEED = 1e-5, 512, 64, 0
+
+
+def finite_difference_check(f, params, analytic_grads):
     """Compare analytic gradients against central finite differences.
 
     f maps the params dict to a scalar loss.  Tensors with at most
-    full_limit entries are checked coordinate by coordinate; larger ones
-    on sample_size coordinates drawn with a seeded rng.  Returns the
-    maximum relative error |fd - an| / max(|fd|, |an|, 1e-8).
+    FD_FULL_LIMIT entries are checked coordinate by coordinate; larger
+    ones on FD_SAMPLE_SIZE coordinates drawn with an rng seeded FD_SEED.
+    Steps are +-FD_STEP.  Returns the maximum relative error
+    |fd - an| / max(|fd|, |an|, 1e-8).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(FD_SEED)
     worst = 0.0
     for name, arr in params.items():
         an_flat = np.asarray(analytic_grads[name]).reshape(-1)
         flat = arr.reshape(-1)
         n = flat.size
-        if n <= full_limit:
+        if n <= FD_FULL_LIMIT:
             coords = range(n)
         else:
-            coords = sorted(rng.choice(n, size=sample_size, replace=False).tolist())
+            coords = sorted(rng.choice(n, size=FD_SAMPLE_SIZE, replace=False).tolist())
         for idx in coords:
             orig = flat[idx]
-            flat[idx] = orig + step
+            flat[idx] = orig + FD_STEP
             f_plus = f(params)
-            flat[idx] = orig - step
+            flat[idx] = orig - FD_STEP
             f_minus = f(params)
             flat[idx] = orig
-            fd = (f_plus - f_minus) / (2.0 * step)
+            fd = (f_plus - f_minus) / (2.0 * FD_STEP)
             an = float(an_flat[idx])
             rel = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
             worst = max(worst, rel)

@@ -46,29 +46,29 @@ def build_samples(keys, corpus, tok, max_words, prefix_expansion=False):
     Prefix-expansion mode emits one sample per prefix instead, scoring
     only the final step of each prefix: its target is zero except there.
     Captions that shrink below two indices after vocabulary filtering
-    are skipped.
+    are skipped.  Set-up counts the rows, then fills the table in place.
     """
-    keys, video, dec_in, target = list(keys), [], [], []
-    for v, key in enumerate(keys):
-        for caption in corpus.entries.get(key, ()):
-            idx = tok.encode(caption)
-            if len(idx) < 2:
-                continue
-            if prefix_expansion:
-                for k in range(1, len(idx)):
-                    tgt = np.zeros(max_words, dtype=np.intp)
-                    tgt[k - 1] = idx[k]
-                    video.append(v)
-                    dec_in.append(tok.pad(idx[:k], max_words))
-                    target.append(tgt)
-            else:
-                video.append(v)
-                dec_in.append(tok.pad(idx[:-1], max_words))
-                target.append(tok.pad(idx[1:], max_words))
-    shape = (len(video), max_words)
-    return (keys, np.array(video, dtype=np.intp),
-            np.array(dec_in, dtype=np.intp).reshape(shape),
-            np.array(target, dtype=np.intp).reshape(shape))
+    keys = list(keys)
+
+    def encoded():  # (video, word indices) of every caption kept, twice
+        return ((v, idx) for v, key in enumerate(keys)
+                for idx in map(tok.encode, corpus.entries.get(key, ())) if len(idx) >= 2)
+
+    n = sum(len(idx) - 1 if prefix_expansion else 1 for _, idx in encoded())
+    video = np.empty(n, dtype=np.intp)
+    dec_in = np.empty((n, max_words), dtype=np.intp)
+    target = np.zeros((n, max_words), dtype=np.intp)
+    i = 0
+    for v, idx in encoded():
+        if prefix_expansion:
+            for k in range(1, len(idx)):
+                video[i], dec_in[i], target[i, k - 1] = v, tok.pad(idx[:k], max_words), idx[k]
+                i += 1
+        else:
+            video[i], dec_in[i] = v, tok.pad(idx[:-1], max_words)
+            target[i] = tok.pad(idx[1:], max_words)
+            i += 1
+    return keys, video, dec_in, target
 
 
 def epoch_order(n, seed, epoch):
@@ -146,11 +146,11 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
     """Run the optimization loop; returns (params, MetricsHistory).
 
     Per epoch: shuffle the sample table's rows with a seed derived from
-    (seed, epoch), then run each batch of rows as one set of arrays: the
-    batch's distinct videos are read once and stacked, each caption gets
-    its own encoder row of that stack however the shuffle grouped videos,
-    and one training_forward and one training_backward over those rows
-    of dec_in and target give the batch-mean gradients that one Adam step
+    (seed, epoch), then run each batch of rows as one set of arrays: one
+    (B x frames x D) frame array, a row per caption however the shuffle
+    grouped videos, into which each distinct video is read once, and one
+    training_forward and one training_backward over it and those rows of
+    dec_in and target give the batch-mean gradients that one Adam step
     applies; validation follows.  Epoch metrics are per-sample means.
     A non-finite loss or gradient, in training or in validation, raises
     TrainingDiverged before the batch's Adam step; checkpoints already
@@ -181,12 +181,12 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
             loss_sum = acc_sum = 0.0
             try:
                 for rows in make_batches(len(video), cfg.batch_size, cfg.seed, epoch):
-                    vids = video[rows]
-                    distinct = list(dict.fromkeys(vids.tolist()))
-                    feats = np.stack([store.get(keys[v]) for v in distinct])
-                    row_video = np.argmax(vids[:, None] == distinct, axis=1)  # slot in feats
-                    tgt = target[rows]
-                    P, caches = mdl.training_forward(params, feats[row_video], dec_in[rows])
+                    vids, tgt = video[rows], target[rows]
+                    feats = np.empty((len(rows), model_cfg.frames, model_cfg.feature_dim),
+                                     dtype=np.float32)
+                    for v in dict.fromkeys(vids.tolist()):  # one read per distinct video
+                        feats[vids == v] = store.get(keys[v])
+                    P, caches = mdl.training_forward(params, feats, dec_in[rows])
                     loss, grads = mdl.training_backward(params, caches, tgt, cfg.mask_padding)
                     if not np.isfinite(loss):
                         raise TrainingDiverged(f"non-finite loss at epoch {epoch}")

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from vidcap import model
+from vidcap import model, nn
 
 
 def sigmoid_scalar(x):
@@ -137,8 +137,9 @@ def adam_step_reference(state, params, grads):
         if not np.all(np.isfinite(grads[name])):
             raise FloatingPointError(f"non-finite gradient for tensor '{name}'")
     state.t += 1
-    b1c = 1.0 - state.beta1 ** state.t
-    b2c = 1.0 - state.beta2 ** state.t
+    b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
+    b1c = 1.0 - b1 ** state.t
+    b2c = 1.0 - b2 ** state.t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -148,11 +149,11 @@ def adam_step_reference(state, params, grads):
         if m is None:
             m = np.zeros_like(p)
             v = np.zeros_like(p)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
         state.m[name] = m
         state.v[name] = v
-        p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+        p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + nn.ADAM_EPS)
     return params, state
 
 

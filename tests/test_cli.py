@@ -5,6 +5,8 @@ import contextlib
 import io
 import os
 from pathlib import Path
+import re
+import shlex
 import shutil
 import struct
 import subprocess
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from vidcap import __version__
-from vidcap.cli import main
+from vidcap.cli import build_parser, main
 from vidcap.features import write_feature_file
 from vidcap.model import (ModelConfig, ModelParams, _write_tensor,
                           load_checkpoint, save_checkpoint)
@@ -71,6 +73,23 @@ def test_version_subprocess():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"vidcap {__version__} (checkpoint format 1)"
+
+
+def test_readme_commands_parse():
+    # every `vidcap` command in README's sh blocks, continuations joined
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("vidcap ")]
+    assert {argv[1] for argv in commands} >= {"make-fixture", "prepare", "train",
+                                              "caption", "eval"}
+    for argv in commands:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                build_parser().parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"{' '.join(argv)}: {err.getvalue().splitlines()[-1]}")
 
 
 def test_unknown_flag_exits_2():
@@ -214,6 +233,36 @@ def test_threads_below_one_exits_2(ws, tmp_path, command, source, threads):
     assert code == 2
     assert out == ""
     assert err.strip() == f"error: threads must be >= 1, got {threads}"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["prepare", "train", "make-fixture"])
+def test_negative_seed_exits_2_before_writing(ws, tmp_path, command, source):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = -1\n", encoding="utf-8")
+    extra = ["--seed", "-1"] if source == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "out"
+    if command == "train":
+        shutil.copytree(ws["run"], out)
+    args = {"prepare": ["prepare", *ws["base"][:4], "--vocab", "40"],
+            "train": ["train", *ws["base"][:4], *MODEL_ARGS, "--epochs", "1"],
+            "make-fixture": ["make-fixture"]}[command]
+    before = sorted(tmp_path.rglob("*"))
+    code, stdout, err = run_cli(*args, "--out", str(out), *extra)
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines() == ["error: seed must be >= 0, got -1"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("flag", ["--frames", "--feature-dim"])
+def test_make_fixture_empty_features_exit_2_before_writing(tmp_path, flag):
+    code, stdout, err = run_cli("make-fixture", "--out", str(tmp_path / "data"), flag, "0")
+    assert code == 2
+    assert stdout == ""
+    dims = "0 x 16" if flag == "--frames" else "8 x 0"
+    assert err.splitlines() == [f"error: frames and feature_dim must be >= 1, got {dims}"]
+    assert not (tmp_path / "data").exists()
 
 
 def test_train_starts_no_threads_and_ignores_threads(ws, tmp_path, monkeypatch):

@@ -111,21 +111,24 @@ def test_build_samples_follows_key_order():
 def test_build_samples_keeps_at_most_256_bytes_per_sample():
     # the table holds 8 B of video index and 2 x 10 x 8 B of word indices
     # per sample (168 B); a list of per-sample objects, each holding its
-    # own two vectors, measured 490 B here
+    # own two vectors, measured 490 B here, and collecting per-row vectors
+    # in lists before copying them into the table peaked at 610 B
     words = [f"w{i}" for i in range(20)]
     entries = {f"v{i:03d}": [["bos"] + words[j:j + 6] + ["eos"] for j in range(8)]
                for i in range(250)}
-    corp, keys, n = DescriptionCorpus(entries), list(entries), 250 * 8
+    corp, keys = DescriptionCorpus(entries), list(entries)
     tok = Tokenizer(cap=40).fit(c for caps in entries.values() for c in caps)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        table = build_samples(keys, corp, tok, max_words=10)
-        kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert kept <= 256 * n, kept / n
-    assert len(table[1]) == n
+    for prefix_expansion, n in ((False, 250 * 8), (True, 250 * 8 * 7)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = build_samples(keys, corp, tok, 10, prefix_expansion)
+            kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(table[1]) == n
+        assert kept <= 256 * n, (prefix_expansion, kept / n)
+        assert peak <= 256 * n, (prefix_expansion, peak / n)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +466,24 @@ def test_peak_memory_does_not_grow_with_the_split(tmp_path):
     small = traced_peak(tmp_path / "a", batch_size=4, n_videos=6, mcfg=mcfg)
     large = traced_peak(tmp_path / "b", batch_size=4, n_videos=30, mcfg=mcfg)
     assert large <= small + 256 * 1024, (small, large)
+
+
+def test_batch_holds_its_frames_once(tmp_path, monkeypatch):
+    # 15 captions of 5 videos in one batch: its frames are one 15 x 128 KB
+    # array; a stack of the 5 distinct videos kept beside it adds 640 KB
+    seen, forward = [], mdl.training_forward
+
+    def traced(params, feats, *args):
+        seen.append((feats.nbytes, tracemalloc.get_traced_memory()[1]))
+        return forward(params, feats, *args)
+
+    monkeypatch.setattr(mdl, "training_forward", traced)
+    mcfg = ModelConfig(frames=16, feature_dim=2048, latent=8, max_words=10, vocab=40)
+    traced_peak(tmp_path, batch_size=15, mcfg=mcfg)
+    frames, peak = seen[0]  # the first batch; tracing starts just before train
+    assert frames == 15 * 16 * 2048 * 4
+    # the batch array plus one read in flight, before the forward pass
+    assert peak <= frames + 256 * 1024, (frames, peak)
 
 
 def test_non_finite_parameters_abort_the_run(tmp_path):
