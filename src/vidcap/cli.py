@@ -29,17 +29,12 @@ METRICS_FILE = "metrics.csv"
 def _add_options(sub, table):
     """Register options whose defaults resolve after config merging.
 
-    table rows: (flags, dest, kind, default, required, help).  kind bool
-    makes a value-less flag; its config form takes true/false.
+    table rows: (flags, dest, kind, default, required, help).
     """
     types, defaults, required = {}, {}, []
     for flags, dest, kind, default, req, hlp in table:
-        if kind is bool:
-            sub.add_argument(*flags, dest=dest, action="store_const", const=True,
-                             default=_UNSET, help=hlp)
-        else:
-            sub.add_argument(*flags, dest=dest, type=kind, default=_UNSET,
-                             metavar=dest.upper(), help=hlp)
+        sub.add_argument(*flags, dest=dest, type=kind, default=_UNSET,
+                         metavar=dest.upper(), help=hlp)
         types[dest] = kind
         defaults[dest] = default
         if req:
@@ -71,13 +66,6 @@ def read_config_file(path):
 
 
 def _coerce(raw, kind, key):
-    if kind is bool:
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise InputError(f"config value for '{key}' is not a boolean: '{raw}'")
     try:
         return kind(raw)
     except ValueError:
@@ -172,7 +160,6 @@ def cmd_train(ns):
     params = mdl.ModelParams.init(cfg, ns.seed)
     tcfg = training.TrainConfig(
         batch_size=ns.batch_size, epochs=ns.epochs, lr=ns.lr, seed=ns.seed,
-        mask_padding=not ns.no_mask_padding, prefix_expansion=ns.prefix_expansion,
         checkpoint_every=ns.checkpoint_every)
     params, history = training.train(params, tcfg, cfg, train_keys, val_keys,
                                      corp, tok, store, out_dir=ns.out, log=print)
@@ -231,7 +218,7 @@ def cmd_make_fixture(ns):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="vidcap",
+        prog="vidcap", allow_abbrev=False,
         description="Encoder-decoder LSTM video captioning on precomputed "
                     "per-frame features.")
     parser.add_argument(
@@ -239,7 +226,8 @@ def build_parser():
         version=f"vidcap {__version__} (checkpoint format {mdl.CHECKPOINT_VERSION})")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("prepare", help="parse captions, split keys, fit tokenizer")
+    p = subs.add_parser("prepare", help="parse captions, split keys, fit tokenizer",
+                        allow_abbrev=False)
     _add_options(p, [
         (["--descriptions"], "descriptions", str, None, True, "caption text file"),
         (["--manifest"], "manifest", str, None, True, "feature manifest file"),
@@ -249,7 +237,7 @@ def build_parser():
     ])
     p.set_defaults(func=cmd_prepare)
 
-    p = subs.add_parser("train", help="train the model on the prepared splits")
+    p = subs.add_parser("train", help="train the model on the prepared splits", allow_abbrev=False)
     _add_options(p, _MODEL_OPTS + [
         (["--descriptions"], "descriptions", str, None, True, "caption text file"),
         (["--manifest"], "manifest", str, None, True, "feature manifest file"),
@@ -263,14 +251,10 @@ def build_parser():
          "OPENBLAS_NUM_THREADS to use more cores"),
         (["--checkpoint-every"], "checkpoint_every", int, 0, False,
          "extra checkpoint every N epochs (0 = final only)"),
-        (["--prefix-expansion"], "prefix_expansion", bool, False, False,
-         "one training sample per caption prefix instead of shift-by-one"),
-        (["--no-mask-padding"], "no_mask_padding", bool, False, False,
-         "score padding rows in the loss"),
     ])
     p.set_defaults(func=cmd_train)
 
-    p = subs.add_parser("caption", help="greedy-caption one video")
+    p = subs.add_parser("caption", help="greedy-caption one video", allow_abbrev=False)
     _add_options(p, [
         (["--checkpoint"], "checkpoint", str, None, True, "model checkpoint"),
         (["--tokenizer"], "tokenizer", str, None, True, "tokenizer file"),
@@ -280,7 +264,7 @@ def build_parser():
     ])
     p.set_defaults(func=cmd_caption)
 
-    p = subs.add_parser("eval", help="score a whole split with BLEU-2")
+    p = subs.add_parser("eval", help="score a whole split with BLEU-2", allow_abbrev=False)
     _add_options(p, [
         (["--checkpoint"], "checkpoint", str, None, True, "model checkpoint"),
         (["--descriptions"], "descriptions", str, None, True, "caption text file"),
@@ -293,7 +277,7 @@ def build_parser():
     ])
     p.set_defaults(func=cmd_eval)
 
-    p = subs.add_parser("make-fixture", help="write a synthetic toy corpus")
+    p = subs.add_parser("make-fixture", help="write a synthetic toy corpus", allow_abbrev=False)
     _add_options(p, [
         (["--out"], "out", str, None, True, "output directory"),
         (["--n-videos"], "n_videos", int, 6, False, "number of videos"),

@@ -126,17 +126,18 @@ def training_forward(params, feats, dec_in, video=slice(None)):
     return (P[:, 0] if single else P), (feats, video, enc_cache, steps, dec_cache, H, P)
 
 
-def training_backward(params, caches, target, mask_padding=True):
+def training_backward(params, caches, target):
     """Batch-mean loss and parameter gradients for a cached training_forward pass.
 
     target ((B, T), or (T,) for one caption) holds each step's correct
-    word index, 0 at padding steps; nn.cross_entropy weighs the rows.
+    word index, 0 at padding steps, which nn.cross_entropy leaves out of
+    the loss and its gradient.
     The (dh0, dc0) rows of captions that share a video are summed before
     the encoder's backward, which is exact: lstm_backward is linear in
     them.
     """
     feats, video, enc_cache, steps, dec_cache, H, P = caches
-    loss, d_logits = nn.cross_entropy(P, np.atleast_2d(target).T, mask_padding)
+    loss, d_logits = nn.cross_entropy(P, np.atleast_2d(target).T)
     dW_h, db_h, dH = nn.dense_softmax_backward(params.head, H.reshape(-1, H.shape[-1]),
                                                d_logits.reshape(-1, P.shape[-1]))
     dXW_d, dU_d, db_d, dh0, dc0 = nn.lstm_backward(params.decoder, dec_cache,

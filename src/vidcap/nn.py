@@ -245,16 +245,16 @@ def dense_softmax_backward(p, H, d_logits):
     return dW, db, dH
 
 
-def cross_entropy(P, target, mask_padding=True):
+def cross_entropy(P, target):
     """Mean categorical cross-entropy of one sequence (T x V P, (T,)
     target) or of B (T x B x V, (T, B)), time-major as lstm_forward steps.
 
     target holds 1-based class indices, 0 for padding.  A sequence's
-    loss is the mean over its n unmasked rows (n = T with mask_padding
-    off: padding rows carry a gradient but no loss), the batch's the
-    mean over sequences.  Returns (loss, d_logits): P minus 1 at each
-    target cell on unmasked rows, divided by B n.  The loss sums the
-    log-probabilities in float64 whatever P's dtype.
+    loss is the mean over its n scored (non-padding) rows, the batch's
+    the mean over sequences.  Returns (loss, d_logits): P minus 1 at
+    each target cell on scored rows, divided by B n, and zero on padding
+    rows.  The loss sums the log-probabilities in float64 whatever P's
+    dtype.
     """
     V = P.shape[-1]
     if target.shape != P.shape[:-1] or target.dtype.kind not in "iu":
@@ -268,9 +268,9 @@ def cross_entropy(P, target, mask_padding=True):
         raise ValueError("P rows are not normalized probability vectors")
     seq = target.reshape(len(target), -1)  # T x B
     rows = P.reshape(seq.shape + (V,))
-    T, B = seq.shape
+    B = seq.shape[1]
     scored = seq > 0
-    n = np.maximum(scored.sum(axis=0) if mask_padding else np.full(B, T), 1)
+    n = np.maximum(scored.sum(axis=0), 1)
     t, b = np.nonzero(scored)
     cols = seq[t, b] - 1
     tiny = np.finfo(P.dtype).tiny  # guards log against exp underflow to 0
@@ -278,8 +278,7 @@ def cross_entropy(P, target, mask_padding=True):
                       minlength=B)
     loss = float(np.sum(nll / n)) / B
     d_logits = np.zeros(rows.shape, dtype=P.dtype)
-    unmasked = scored if mask_padding else slice(None)
-    d_logits[unmasked] = rows[unmasked]
+    d_logits[scored] = rows[scored]
     d_logits[t, b, cols] -= 1.0
     d_logits /= (B * n).astype(P.dtype)[:, None]
     return loss, d_logits.reshape(P.shape)

@@ -20,8 +20,6 @@ class TrainConfig:
     epochs: int = 80
     lr: float = 1e-4
     seed: int = 42
-    mask_padding: bool = True
-    prefix_expansion: bool = False
     checkpoint_every: int = 0  # extra checkpoints every N epochs; final always
 
     def validate(self):
@@ -36,17 +34,16 @@ class TrainConfig:
         return self
 
 
-def build_samples(keys, corpus, tok, max_words, prefix_expansion=False):
+def build_samples(keys, corpus, tok, max_words):
     """Teacher-forcing pairs for every (video, caption) in key order, as
     one table (keys, video, dec_in, target): the key list, each sample's
     (N,) index into it, and (N x max_words) decoder input and target word
     indices, zero-padded.  A video's samples are consecutive rows.
 
-    Shift mode pairs input tokens[0..L-2] with target tokens[1..L-1].
-    Prefix-expansion mode emits one sample per prefix instead, scoring
-    only the final step of each prefix: its target is zero except there.
-    Captions that shrink below two indices after vocabulary filtering
-    are skipped.  Set-up counts the rows, then fills the table in place.
+    Each caption is one sample, shifted by one: decoder input
+    tokens[0..L-2], target tokens[1..L-1].  Captions that shrink below
+    two indices after vocabulary filtering are skipped.  Set-up counts
+    the rows, then fills the table in place.
     """
     keys = list(keys)
 
@@ -54,20 +51,13 @@ def build_samples(keys, corpus, tok, max_words, prefix_expansion=False):
         return ((v, idx) for v, key in enumerate(keys)
                 for idx in map(tok.encode, corpus.entries.get(key, ())) if len(idx) >= 2)
 
-    n = sum(len(idx) - 1 if prefix_expansion else 1 for _, idx in encoded())
+    n = sum(1 for _ in encoded())
     video = np.empty(n, dtype=np.intp)
     dec_in = np.empty((n, max_words), dtype=np.intp)
-    target = np.zeros((n, max_words), dtype=np.intp)
-    i = 0
-    for v, idx in encoded():
-        if prefix_expansion:
-            for k in range(1, len(idx)):
-                video[i], dec_in[i], target[i, k - 1] = v, tok.pad(idx[:k], max_words), idx[k]
-                i += 1
-        else:
-            video[i], dec_in[i] = v, tok.pad(idx[:-1], max_words)
-            target[i] = tok.pad(idx[1:], max_words)
-            i += 1
+    target = np.empty((n, max_words), dtype=np.intp)
+    for i, (v, idx) in enumerate(encoded()):
+        video[i], dec_in[i] = v, tok.pad(idx[:-1], max_words)
+        target[i] = tok.pad(idx[1:], max_words)
     return keys, video, dec_in, target
 
 
@@ -86,17 +76,17 @@ def make_batches(n, batch_size, seed, epoch):
         yield order[start:start + batch_size]
 
 
-def accuracy(P, target, mask_padding=True):
-    """Fraction of unmasked timesteps whose argmax hits the target,
+def accuracy(P, target):
+    """Fraction of non-padding timesteps whose argmax hits the target,
     averaged over the sequences of a time-major batch (T x B x V P,
     (T, B) target) or for one sequence (T x V, (T,)).
 
-    target holds 1-based word indices, 0 at padding steps; the argmax
-    column j hits index j + 1.  With masking off, padding rows count as
-    misses.  Argmax ties go to the lowest index.
+    target holds 1-based word indices, 0 at padding steps, which are not
+    counted; the argmax column j hits index j + 1.  Argmax ties go to
+    the lowest index.
     """
     seq = np.asarray(target).reshape(len(target), -1)
-    rows = seq > 0 if mask_padding else np.ones(seq.shape, dtype=bool)
+    rows = seq > 0
     hits = rows & (P.reshape(seq.shape + (-1,)).argmax(axis=-1) == seq - 1)
     return float(np.mean(hits.sum(axis=0) / np.maximum(rows.sum(axis=0), 1)))
 
@@ -122,7 +112,7 @@ class MetricsHistory:
                          f"{fmt6(r.val_loss)},{fmt6(r.val_acc)}\n")
 
 
-def evaluate_samples(params, store, samples, mask_padding=True):
+def evaluate_samples(params, store, samples):
     """Forward-only mean (loss, accuracy) over a build_samples table;
     (0, 0) for an empty one.
 
@@ -136,8 +126,8 @@ def evaluate_samples(params, store, samples, mask_padding=True):
         tgt = target[rows].T
         P, _ = mdl.training_forward(params, store.get(keys[v])[None], dec_in[rows],
                                     np.zeros(len(rows), dtype=np.intp))
-        loss_sum += nn.cross_entropy(P, tgt, mask_padding)[0] * len(rows)
-        acc_sum += accuracy(P, tgt, mask_padding) * len(rows)
+        loss_sum += nn.cross_entropy(P, tgt)[0] * len(rows)
+        acc_sum += accuracy(P, tgt) * len(rows)
     return loss_sum / max(len(video), 1), acc_sum / max(len(video), 1)
 
 
@@ -167,10 +157,8 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
             raise InputError(f"video '{key}' has no feature manifest entry")
         if not corpus.entries.get(key):
             raise InputError(f"video '{key}' has no descriptions")
-    keys, video, dec_in, target = build_samples(train_keys, corpus, tok, model_cfg.max_words,
-                                                cfg.prefix_expansion)
-    val_samples = build_samples(val_keys, corpus, tok, model_cfg.max_words,
-                                cfg.prefix_expansion)
+    keys, video, dec_in, target = build_samples(train_keys, corpus, tok, model_cfg.max_words)
+    val_samples = build_samples(val_keys, corpus, tok, model_cfg.max_words)
     if not len(video):
         raise InputError("no trainable samples in the training split")
     opt = nn.AdamState(lr=cfg.lr)
@@ -187,15 +175,14 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
                     for v in dict.fromkeys(vids.tolist()):  # one read per distinct video
                         feats[vids == v] = store.get(keys[v])
                     P, caches = mdl.training_forward(params, feats, dec_in[rows])
-                    loss, grads = mdl.training_backward(params, caches, tgt, cfg.mask_padding)
+                    loss, grads = mdl.training_backward(params, caches, tgt)
                     if not np.isfinite(loss):
                         raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
                     loss_sum += loss * len(rows)
-                    acc_sum += accuracy(P, tgt.T, cfg.mask_padding) * len(rows)
+                    acc_sum += accuracy(P, tgt.T) * len(rows)
                     nn.adam_step(opt, tensors, grads)
                     del feats, P, caches, grads  # before the next batch's pass
-                val_loss, val_acc = evaluate_samples(params, store, val_samples,
-                                                     cfg.mask_padding)
+                val_loss, val_acc = evaluate_samples(params, store, val_samples)
             except FloatingPointError as e:
                 raise TrainingDiverged(f"epoch {epoch}: {e}") from e
             row = EpochMetrics(epoch, loss_sum / len(video), acc_sum / len(video),

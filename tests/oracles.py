@@ -108,13 +108,13 @@ def one_hot_rows(indices, width, dtype=np.float64):
     return rows
 
 
-def cross_entropy_one_hot(P, Y, mask_padding=True):
+def cross_entropy_one_hot(P, Y):
     """Masked mean cross-entropy against one-hot target rows Y.
 
     All-zero rows of Y are padding.  Returns (loss, d_logits) with
     d_logits = (P - Y)/n on the n unmasked rows and zero elsewhere.
     """
-    unmasked = Y.any(axis=1) if mask_padding else np.ones(P.shape[0], dtype=bool)
+    unmasked = Y.any(axis=1)
     n = int(unmasked.sum())
     d_logits = np.zeros_like(P)
     if n == 0:
@@ -189,23 +189,23 @@ def bleu2_oracle(candidate, references):
     return bp * math.sqrt(float(p1 * p2))
 
 
-def accuracy_scalar(P, Y, mask_padding=True):
-    """Per-timestep argmax comparison with explicit loops."""
+def accuracy_scalar(P, Y):
+    """Per-timestep argmax comparison with explicit loops; padding
+    (all-zero) rows of Y are skipped."""
     hits = total = 0
     for t in range(len(Y)):
         row = list(Y[t])
-        is_pad = all(v == 0 for v in row)
-        if is_pad and mask_padding:
+        if all(v == 0 for v in row):
             continue
         total += 1
         probs = list(P[t])
         best = max(range(len(probs)), key=lambda j: probs[j])
-        if not is_pad and row[best] == 1:
+        if row[best] == 1:
             hits += 1
     return hits / total if total else 0.0
 
 
-def batch_gradients_per_sample(params, get, samples, rows, mask_padding=True):
+def batch_gradients_per_sample(params, get, samples, rows):
     """A batch's per-row losses and batch-mean gradients, formed one row
     at a time: training_forward and training_backward on each row of the
     (keys, video, dec_in, target) sample table alone (its features from
@@ -216,7 +216,7 @@ def batch_gradients_per_sample(params, get, samples, rows, mask_padding=True):
     grad_sum = {k: np.zeros_like(t) for k, t in params.tensors().items()}
     for i in rows:
         _, caches = model.training_forward(params, get(keys[video[i]]), dec_in[i])
-        loss, grads = model.training_backward(params, caches, target[i], mask_padding)
+        loss, grads = model.training_backward(params, caches, target[i])
         losses.append(loss)
         for k, g in grad_sum.items():
             g += grads[k]

@@ -111,7 +111,7 @@ def test_feature_file_bytes_load_or_raise_input_error(mutant_dir, blob):
 # give meaning to.
 TEXT_FILES = {
     "tokenizer.txt": "V=8\n1\tbos\n2\teos\n3\ta\n4\tdog\n5\truns\n",
-    "train.cfg": "# train\nepochs = 3\nlr = 0.001\nprefix-expansion = true\nout = run\n",
+    "train.cfg": "# train\nepochs = 3\nlr = 0.001\nbatch-size = 6\nout = run\n",
     "descriptions.txt": "vid0 A dog runs, fast!\nvid1\tthe cat sleeps\n# note\nvid1 a cat\n",
     "manifest.tsv": "vid0\ta.vfm\nvid1\tb.vfm\n",
     "train.keys": "vid0\nvid1\nvid2\n",

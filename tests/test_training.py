@@ -74,21 +74,6 @@ def test_build_samples_shift_by_one_layout():
     assert not dec[8:].any() and not tgt[8:].any()              # padding steps
 
 
-def test_build_samples_prefix_expansion_layout():
-    corp, tok = nine_token_setup()
-    keys, video, dec_in, target = build_samples(["v"], corp, tok, max_words=10,
-                                                prefix_expansion=True)
-    assert keys == ["v"] and video.tolist() == [0] * 8  # one per prefix
-    assert dec_in.shape == target.shape == (8, 10)
-    for j, (dec, tgt) in enumerate(zip(dec_in, target), start=1):
-        assert np.count_nonzero(dec) == j
-        for r in range(j):
-            assert dec[r] == r + 1
-        assert not dec[j:].any()
-        # only the final step of the prefix is scored
-        assert np.count_nonzero(tgt) == 1 and tgt[j - 1] == j + 1
-
-
 def test_build_samples_skips_captions_below_two_indices():
     tok = Tokenizer(cap=8).fit([["bos", "a", "b", "eos"]])
     corp = DescriptionCorpus({"v": [
@@ -118,17 +103,17 @@ def test_build_samples_keeps_at_most_256_bytes_per_sample():
                for i in range(250)}
     corp, keys = DescriptionCorpus(entries), list(entries)
     tok = Tokenizer(cap=40).fit(c for caps in entries.values() for c in caps)
-    for prefix_expansion, n in ((False, 250 * 8), (True, 250 * 8 * 7)):
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            table = build_samples(keys, corp, tok, 10, prefix_expansion)
-            kept, peak = (m - before for m in tracemalloc.get_traced_memory())
-        finally:
-            tracemalloc.stop()
-        assert len(table[1]) == n
-        assert kept <= 256 * n, (prefix_expansion, kept / n)
-        assert peak <= 256 * n, (prefix_expansion, peak / n)
+    n = 250 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = build_samples(keys, corp, tok, 10)
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(table[1]) == n
+    assert kept <= 256 * n, kept / n
+    assert peak <= 256 * n, peak / n
 
 
 # ---------------------------------------------------------------------------
@@ -165,35 +150,27 @@ def random_instance(seed, rows=6, cols=5, pad_rows=2):
     return P, Y
 
 
-@pytest.mark.parametrize("mask", [True, False])
-def test_accuracy_matches_scalar_oracle(mask):
+@pytest.mark.parametrize("padded", [True, False])
+def test_accuracy_matches_scalar_oracle(padded):
     for seed in range(30):
-        P, Y = random_instance(seed)
-        assert accuracy(P, Y, mask) == pytest.approx(
-            oracles.accuracy_scalar(P, oracles.one_hot_rows(Y, 5), mask), abs=1e-12)
+        P, Y = random_instance(seed, pad_rows=2 if padded else 0)
+        assert accuracy(P, Y) == pytest.approx(
+            oracles.accuracy_scalar(P, oracles.one_hot_rows(Y, 5)), abs=1e-12)
 
 
-@pytest.mark.parametrize("mask", [True, False])
-def test_accuracy_of_a_batch_is_the_mean_over_sequences(mask):
-    parts = [random_instance(seed, pad_rows=seed % 4) for seed in range(4)]
+@pytest.mark.parametrize("padded", [True, False])
+def test_accuracy_of_a_batch_is_the_mean_over_sequences(padded):
+    parts = [random_instance(seed, pad_rows=seed % 4 if padded else 0) for seed in range(4)]
     P = np.stack([p for p, _ in parts], axis=1)  # time-major T x B x V
     Y = np.stack([y for _, y in parts], axis=1)
-    want = sum(accuracy(p, y, mask) for p, y in parts) / len(parts)
-    assert accuracy(P, Y, mask) == pytest.approx(want, abs=1e-12)
+    want = sum(accuracy(p, y) for p, y in parts) / len(parts)
+    assert accuracy(P, Y) == pytest.approx(want, abs=1e-12)
 
 
 def test_accuracy_ties_go_to_lowest_index():
     P = np.full((1, 4), 0.25)
     assert accuracy(P, np.array([1])) == 1.0   # hit: column 0
     assert accuracy(P, np.array([3])) == 0.0   # miss: column 2
-
-
-def test_accuracy_unmasked_padding_counts_as_miss():
-    P, Y = random_instance(0, rows=4, pad_rows=4)  # all padding
-    assert accuracy(P, Y, mask_padding=True) == 0.0
-    assert accuracy(P, Y, mask_padding=False) == 0.0
-    Y[0] = int(P[0].argmax()) + 1
-    assert accuracy(P, Y, mask_padding=False) == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +219,23 @@ def test_evaluate_samples_empty_table():
     assert evaluate_samples(None, None, empty) == (0.0, 0.0)
 
 
-@pytest.mark.parametrize("mask", [True, False])
-def test_evaluate_samples_equals_per_sample_forward(tmp_path, mask):
+@pytest.mark.parametrize("mixed_lengths", [True, False])
+def test_evaluate_samples_equals_per_sample_forward(tmp_path, mixed_lengths):
     corp, tok, store, keys = pipeline(tmp_path)
+    if mixed_lengths:  # every video gets every fixture caption, 4 to 8 words
+        corp = DescriptionCorpus({key: [corp.entries[k][0] for k in keys] for key in keys})
     params = ModelParams.init(MCFG, seed=4)
-    samples = build_samples(keys, corp, tok, MCFG.max_words, prefix_expansion=True)
+    samples = build_samples(keys, corp, tok, MCFG.max_words)
     table_keys, video, dec_in, target = samples
+    lengths = np.count_nonzero(target[video == 0], axis=1)
+    assert len(lengths) > 1 and (len(set(lengths.tolist())) > 1) == mixed_lengths
     losses, accs = [], []
     for v, dec, tgt in zip(video, dec_in, target):
         P, _ = mdl.training_forward(params, store.get(table_keys[v]), dec)
-        losses.append(nn.cross_entropy(P, tgt, mask)[0])
-        accs.append(accuracy(P, tgt, mask))
+        losses.append(nn.cross_entropy(P, tgt)[0])
+        accs.append(accuracy(P, tgt))
     expected = (sum(losses) / len(video), sum(accs) / len(video))
-    got = evaluate_samples(params, store, samples, mask)
+    got = evaluate_samples(params, store, samples)
     assert got == pytest.approx(expected, rel=0, abs=BATCH_TOL)
 
 
