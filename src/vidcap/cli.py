@@ -152,15 +152,15 @@ def cmd_prepare(ns):
 def cmd_train(ns):
     """Train from prepare artifacts; write checkpoints and metrics.csv."""
     cfg = _model_config(ns)
+    tcfg = training.TrainConfig(
+        batch_size=ns.batch_size, epochs=ns.epochs, lr=ns.lr, seed=ns.seed,
+        checkpoint_every=ns.checkpoint_every).validate()  # before the costly init
     tok = _load_tokenizer_for(ns, cfg)
     train_keys = corpus_mod.load_split_keys(ns.out, "train")
     val_keys = corpus_mod.load_split_keys(ns.out, "val")
     corp = corpus_mod.build_corpus(corpus_mod.parse_descriptions(ns.descriptions))
     store = FeatureStore(ns.manifest, expected_shape=(cfg.frames, cfg.feature_dim))
     params = mdl.ModelParams.init(cfg, ns.seed)
-    tcfg = training.TrainConfig(
-        batch_size=ns.batch_size, epochs=ns.epochs, lr=ns.lr, seed=ns.seed,
-        checkpoint_every=ns.checkpoint_every)
     params, history = training.train(params, tcfg, cfg, train_keys, val_keys,
                                      corp, tok, store, out_dir=ns.out, log=print)
     history.to_csv(os.path.join(ns.out, METRICS_FILE))

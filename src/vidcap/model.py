@@ -269,7 +269,7 @@ def _record_header(name, shape):
 def _write_tensor(fh, name, arr):
     data = np.ascontiguousarray(arr, dtype="<f4")
     fh.write(_record_header(name, data.shape))
-    fh.write(data.tobytes())
+    fh.write(data)  # the array's own buffer: no bytes copy of the tensor
 
 
 def save_checkpoint(path, cfg, params):

@@ -223,3 +223,50 @@ def batch_gradients_per_sample(params, get, samples, rows):
     for g in grad_sum.values():
         g /= len(rows)
     return losses, grad_sum
+
+
+def orthogonal_householder(rng, rows, cols, dtype=np.float32):
+    """The Householder-QR initializer nn.orthogonal replaced, verbatim:
+    np.linalg.qr of the same Gaussian draw, Q's columns sign-fixed so
+    that R's diagonal is positive."""
+    big, small = max(rows, cols), min(rows, cols)
+    a = rng.standard_normal((big, small))
+    q, r = np.linalg.qr(a)
+    d = np.diag(r)
+    q = q * np.where(d < 0, -1.0, 1.0)
+    if rows < cols:
+        q = q.T
+    return np.ascontiguousarray(q, dtype=dtype)
+
+
+def glorot_uniform_one_shot(rng, rows, cols, dtype=np.float32):
+    """The Glorot initializer nn.glorot_uniform replaced, verbatim: one
+    (rows x cols) float64 draw, then a cast."""
+    limit = np.sqrt(6.0 / (rows + cols))
+    return rng.uniform(-limit, limit, size=(rows, cols)).astype(dtype)
+
+
+def init_params_reference(cfg, seed, dtype=np.float32):
+    """ModelParams.init built from the two reference initializers, in
+    the library's draw order: each LSTM's W then U, then head.W."""
+    rng = np.random.default_rng(seed)
+
+    def lstm(input_dim):
+        W = glorot_uniform_one_shot(rng, input_dim, 4 * cfg.latent, dtype)
+        U = orthogonal_householder(rng, cfg.latent, 4 * cfg.latent, dtype)
+        b = np.zeros(4 * cfg.latent, dtype=dtype)
+        b[cfg.latent:2 * cfg.latent] = 1.0
+        return nn.LstmParams(W, U, b)
+
+    encoder, decoder = lstm(cfg.feature_dim), lstm(cfg.vocab)
+    head = nn.DenseParams(glorot_uniform_one_shot(rng, cfg.latent, cfg.vocab, dtype),
+                          np.zeros(cfg.vocab, dtype=dtype))
+    return model.ModelParams(encoder, decoder, head)
+
+
+def write_tensor_tobytes(fh, name, arr):
+    """The checkpoint record writer model._write_tensor replaced: the
+    same header, then a bytes copy of the float32 payload."""
+    data = np.ascontiguousarray(arr, dtype="<f4")
+    fh.write(model._record_header(name, data.shape))
+    fh.write(data.tobytes())

@@ -317,6 +317,23 @@ def test_deleted_training_modes_exit_2_before_writing(ws, tmp_path, option):
                                 "for command 'train'"]
 
 
+@pytest.mark.parametrize("option,value,message", [
+    ("batch-size", "0", "batch_size must be >= 1, got 0"),
+    ("epochs", "0", "epochs must be >= 1, got 0"),
+    ("lr", "nan", "lr must be finite and >= 0, got nan"),
+    ("checkpoint-every", "-1", "checkpoint_every must be >= 0, got -1"),
+])
+def test_bad_train_config_exits_2_before_model_init(ws, tmp_path, monkeypatch,
+                                                    option, value, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ModelParams.init ran before TrainConfig was validated")
+
+    monkeypatch.setattr(ModelParams, "init", refuse)
+    code, out, err = train_writes_nothing(ws, tmp_path, f"--{option}", value)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_option_prefixes_do_not_parse(ws, tmp_path):
     # a unique prefix of --batch-size is not accepted, as in config files
     code, out, err = train_writes_nothing(ws, tmp_path, "--batch", "6")

@@ -68,6 +68,39 @@ def test_init_matches_counts():
     assert params.head.W.shape == (4, 7)
 
 
+# a config whose encoder.W (4096 x 256 float32) is a 4 MB tensor
+WIDE = ModelConfig(frames=8, feature_dim=4096, latent=64, max_words=10, vocab=1500)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_init_matches_householder_oracle(seed):
+    # the README quick start's config is bitwise; float64 Cholesky QR and
+    # Householder Q differ by ~1e-16, which rounds to float32 within 1 ulp
+    quick = ModelConfig(frames=8, feature_dim=16, latent=32, max_words=10, vocab=40)
+    for cfg, ulps in ((quick, 0), (ModelConfig(), 1)):
+        got = ModelParams.init(cfg, seed).tensors()
+        ref = oracles.init_params_reference(cfg, seed).tensors()
+        for name in TENSOR_ORDER:
+            assert got[name].dtype == np.float32 and got[name].shape == ref[name].shape
+            differ = got[name] != ref[name]  # only these can be an ulp apart
+            np.testing.assert_array_max_ulp(got[name][differ], ref[name][differ], ulps)
+
+
+def test_init_peak_memory_is_the_tensors_it_keeps():
+    # no tensor-sized float64 draw: one GLOROT_BLOCK of draws and the
+    # float64 orthogonal factors (256 x 64 here) are the transients
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        params = ModelParams.init(WIDE, seed=3)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    kept = sum(t.nbytes for t in params.tensors().values())
+    assert params.encoder.W.nbytes == 4 * 2**20
+    assert peak - kept <= 2 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # Training forward / backward
 # ---------------------------------------------------------------------------
@@ -436,6 +469,28 @@ def test_checkpoint_round_trip(tmp_path):
     assert cfg == TOY and adam is None
     for name, t in params.tensors().items():
         assert np.array_equal(loaded.tensors()[name], t)
+
+
+def test_checkpoint_bytes_match_the_tobytes_writer(tmp_path, monkeypatch):
+    params = ModelParams.init(TOY, seed=12)
+    save_checkpoint(tmp_path / "a.sq2s", TOY, params)
+    monkeypatch.setattr(model, "_write_tensor", oracles.write_tensor_tobytes)
+    save_checkpoint(tmp_path / "b.sq2s", TOY, params)
+    assert (tmp_path / "a.sq2s").read_bytes() == (tmp_path / "b.sq2s").read_bytes()
+
+
+def test_checkpoint_save_copies_no_tensor(tmp_path):
+    # each payload goes to the file from the array's own buffer
+    params = ModelParams.init(WIDE, seed=3)
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        save_checkpoint(tmp_path / "model.sq2s", WIDE, params)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert params.encoder.W.nbytes >= 4 * 2**20
+    assert peak <= 2**20
 
 
 def test_checkpoint_rerun_is_byte_identical(tmp_path):

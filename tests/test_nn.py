@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vidcap import nn
-from oracles import (adam_step_reference, cross_entropy_one_hot, lstm_backward_outer, lstm_cell_scalar,
-                     one_hot_rows)
+from oracles import (adam_step_reference, cross_entropy_one_hot, glorot_uniform_one_shot,
+                     lstm_backward_outer, lstm_cell_scalar, one_hot_rows,
+                     orthogonal_householder)
 
 
 def random_lstm(rng, in_dim, hid, dtype=np.float64, scale=0.5):
@@ -655,13 +656,37 @@ def test_glorot_bounds():
 def test_orthogonal_wide_has_orthonormal_rows():
     q = nn.orthogonal(np.random.default_rng(11), 4, 16, dtype=np.float64)
     err = np.max(np.abs(q @ q.T - np.eye(4)))
-    assert err < 1e-5
+    assert err < 1e-12
 
 
 def test_orthogonal_tall_has_orthonormal_columns():
     q = nn.orthogonal(np.random.default_rng(12), 16, 4, dtype=np.float64)
     err = np.max(np.abs(q.T @ q - np.eye(4)))
-    assert err < 1e-5
+    assert err < 1e-12
+
+
+@pytest.mark.parametrize("rows,cols", [(4, 16), (16, 4), (7, 7), (1, 5), (32, 128),
+                                       (512, 2048)])
+def test_orthogonal_matches_householder_qr(rows, cols):
+    # Cholesky QR gives Householder's positive-diagonal Q from the same draw
+    seed = rows * 1000 + cols
+    q = nn.orthogonal(np.random.default_rng(seed), rows, cols, dtype=np.float64)
+    ref = orthogonal_householder(np.random.default_rng(seed), rows, cols, dtype=np.float64)
+    assert q.shape == (rows, cols) and q.flags.c_contiguous
+    assert np.max(np.abs(q - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("rows,cols", [(30, 50), (1, 7), (1, 3 * nn.GLOROT_BLOCK + 5),
+                                       (300, 700)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_glorot_matches_one_shot_draw_bitwise(rows, cols, dtype):
+    # blocked filling consumes the same stream: the next draw agrees too
+    rng, ref_rng = np.random.default_rng(rows + cols), np.random.default_rng(rows + cols)
+    w = nn.glorot_uniform(rng, rows, cols, dtype)
+    ref = glorot_uniform_one_shot(ref_rng, rows, cols, dtype)
+    assert w.dtype == dtype and w.shape == (rows, cols)
+    assert np.array_equal(w, ref)
+    assert rng.random() == ref_rng.random()
 
 
 def test_lstm_init_bias_blocks():
