@@ -118,13 +118,24 @@ def histogram_counts(scores):
             for i in range(HIST_BINS)]
 
 
+def _quoted(text):
+    """text as a quoted CSV field, its double quotes doubled."""
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _csv_field(text):
+    """text as it is, or quoted if it holds a comma, a quote or a line break."""
+    return _quoted(text) if any(ch in text for ch in ',"\r\n') else text
+
+
 def write_report_csv(path, report):
-    """`split,video_id,bleu2,prediction` rows, prediction quoted."""
+    """`split,video_id,bleu2,prediction` rows, prediction always quoted
+    and split or video_id quoted when they would not parse bare."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("split,video_id,bleu2,prediction\n")
         for r in report.rows:
-            fh.write(f'{r.split},{r.video_id},{fmt6(r.bleu)},'
-                     f'"{" ".join(r.prediction)}"\n')
+            fh.write(f'{_csv_field(r.split)},{_csv_field(r.video_id)},{fmt6(r.bleu)},'
+                     f'{_quoted(" ".join(r.prediction))}\n')
 
 
 def write_summary_csv(path, report):

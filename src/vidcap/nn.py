@@ -18,10 +18,14 @@ scratch rows; each block applies the textbook formula's operations in
 the same order, so the result is bitwise that of the allocating form.
 
 Both LSTM kernels also step B sequences at once (T x B x 4*hidden),
-one B-row GEMM per step, and cross_entropy scores such a time-major
-batch, so a training batch runs through each kernel once, as batched
-greedy decoding does.  Training runs in float32; build parameters with
-dtype=np.float64 for gradient checking.
+and cross_entropy scores such a time-major batch, so a training batch
+runs through each kernel once, as batched greedy decoding does.  A
+step multiplies the B state rows by U in one product, except for
+2 <= B < 16 rows at widths where that product exceeds SMALL_GEMM_MACS:
+there it takes row panels of U (recurrent_panels), each small enough
+for OpenBLAS's unpacked small-matrix kernel, because one sgemm packs
+all of U again at every step.  Training runs in float32; build
+parameters with dtype=np.float64 for gradient checking.
 """
 
 from dataclasses import dataclass, field
@@ -151,11 +155,46 @@ def init_dense_params(rng, hidden, out_dim, dtype=np.float32):
 # LSTM forward / backward
 # ---------------------------------------------------------------------------
 
+# Multiply-adds (m*n*k) up to which OpenBLAS's sgemm (0.3.31, SkylakeX
+# core) uses its small-matrix kernel, which reads the operands in place;
+# a larger product first packs all of U.  One thread, hidden 512, per
+# step forward/backward: B = 2 in 171-row panels (0.70e6) 378/243 us
+# against 788/606 us for one product, B = 4 in 103-row panels (0.84e6)
+# 414/272 against 824/622 us; 256-row panels at B = 2 (1.05e6) cost as
+# much as one product.
+SMALL_GEMM_MACS = 10 ** 6
+
+
+def recurrent_panels(rows, hidden):
+    """Row slices of U that a recurrence step over `rows` sequences
+    multiplies by, one product each (h[:, s] @ U[s] forward, U[s] @ dz.T
+    backward).
+
+    One slice(None), the whole of U, unless 2 <= rows < 16 and
+    rows x 4*hidden x hidden exceeds SMALL_GEMM_MACS: then the fewest
+    equal panels that each stay within it.  One row is a mat-vec, which
+    packs nothing.  From 16 rows on, one sgemm's packing of U is shared
+    by enough rows that panels no longer paid off in both directions
+    (hidden 512, forward/backward per step: B = 16 857/645 us as one
+    product, 666/669 us in 29-row panels; B = 24 1039/923 against
+    1155/874 us), so eval's 16-video chunks keep one product.  The rule
+    depends on (rows, hidden) only, so T chained one-step calls round
+    as one T-step call does.
+    """
+    width = rows * 4 * hidden
+    if not 2 <= rows < 16 or width * hidden <= SMALL_GEMM_MACS:
+        return (slice(None),)
+    count = -(-hidden // max(SMALL_GEMM_MACS // width, 1))
+    height = -(-hidden // count)
+    return tuple(slice(s, min(s + height, hidden)) for s in range(0, hidden, height))
+
+
 def lstm_forward(p, XW, h0=None, c0=None):
     """LSTM recurrence over the projected rows XW[t] = x_t W, T >= 1.
 
     XW is one sequence (T x 4*hidden), or B (T x B x 4*hidden) with
-    (B, hidden) states, whose h_{t-1} U is one B-row GEMM.  Step t forms
+    (B, hidden) states, whose h_{t-1} U is a sum of B-row products over
+    recurrent_panels(B, hidden) (one GEMM but for few rows).  Step t forms
     [zi zf zg zo] = x_t W + b + h_{t-1} U, then
     i = sigmoid(zi), f = sigmoid(zf), g = tanh(zg), o = sigmoid(zo),
     c_t = f * c_{t-1} + i * g, h_t = o * tanh(c_t).  The gates take one
@@ -186,9 +225,12 @@ def lstm_forward(p, XW, h0=None, c0=None):
     scale = np.full(4 * hid, 0.5, dtype=dt)
     scale[2 * hid:3 * hid] = 1.0
     shift = 1.0 - scale
+    batch = XW.shape[1] if XW.ndim == 3 else 1
+    panels = [(s, p.U[s]) for s in recurrent_panels(batch, hid)]
     for t in range(T):
         z = G[t]
-        z += Hs[t] @ p.U
+        for s, U_s in panels:
+            z += Hs[t][..., s] @ U_s
         z *= scale
         np.tanh(z, out=z)
         z *= scale
@@ -215,7 +257,9 @@ def lstm_backward(p, cache, dH=None, dh_last=None, dc_last=None):
     for the running dh, dc.  Their factors take a few whole-sequence
     operations; the reverse time loop scales them into row t of dZ and
     carries dh = (U dz^T)^T (half dz U^T's time for B > 1), dc = f dc
-    back one step.  Then dU = Hs[:-1]^T dZ and db = sum dZ over all rows.
+    back one step; the rows of U dz^T come from the row panels of U that
+    lstm_forward multiplies by.  Then dU = Hs[:-1]^T dZ and db = sum dZ
+    over all rows.
 
     Returns (dXW, dU, db, dh0, dc0).
     """
@@ -237,13 +281,19 @@ def lstm_backward(p, cache, dH=None, dh_last=None, dc_last=None):
     blocks[..., 3, :] = tc * o * (1.0 - o)
     dh = np.zeros(state_shape, dtype=dt) if dh_last is None else dh_last.astype(dt, copy=True)
     dc = np.zeros(state_shape, dtype=dt) if dc_last is None else dc_last.astype(dt, copy=True)
+    dhT = np.empty(state_shape[::-1], dtype=dt)  # U dz^T, refilled each step
+    batch = G.shape[1] if G.ndim == 3 else 1
+    panels = [(p.U[s], dhT[s]) for s in recurrent_panels(batch, hid)]
     for t in reversed(range(T)):
         if dH is not None:
             dh += dH[t]
         dc += dh * dc_from_dh[t]
         blocks[t, ..., :3, :] *= dc[..., None, :]
         blocks[t, ..., 3, :] *= dh
-        dh = (p.U @ dZ[t].T).T
+        dz = dZ[t].T
+        for U_s, dh_s in panels:
+            np.matmul(U_s, dz, dh_s)
+        dh = dhT.T
         dc *= f[t]
     rows = dZ.reshape(-1, 4 * hid)
     return dZ, Hs[:-1].reshape(-1, hid).T @ rows, rows.sum(axis=0), dh, dc

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import csv
 import io
 import os
 from pathlib import Path
@@ -204,6 +205,29 @@ def test_train_divergence_prints_only_the_error_line(ws, tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
         "error: epoch 1: non-finite probabilities in cross_entropy"]
+
+
+def test_train_rerun_is_byte_identical_at_two_blas_threads(tmp_path):
+    # reproducibility holds for a given seed and BLAS thread count: two
+    # full-width runs with OpenBLAS on two threads write the same bytes
+    data = tmp_path / "data"
+    assert run_cli("make-fixture", "--out", str(data), "--n-videos", "40",
+                   "--frames", "8", "--feature-dim", "256")[0] == 0
+    inputs = ["--descriptions", str(data / "descriptions.txt"),
+              "--manifest", str(data / "manifest.tsv")]
+    assert run_cli("prepare", *inputs, "--out", str(tmp_path / "a"),
+                   "--vocab", "1500")[0] == 0
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="2")
+    for run in ("a", "b"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "vidcap", "train", *inputs, "--out", str(tmp_path / run),
+             "--frames", "8", "--feature-dim", "256", "--latent", "512",
+             "--vocab", "1500", "--epochs", "2", "--batch-size", "50"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    for name in ("metrics.csv", "ckpt-2.sq2s"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf"])
@@ -552,6 +576,32 @@ def test_eval_rerun_is_byte_identical(ws):
             "--split", "train", "--threads", "3")
     for name, blob in first.items():
         assert (ws["run"] / name).read_bytes() == blob
+
+
+def test_eval_report_quotes_odd_video_ids(tmp_path):
+    # a video id with a comma and a quote still reads back as one column
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert run_cli("make-fixture", "--out", str(data))[0] == 0
+    odd = 'vid,"001'
+    for name in ("descriptions.txt", "manifest.tsv"):
+        f = data / name
+        f.write_text(f.read_text(encoding="utf-8").replace("vid001\t", odd + "\t"),
+                     encoding="utf-8")
+    base = ["--descriptions", str(data / "descriptions.txt"),
+            "--manifest", str(data / "manifest.tsv"), "--out", str(run)]
+    assert run_cli("prepare", *base, "--vocab", "40")[0] == 0
+    code, _, err = run_cli("train", *base, *MODEL_ARGS, "--epochs", "1")
+    assert code == 0, err
+    split = next(s for s in ("train", "val", "test")
+                 if odd in (run / f"{s}.keys").read_text(encoding="utf-8").splitlines())
+    code, _, err = run_cli("eval", "--checkpoint", str(run / "ckpt-1.sq2s"), *base,
+                           "--split", split)
+    assert code == 0, err
+    with open(run / "report.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert odd in [r["video_id"] for r in rows]
+    assert all(r["split"] == split and None not in r and float(r["bleu2"]) >= 0
+               for r in rows)
 
 
 def test_eval_starts_no_threads_and_ignores_threads(ws, tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """BLEU-2 scoring and report tests, cross-checked against a brute-force oracle."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,6 +195,24 @@ def test_report_csv_quotes_predictions(tmp_path):
     assert lines[0] == "split,video_id,bleu2,prediction"
     assert lines[1] == 'test,v1,1,"a man"'
     assert lines[2] == 'test,v2,0.333333,"a"'
+
+
+@pytest.mark.parametrize("video_id",
+                         ['vid,"001', 'vid"001', "vid,001", "vid\n001", "vid\r\n001"])
+def test_report_csv_video_id_round_trips(tmp_path, video_id):
+    # a comma, quote or line break in an id is quoted, so the row still
+    # parses into its four columns; plain rows keep their bytes
+    path = tmp_path / "report.csv"
+    report = EvalReport([EvalRow("test", video_id, 0.5, ["a", "man"]),
+                         EvalRow("test", "v2", 1 / 3, ["a"])], "test")
+    write_report_csv(str(path), report)
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows == [{"split": "test", "video_id": video_id, "bleu2": "0.5",
+                     "prediction": "a man"},
+                    {"split": "test", "video_id": "v2", "bleu2": "0.333333",
+                     "prediction": "a"}]
+    assert path.read_bytes().endswith(b'\ntest,v2,0.333333,"a"\n')
 
 
 def test_summary_csv_one_row(tmp_path):

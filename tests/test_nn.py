@@ -171,8 +171,10 @@ def test_forward_rejects_empty_and_misshaped():
 
 
 # (T, hidden, B): toy sizes, one row, and the encoder's full width, where
-# a 16-row h @ U GEMM rounds unlike 16 mat-vecs (measured up to 3e-7)
-BATCH_CASES = [(5, 4, 3), (7, 8, 16), (3, 2, 1), (80, 512, 16), (80, 512, 1)]
+# a 16-row h @ U GEMM rounds unlike 16 mat-vecs (measured up to 3e-7),
+# and 2 to 7 rows take U in row panels (nn.recurrent_panels)
+BATCH_CASES = [(5, 4, 3), (7, 8, 16), (3, 2, 1), (80, 512, 16), (80, 512, 1),
+               (20, 512, 2), (20, 512, 4), (20, 512, 7)]
 
 
 @pytest.mark.parametrize("case", range(len(BATCH_CASES)))
@@ -194,6 +196,56 @@ def test_forward_batch_matches_per_sequence_calls(case):
         if B == 1:
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
         assert max(np.max(np.abs(x - y)) for x, y in zip(got, want)) < 1e-5
+
+
+def test_chained_steps_at_few_rows_are_bitwise_one_call():
+    # T one-step calls over 4 full-width rows, as batched greedy decoding
+    # makes them, split U into the same panels as one T-step call, so
+    # states and the stacked caches' backward are bitwise that call's
+    T, B, hid = 6, 4, 512
+    assert len(nn.recurrent_panels(B, hid)) > 1
+    rng = np.random.default_rng(9)
+    p = nn.init_lstm_params(rng, 6, hid)
+    XW = rng.standard_normal((T, B, 4 * hid)).astype(np.float32)
+    h0, c0 = rng.standard_normal((2, B, hid)).astype(np.float32)
+    H, hT, cT, cache = nn.lstm_forward(p, XW, h0, c0)
+    h, c, steps = h0, c0, []
+    for t in range(T):
+        Ht, h, c, step = nn.lstm_forward(p, XW[t:t + 1], h, c)
+        assert np.array_equal(Ht[0], H[t])
+        steps.append(step)
+    assert np.array_equal(h, hT) and np.array_equal(c, cT)
+    chained = (np.concatenate([steps[0][0][:1]] + [s[0][1:] for s in steps]),
+               np.concatenate([steps[0][1][:1]] + [s[1][1:] for s in steps]),
+               np.concatenate([s[2] for s in steps]))
+    dH = rng.standard_normal((T, B, hid)).astype(np.float32)
+    for g, w in zip(nn.lstm_backward(p, chained, dH), nn.lstm_backward(p, cache, dH)):
+        assert np.array_equal(g, w)
+
+
+def test_recurrent_panels_rule():
+    # the split is all of U in one product for one row, toy widths and
+    # 16+ rows; at the full width 2-15 rows take equal row panels that
+    # tile U, each product within OpenBLAS's small-matrix size
+    for hid in (1, 32, 64, 512, 2048):
+        assert nn.recurrent_panels(1, hid) == (slice(None),)
+    for hid in (32, 64):
+        for B in range(1, 51):
+            assert nn.recurrent_panels(B, hid) == (slice(None),)
+    hid = 512
+    for B in range(2, 16):
+        panels = nn.recurrent_panels(B, hid)
+        height = panels[0].stop - panels[0].start
+        assert panels[0].start == 0 and panels[-1].stop == hid
+        assert all(a.stop == b.start for a, b in zip(panels, panels[1:]))
+        assert all(s.stop - s.start == height for s in panels[:-1])
+        assert 0 < panels[-1].stop - panels[-1].start <= height
+        assert B * 4 * hid * height <= nn.SMALL_GEMM_MACS
+        # the fewest panels: one fewer would exceed the bound
+        fewer = -(-hid // (len(panels) - 1))
+        assert B * 4 * hid * fewer > nn.SMALL_GEMM_MACS
+    for B in range(16, 51):
+        assert nn.recurrent_panels(B, hid) == (slice(None),)
 
 
 def test_forward_batch_zero_state_default():
@@ -313,23 +365,40 @@ def test_backward_matches_outer_product_oracle(case):
         assert np.max(np.abs(g - w)) < 1e-12, name
 
 
-@pytest.mark.parametrize("upstream", ["all", "dH", "final"])
-def test_backward_batch_equals_per_sequence_calls(upstream):
-    # B stacked sequences: each dXW column and dh0/dc0 row is that
-    # sequence's own; dU and db are the sums of the per-sequence ones
+# (upstream, T, B, hidden): the three upstream mixes at a toy width, and
+# the encoder's full width at 2, 4 and 7 rows, which take U in row panels
+BACKWARD_BATCH_CASES = [
+    pytest.param("all", 6, 4, 5, id="all"),
+    pytest.param("dH", 6, 4, 5, id="dH"),
+    pytest.param("final", 6, 4, 5, id="final"),
+    pytest.param("all", 20, 2, 512, id="all-512x2"),
+    pytest.param("all", 20, 4, 512, id="all-512x4"),
+    pytest.param("all", 20, 7, 512, id="all-512x7"),
+]
+
+
+@pytest.mark.parametrize("upstream, T, B, hid", BACKWARD_BATCH_CASES)
+def test_backward_batch_equals_per_sequence_calls(upstream, T, B, hid):
+    # B stacked sequences: each forward state row, dXW column and dh0/dc0
+    # row is that sequence's own; dU and db are the sums of the
+    # per-sequence ones.  The toy width draws U at scale 0.5, the full
+    # width takes the library's init, whose gates do not saturate.
     rng = np.random.default_rng(12)
-    T, B, in_dim, hid = 6, 4, 3, 5
-    p = random_lstm(rng, in_dim, hid)
+    in_dim = 3
+    p = (random_lstm(rng, in_dim, hid) if hid < 512
+         else nn.init_lstm_params(rng, in_dim, hid, np.float64))
     XW = rng.standard_normal((T, B, in_dim)) @ p.W
     h0, c0 = rng.standard_normal((2, B, hid))
     dH = rng.standard_normal((T, B, hid)) if upstream != "final" else None
     dh_last, dc_last = (rng.standard_normal((2, B, hid)) if upstream != "dH"
                         else (None, None))
-    _, _, _, cache = nn.lstm_forward(p, XW, h0, c0)
+    H, hT, cT, cache = nn.lstm_forward(p, XW, h0, c0)
     dXW, dU, db, dh0, dc0 = nn.lstm_backward(p, cache, dH, dh_last, dc_last)
     dU_sum, db_sum = np.zeros_like(dU), np.zeros_like(db)
     for b in range(B):
-        _, _, _, one = nn.lstm_forward(p, XW[:, b], h0[b], c0[b])
+        H1, h1, c1, one = nn.lstm_forward(p, XW[:, b], h0[b], c0[b])
+        for batch_part, single in zip((H[:, b], hT[b], cT[b]), (H1, h1, c1)):
+            assert np.max(np.abs(batch_part - single)) < 1e-12
         got = nn.lstm_backward(p, one, None if dH is None else dH[:, b],
                                None if dh_last is None else dh_last[b],
                                None if dc_last is None else dc_last[b])
@@ -385,9 +454,12 @@ def test_softmax_closed_form():
     assert np.allclose(P, [[0.25, 0.75]], atol=1e-12)
 
 
-@given(st.lists(st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=40),
-                min_size=1, max_size=8).filter(
-                    lambda rows: len({len(r) for r in rows}) == 1))
+# 1-8 rows of one width in 2-40, the shape drawn first so that no
+# drawn row list has to be thrown away for unequal lengths
+@given(st.tuples(st.integers(1, 8), st.integers(2, 40)).flatmap(
+    lambda shape: st.lists(st.lists(st.floats(-1e4, 1e4), min_size=shape[1],
+                                    max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0])))
 @settings(max_examples=200, deadline=None)
 def test_softmax_rows_sum_to_one(rows):
     logits = np.array(rows, dtype=np.float32)
