@@ -195,6 +195,7 @@ def cmd_eval(ns):
     keys = corpus_mod.load_split_keys(ns.out, ns.split)
     corp = corpus_mod.build_corpus(corpus_mod.parse_descriptions(ns.descriptions))
     store = FeatureStore(ns.manifest, expected_shape=(cfg.frames, cfg.feature_dim))
+    training.check_keys(keys, corp, store)  # before the first decode
     videos = (store.get(key) for key in keys)  # read inside greedy_decode
     predictions = dict(zip(keys, mdl.greedy_decode(params, tok, videos, cfg.max_words)))
     report = evaluation.evaluate_split(predictions, corp, keys, ns.split)

@@ -102,8 +102,8 @@ def _params_from_tensors(t):
 
 
 def training_forward(params, feats, dec_in, video=slice(None)):
-    """Teacher-forced pass over a batch: each feats row encoded once,
-    every caption decoded.
+    """Teacher-forced pass over a batch: each feats row (a distinct video,
+    as training.read_batch stacks them) encoded once, every caption decoded.
 
     feats stacks Bv videos (Bv x frames x D), dec_in holds B captions'
     decoder input word indices (B x T, 0 at padding steps) and video

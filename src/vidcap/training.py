@@ -37,14 +37,12 @@ class TrainConfig:
 def build_samples(keys, corpus, tok, max_words):
     """Teacher-forcing pairs for every (video, caption) in key order, as
     one table (keys, video, dec_in, target): the key list, each sample's
-    (N,) index into it, and (N x max_words) decoder input and target word
-    indices, zero-padded.  A video's samples are consecutive rows.
-
-    Each caption is one sample, shifted by one: decoder input
-    tokens[0..L-2], target tokens[1..L-1].  Captions that shrink below
-    two indices after vocabulary filtering are skipped.  Set-up counts
-    the rows, then fills the table in place.
-    """
+    (N,) index into it, which does not decrease, and (N x max_words)
+    decoder input and target word indices, zero-padded.  Each caption is
+    one sample, shifted by one: decoder input tokens[0..L-2], target
+    tokens[1..L-1].  Captions that shrink below two indices after
+    vocabulary filtering are skipped.  Set-up counts the rows, then
+    fills the table in place."""
     keys = list(keys)
 
     def encoded():  # (video, word indices) of every caption kept, twice
@@ -61,19 +59,35 @@ def build_samples(keys, corpus, tok, max_words):
     return keys, video, dec_in, target
 
 
-def epoch_order(n, seed, epoch):
-    """Sample order for one epoch, derived from (seed, epoch)."""
-    order = list(range(n))
-    fisher_yates(order, np.random.default_rng([seed, epoch]))
-    return order
-
-
 def make_batches(n, batch_size, seed, epoch):
-    """Yield the epoch_order of n sample rows as index arrays of
-    batch_size, plus a final partial batch."""
-    order = np.array(epoch_order(n, seed, epoch), dtype=np.intp)
+    """Yield n sample rows in a Fisher-Yates order seeded by (seed, epoch)
+    as index arrays of batch_size, plus a final partial batch."""
+    order = np.array(fisher_yates(list(range(n)), np.random.default_rng([seed, epoch])))
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]
+
+
+def read_batch(store, keys, video):
+    """Read each distinct video of sample rows' video indices once into
+    one (Bv x frames x D) float32 array, in index order; returns it and
+    the (B,) row map from each sample to its feats row."""
+    distinct = sorted(set(video.tolist()))
+    first = store.get(keys[distinct[0]])
+    feats = np.empty((len(distinct),) + first.shape, dtype=np.float32)
+    feats[0] = first
+    del first  # one read in flight at a time
+    for i, v in enumerate(distinct[1:], 1):
+        feats[i] = store.get(keys[v])
+    return feats, np.searchsorted(distinct, video)
+
+
+def check_keys(keys, corpus, store):
+    """Raise InputError for a key with no manifest entry or no descriptions."""
+    for key in keys:
+        if key not in store:
+            raise InputError(f"video '{key}' has no feature manifest entry")
+        if not corpus.entries.get(key):
+            raise InputError(f"video '{key}' has no descriptions")
 
 
 def accuracy(P, target):
@@ -114,20 +128,18 @@ class MetricsHistory:
 
 def evaluate_samples(params, store, samples):
     """Forward-only mean (loss, accuracy) over a build_samples table;
-    (0, 0) for an empty one.
-
-    One training_forward pass per distinct video decodes all of that
-    video's rows, so each video is read and encoded once.
-    """
+    (0, 0) for an empty one.  Each read_batch and training_forward pass
+    takes the rows of model.EVAL_CHUNK consecutive videos, so each video
+    is read and encoded once."""
     keys, video, dec_in, target = samples
     loss_sum = acc_sum = 0.0
-    for v in dict.fromkeys(video.tolist()):
-        rows = np.flatnonzero(video == v)
-        tgt = target[rows].T
-        P, _ = mdl.training_forward(params, store.get(keys[v])[None], dec_in[rows],
-                                    np.zeros(len(rows), dtype=np.intp))
-        loss_sum += nn.cross_entropy(P, tgt)[0] * len(rows)
-        acc_sum += accuracy(P, tgt) * len(rows)
+    starts = np.unique(video, return_index=True)[1][::mdl.EVAL_CHUNK].tolist()
+    for rows in map(slice, starts, starts[1:] + [len(video)]):
+        feats, row_map = read_batch(store, keys, video[rows])
+        P, _ = mdl.training_forward(params, feats, dec_in[rows], row_map)
+        tgt, n = target[rows].T, rows.stop - rows.start
+        loss_sum += nn.cross_entropy(P, tgt)[0] * n
+        acc_sum += accuracy(P, tgt) * n
     return loss_sum / max(len(video), 1), acc_sum / max(len(video), 1)
 
 
@@ -136,50 +148,37 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
     """Run the optimization loop; returns (params, MetricsHistory).
 
     Per epoch: shuffle the sample table's rows with a seed derived from
-    (seed, epoch), then run each batch of rows as one set of arrays: one
-    (B x frames x D) frame array, a row per caption however the shuffle
-    grouped videos, into which each distinct video is read once, and one
-    training_forward and one training_backward over it and those rows of
-    dec_in and target give the batch-mean gradients that one Adam step
+    (seed, epoch), then run each batch of rows as one set of arrays:
+    read_batch's frames, one encoder row per distinct video, its row map
+    and those rows of dec_in and target go through one training_forward
+    and one training_backward, whose batch-mean gradients one Adam step
     applies; validation follows.  Epoch metrics are per-sample means.
     A non-finite loss or gradient, in training or in validation, raises
     TrainingDiverged before the batch's Adam step; checkpoints already
-    on disk are left in place.
-
-    A batch's activations and gradients are dropped before the next
-    batch's pass, and Adam updates its moments and the weights in place.
-    numpy's overflow/invalid warnings are off in the epoch loop: the
-    finiteness checks report.
+    on disk are left in place.  A batch's activations and gradients are
+    dropped before the next batch's pass, and Adam updates its moments
+    and the weights in place.  numpy's overflow/invalid warnings are off
+    in the epoch loop: the finiteness checks report.
     """
     cfg.validate()
-    for key in list(train_keys) + list(val_keys):
-        if key not in store:
-            raise InputError(f"video '{key}' has no feature manifest entry")
-        if not corpus.entries.get(key):
-            raise InputError(f"video '{key}' has no descriptions")
+    check_keys(list(train_keys) + list(val_keys), corpus, store)
     keys, video, dec_in, target = build_samples(train_keys, corpus, tok, model_cfg.max_words)
     val_samples = build_samples(val_keys, corpus, tok, model_cfg.max_words)
     if not len(video):
         raise InputError("no trainable samples in the training split")
-    opt = nn.AdamState(lr=cfg.lr)
-    history = MetricsHistory()
-    tensors = params.tensors()
+    opt, history, tensors = nn.AdamState(lr=cfg.lr), MetricsHistory(), params.tensors()
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
             loss_sum = acc_sum = 0.0
             try:
                 for rows in make_batches(len(video), cfg.batch_size, cfg.seed, epoch):
-                    vids, tgt = video[rows], target[rows]
-                    feats = np.empty((len(rows), model_cfg.frames, model_cfg.feature_dim),
-                                     dtype=np.float32)
-                    for v in dict.fromkeys(vids.tolist()):  # one read per distinct video
-                        feats[vids == v] = store.get(keys[v])
-                    P, caches = mdl.training_forward(params, feats, dec_in[rows])
-                    loss, grads = mdl.training_backward(params, caches, tgt)
+                    feats, row_map = read_batch(store, keys, video[rows])
+                    P, caches = mdl.training_forward(params, feats, dec_in[rows], row_map)
+                    loss, grads = mdl.training_backward(params, caches, target[rows])
                     if not np.isfinite(loss):
                         raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
                     loss_sum += loss * len(rows)
-                    acc_sum += accuracy(P, tgt.T) * len(rows)
+                    acc_sum += accuracy(P, target[rows].T) * len(rows)
                     nn.adam_step(opt, tensors, grads)
                     del feats, P, caches, grads  # before the next batch's pass
                 val_loss, val_acc = evaluate_samples(params, store, val_samples)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from vidcap import __version__
+from vidcap import model as mdl
 from vidcap.cli import build_parser, main
 from vidcap.features import write_feature_file
 from vidcap.model import (ModelConfig, ModelParams, _write_tensor,
@@ -644,6 +645,33 @@ def test_eval_unknown_split_exits_2(ws):
                            "--split", "dev")
     assert code == 2
     assert "unknown split" in err
+
+
+@pytest.mark.parametrize("missing", ["descriptions", "manifest"])
+def test_eval_checks_split_keys_before_decoding(ws, tmp_path, monkeypatch, missing):
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(ws["data"], data)
+    run.mkdir()
+    for name in ("train.keys", "val.keys", "test.keys", "tokenizer.txt"):
+        shutil.copy(ws["run"] / name, run / name)
+    key = (run / "train.keys").read_text(encoding="utf-8").split()[2]
+    path = data / ("descriptions.txt" if missing == "descriptions" else "manifest.tsv")
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(ln for ln in lines if not ln.startswith(key + "\t")),
+                    encoding="utf-8")
+    steps, decode_step = [], mdl.decode_step
+    monkeypatch.setattr(mdl, "decode_step", lambda *a: steps.append(1) or decode_step(*a))
+    code, out, err = run_cli("eval", "--checkpoint", str(ws["ckpt"]),
+                             "--descriptions", str(data / "descriptions.txt"),
+                             "--manifest", str(data / "manifest.tsv"),
+                             "--out", str(run), "--split", "train")
+    assert code == 2
+    assert out == ""
+    want = "no descriptions" if missing == "descriptions" else "no feature manifest entry"
+    assert err.splitlines() == [f"error: video '{key}' has {want}"]
+    assert steps == []
+    assert not any((run / name).exists()
+                   for name in ("report.csv", "summary.csv", "histogram.csv"))
 
 
 def traced_eval_peak(tmp_path, n_videos):

@@ -15,9 +15,8 @@ from vidcap.model import ModelConfig, ModelParams, _params_from_tensors
 from vidcap.tokenizer import Tokenizer
 from vidcap.training import (EpochMetrics, MetricsHistory, TrainConfig,
                              TrainingDiverged, accuracy, build_samples,
-                             epoch_order, evaluate_samples, make_batches,
-                             train)
-from vidcap.util import InputError
+                             evaluate_samples, make_batches, train)
+from vidcap.util import InputError, fisher_yates
 
 import oracles
 
@@ -27,8 +26,8 @@ MCFG = ModelConfig(frames=8, feature_dim=16, latent=8, max_words=10, vocab=40)
 BATCH_TOL = 5e-7
 
 
-def pipeline(tmp_path):
-    paths = make_fixture(str(tmp_path), n_videos=6, seed=1)
+def pipeline(tmp_path, n_videos=6):
+    paths = make_fixture(str(tmp_path), n_videos=n_videos, seed=1)
     corp = build_corpus(parse_descriptions(paths["descriptions"]))
     keys = sorted(corp.entries)
     tok = Tokenizer(cap=40).fit(c for k in keys for c in corp.entries[k])
@@ -48,6 +47,22 @@ def run_training(tmp_path, lr=1e-3, epochs=3, seed=11, out_dir=None,
 
 def tensor_bytes(params):
     return {k: v.tobytes() for k, v in params.tensors().items()}
+
+
+def count_reads_and_encoder_rows(monkeypatch, store):
+    """Record the key of every store.get and the row count of every
+    encoder recurrence (the MCFG LSTM that reads feature_dim inputs)."""
+    gets, rows = [], []
+    get, lstm_forward = store.get, nn.lstm_forward
+
+    def counting(p, XW, *args):
+        if p.input_dim == MCFG.feature_dim:
+            rows.append(XW.shape[1])  # XW is time-major (T x rows x 4 latent)
+        return lstm_forward(p, XW, *args)
+
+    monkeypatch.setattr(store, "get", lambda key: gets.append(key) or get(key))
+    monkeypatch.setattr(nn, "lstm_forward", counting)
+    return gets, rows
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +103,10 @@ def test_build_samples_skips_captions_below_two_indices():
 
 def test_build_samples_follows_key_order():
     corp, tok = nine_token_setup()
-    corp.entries["w"] = [list(corp.entries["v"][0])]
+    corp.entries["w"] = [list(corp.entries["v"][0])] * 2
     keys, video, _, _ = build_samples(["w", "v"], corp, tok, 10)
-    assert [keys[v] for v in video] == ["w", "v"]
+    assert [keys[v] for v in video] == ["w", "w", "v"]
+    assert (np.diff(video) >= 0).all()  # evaluate_samples' passes rely on it
 
 
 def test_build_samples_keeps_at_most_256_bytes_per_sample():
@@ -123,16 +139,21 @@ def test_build_samples_keeps_at_most_256_bytes_per_sample():
 def test_make_batches_sizes_and_coverage():
     batches = list(make_batches(7, 3, seed=0, epoch=1))
     assert [len(b) for b in batches] == [3, 3, 1]
-    assert np.concatenate(batches).tolist() == epoch_order(7, seed=0, epoch=1)
     assert sorted(np.concatenate(batches).tolist()) == list(range(7))
+    # the Fisher-Yates stream seeded by (seed, epoch), so orders stay bitwise
+    want = fisher_yates(list(range(7)), np.random.default_rng([0, 1]))
+    assert np.concatenate(batches).tolist() == want
 
 
 def test_epoch_order_is_a_deterministic_permutation():
-    a = epoch_order(20, seed=42, epoch=1)
-    assert a == epoch_order(20, seed=42, epoch=1)
+    def order(seed, epoch):
+        return np.concatenate(list(make_batches(20, 6, seed, epoch))).tolist()
+
+    a = order(42, 1)
+    assert a == order(42, 1)
     assert sorted(a) == list(range(20))
-    assert a != epoch_order(20, seed=42, epoch=2)
-    assert a != epoch_order(20, seed=43, epoch=1)
+    assert a != order(42, 2)
+    assert a != order(43, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +240,17 @@ def test_evaluate_samples_empty_table():
     assert evaluate_samples(None, None, empty) == (0.0, 0.0)
 
 
+def per_sample_means(params, store, samples):
+    """evaluate_samples' (loss, accuracy), one training_forward per row."""
+    keys, video, dec_in, target = samples
+    losses, accs = [], []
+    for v, dec, tgt in zip(video, dec_in, target):
+        P, _ = mdl.training_forward(params, store.get(keys[v]), dec)
+        losses.append(nn.cross_entropy(P, tgt)[0])
+        accs.append(accuracy(P, tgt))
+    return sum(losses) / len(video), sum(accs) / len(video)
+
+
 @pytest.mark.parametrize("mixed_lengths", [True, False])
 def test_evaluate_samples_equals_per_sample_forward(tmp_path, mixed_lengths):
     corp, tok, store, keys = pipeline(tmp_path)
@@ -226,15 +258,10 @@ def test_evaluate_samples_equals_per_sample_forward(tmp_path, mixed_lengths):
         corp = DescriptionCorpus({key: [corp.entries[k][0] for k in keys] for key in keys})
     params = ModelParams.init(MCFG, seed=4)
     samples = build_samples(keys, corp, tok, MCFG.max_words)
-    table_keys, video, dec_in, target = samples
+    _, video, _, target = samples
     lengths = np.count_nonzero(target[video == 0], axis=1)
     assert len(lengths) > 1 and (len(set(lengths.tolist())) > 1) == mixed_lengths
-    losses, accs = [], []
-    for v, dec, tgt in zip(video, dec_in, target):
-        P, _ = mdl.training_forward(params, store.get(table_keys[v]), dec)
-        losses.append(nn.cross_entropy(P, tgt)[0])
-        accs.append(accuracy(P, tgt))
-    expected = (sum(losses) / len(video), sum(accs) / len(video))
+    expected = per_sample_means(params, store, samples)
     got = evaluate_samples(params, store, samples)
     assert got == pytest.approx(expected, rel=0, abs=BATCH_TOL)
 
@@ -243,19 +270,25 @@ def test_evaluate_samples_encodes_each_video_once(tmp_path, monkeypatch):
     corp, tok, store, keys = pipeline(tmp_path)
     params = ModelParams.init(MCFG, seed=4)
     samples = build_samples(keys[:4], corp, tok, MCFG.max_words)
-    encoded = []
-    lstm_forward = nn.lstm_forward
-
-    def counting(p, *args):
-        if p is params.encoder:
-            encoded.append(p)
-        return lstm_forward(p, *args)
-
-    monkeypatch.setattr(nn, "lstm_forward", counting)
+    gets, encoded = count_reads_and_encoder_rows(monkeypatch, store)
     evaluate_samples(params, store, samples)
     _, video, _, _ = samples
     assert len(video) > 4
-    assert len(encoded) == len(set(video.tolist())) == 4
+    # one pass: one read and one encoder row per video
+    assert gets == keys[:4] and encoded == [4]
+
+
+def test_evaluate_samples_over_several_passes(tmp_path, monkeypatch):
+    # 35 videos are passes of 16, 16 and 3 (model.EVAL_CHUNK is 16)
+    corp, tok, store, keys = pipeline(tmp_path, n_videos=35)
+    params = ModelParams.init(MCFG, seed=7)
+    samples = build_samples(keys, corp, tok, MCFG.max_words)
+    expected = per_sample_means(params, store, samples)
+    gets, encoded = count_reads_and_encoder_rows(monkeypatch, store)
+    got = evaluate_samples(params, store, samples)
+    assert got == pytest.approx(expected, rel=0, abs=BATCH_TOL)
+    assert len(samples[1]) > 35 and mdl.EVAL_CHUNK == 16
+    assert gets == keys and encoded == [16, 16, 3]
 
 
 def test_non_finite_loss_mid_batch_skips_the_adam_step(tmp_path, monkeypatch):
@@ -288,10 +321,12 @@ def test_training_equals_batch_list_reference(tmp_path):
     """train() against the per-sample loop it replaced: each sample's
     own forward and backward, gradients summed in sample order and
     divided, then the allocating Adam step.  Bitwise at batch size 1;
-    at 4, parameters and train losses within BATCH_TOL."""
+    at 4, where captions of one video share an encoder row, parameters
+    and train losses within BATCH_TOL."""
     corp, tok, store, keys = pipeline(tmp_path)
     samples = build_samples(keys[:5], corp, tok, MCFG.max_words)
     n = len(samples[1])
+    shared = []
     for batch_size in (1, 4):
         params = ModelParams.init(MCFG, seed=6)
         ref = ModelParams.init(MCFG, seed=6)
@@ -301,6 +336,7 @@ def test_training_equals_batch_list_reference(tmp_path):
         for epoch, row in enumerate(history.rows, start=1):
             losses = []
             for rows in make_batches(n, tcfg.batch_size, tcfg.seed, epoch):
+                shared.append(len(np.unique(samples[1][rows])) < len(rows))
                 batch_losses, grads = oracles.batch_gradients_per_sample(
                     ref, store.get, samples, rows)
                 losses += batch_losses
@@ -315,6 +351,7 @@ def test_training_equals_batch_list_reference(tmp_path):
         else:
             for name, t in params.tensors().items():
                 assert np.max(np.abs(t - tensors[name])) <= BATCH_TOL, name
+    assert any(shared)  # some batch of 4 holds two captions of one video
 
 
 def test_train_runs_one_forward_and_backward_per_batch(tmp_path, monkeypatch):
@@ -337,33 +374,26 @@ def test_train_runs_one_forward_and_backward_per_batch(tmp_path, monkeypatch):
     assert n == 15 and calls == {"forward": 2 * batches, "backward": 2 * batches}
 
 
-def test_batch_reads_each_video_once_and_encodes_each_caption(tmp_path, monkeypatch):
+def test_batch_reads_and_encodes_each_distinct_video_once(tmp_path, monkeypatch):
     corp, tok, store, keys = pipeline(tmp_path)
-    n = len(build_samples(keys[:5], corp, tok, MCFG.max_words)[1])
-    gets, encoded = [], []
-    get, lstm_forward = store.get, nn.lstm_forward
-    encoders = []
-
-    def counting(p, XW, *args):
-        if p is encoders[-1]:
-            encoded.append(XW.shape[1])
-        return lstm_forward(p, XW, *args)
-
-    monkeypatch.setattr(store, "get", lambda key: gets.append(key) or get(key))
-    monkeypatch.setattr(nn, "lstm_forward", counting)
-    for batch_size, epochs in ((n, 1), (4, 2)):
+    _, video, _, _ = build_samples(keys[:5], corp, tok, MCFG.max_words)
+    gets, encoded = count_reads_and_encoder_rows(monkeypatch, store)
+    for batch_size, epochs in ((len(video), 1), (4, 2)):
         gets.clear()
         encoded.clear()
-        params = ModelParams.init(MCFG, seed=5)
-        encoders.append(params.encoder)
         tcfg = TrainConfig(batch_size=batch_size, epochs=epochs, lr=1e-3, seed=5)
-        train(params, tcfg, MCFG, keys[:5], [], corp, tok, store)
-        if batch_size == n:
-            # 15 samples of 5 videos in one batch: five reads, 15 encoder rows
-            assert n == 15
-            assert sorted(gets) == sorted(keys[:5]) and encoded == [15]
-    # one row per caption whichever videos the shuffle put in each batch
-    assert encoded == [4, 4, 4, 3] * 2
+        train(ModelParams.init(MCFG, seed=5), tcfg, MCFG, keys[:5], [], corp, tok, store)
+        distinct = [np.unique(video[rows]) for epoch in range(1, epochs + 1)
+                    for rows in make_batches(len(video), batch_size, tcfg.seed, epoch)]
+        # each batch reads its distinct videos once, in index order, and
+        # encodes one row per distinct video
+        assert gets == [keys[v] for d in distinct for v in d]
+        assert encoded == [len(d) for d in distinct]
+        if batch_size == len(video):
+            # 15 captions of 5 videos in one batch: five reads, five rows
+            assert len(video) == 15 and encoded == [5]
+        else:  # some batch of 4 shares a row between captions
+            assert sum(encoded) < 2 * len(video)
 
 
 def test_batch_gradient_equals_per_sample_oracle_float64():
@@ -429,11 +459,12 @@ def test_peak_memory_does_not_grow_with_batch_size(tmp_path):
     # sets until it ends measured 14.2 MB at batch size 15 against 2.8 MB.
     # Batch activations do grow with B.  Per caption, the decoder's
     # (T, B, 4 latent) input rows, gates and gate gradients are
-    # 3 x 10 x 256 x 4 B = 30 KB, and the encoder's own row (each caption
-    # gets one) holds frames x (D + 3 x 4 latent) x 4 B = 32 KB of
-    # features, projected rows, gates and gate gradients.  The 14
-    # further captions may add both (1.73 MB at batch size 1 against
-    # 2.33 MB at 15 measured).
+    # 3 x 10 x 256 x 4 B = 30 KB, and per distinct video in the batch an
+    # encoder row holds frames x (D + 3 x 4 latent) x 4 B = 32 KB of
+    # features, projected rows, gates and gate gradients.  The bound
+    # lets the 14 further captions add both, though the one batch of 15
+    # has only 5 encoder rows (1.71 MB at batch size 1 against 2.02 MB
+    # at 15 measured).
     one = traced_peak(tmp_path / "a", batch_size=1)
     whole = traced_peak(tmp_path / "b", batch_size=15)
     activations = 14 * (3 * 10 * (4 * 64) + 8 * (256 + 3 * 4 * 64)) * 4
@@ -450,8 +481,8 @@ def test_peak_memory_does_not_grow_with_the_split(tmp_path):
 
 
 def test_batch_holds_its_frames_once(tmp_path, monkeypatch):
-    # 15 captions of 5 videos in one batch: its frames are one 15 x 128 KB
-    # array; a stack of the 5 distinct videos kept beside it adds 640 KB
+    # 15 captions of 5 videos in one batch: its frames are one 5 x 128 KB
+    # array, a row per distinct video; a row per caption would be 15 x 128 KB
     seen, forward = [], mdl.training_forward
 
     def traced(params, feats, *args):
@@ -462,7 +493,7 @@ def test_batch_holds_its_frames_once(tmp_path, monkeypatch):
     mcfg = ModelConfig(frames=16, feature_dim=2048, latent=8, max_words=10, vocab=40)
     traced_peak(tmp_path, batch_size=15, mcfg=mcfg)
     frames, peak = seen[0]  # the first batch; tracing starts just before train
-    assert frames == 15 * 16 * 2048 * 4
+    assert frames == 5 * 16 * 2048 * 4
     # the batch array plus one read in flight, before the forward pass
     assert peak <= frames + 256 * 1024, (frames, peak)
 
