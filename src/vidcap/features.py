@@ -73,7 +73,9 @@ def read_feature_file(path):
         m = np.empty((rows, cols), dtype="<f4")
         if fh.readinto(m.reshape(-1).view(np.uint8)) != m.nbytes:
             raise InputError(f"{path}: payload is shorter than its header says")
-    if not np.all(np.isfinite(m)):
+    # min and max, unlike isfinite, build no matrix-sized temporary; an
+    # empty matrix has neither, and nothing to check
+    if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
         raise InputError(f"{path}: non-finite feature entries")
     return m
 

@@ -24,7 +24,9 @@ CHECKPOINT_MAGIC = b"SQ2S"
 CHECKPOINT_VERSION = 1
 MAX_WORDS = 1024  # ~100x the paper's 10, so no header can decode without end
 # videos per encoder GEMM and decoder batch when greedy_decode captions
-# a split: 16 x 80 x 4096 float32 features are a 21 MB chunk buffer
+# a split.  At full size a chunk's working set is 16 x 80 x 4096 float32
+# frames (21 MB), one 80 x 16 x 2048 gate array (10.5 MB, the projection
+# that lstm_forward activates in place) and Hs and Cs (5.3 MB together)
 EVAL_CHUNK = 16
 
 # a checkpoint's eight records, in file order, and the shape the config
@@ -119,7 +121,8 @@ def training_forward(params, feats, dec_in, video=slice(None)):
         feats, dec_in = np.asarray(feats)[None], np.asarray(dec_in)[None]
     _, h, c, enc_cache = _encoder_forward(params, feats)
     dec, steps = params.decoder, np.asarray(dec_in).T
-    XW = np.where((steps > 0)[..., None], dec.W[steps - 1], 0)  # padding reads zeros
+    XW = dec.W[steps - 1]  # a copying gather, which lstm_forward consumes
+    XW[steps == 0] = 0  # padding reads zeros
     H, _, _, dec_cache = nn.lstm_forward(dec, XW, h[video], c[video])
     P = nn.dense_softmax_forward(params.head, H.reshape(-1, dec.hidden))
     P = P.reshape(steps.shape + (-1,))
@@ -187,7 +190,9 @@ def decode_step(params, state, token_index):
     index = np.asarray(token_index)
     if index.min() < 1 or index.max() > V:
         raise InputError(f"token index {token_index} outside [1, {V}]")
-    XW = params.decoder.W[index - 1][None]
+    # np.take copies even for a scalar index, whose basic-indexing row
+    # would be a view of the weights that lstm_forward's gates overwrite
+    XW = np.take(params.decoder.W, index - 1, axis=0)[None]
     H, h, c, _ = nn.lstm_forward(params.decoder, XW, state.h, state.c)
     probs = nn.softmax_rows(H @ params.head.W + params.head.b)[0]
     return probs, DecodeState(h, c)

@@ -8,8 +8,11 @@ The LSTM kernels do the recurrence only: they take the projected input
 XW (T x 4*hidden, row t = x_t W), return its gradient dXW, and leave
 the input kernel W to the caller (one GEMM over dense frames, a row
 gather and a scatter-add for word indices).  lstm_forward is the only
-forward recurrence (a decoder step is a T = 1 call) and its cache is
-three preallocated arrays (Hs, Cs, G), which lstm_backward reads
+forward recurrence (a decoder step is a T = 1 call).  It consumes XW:
+the gates are activated in place, so its cache (Hs, Cs, G) is two
+preallocated state arrays and XW itself as G, and a pass holds one
+T x 4*hidden array, not two.  XW must be a fresh array of U's dtype
+that shares no memory with the weights.  lstm_backward reads the cache
 directly; dU and db are one matrix product each over the sequence.
 
 adam_step updates the parameters and both moments in place, walking
@@ -201,10 +204,16 @@ def lstm_forward(p, XW, h0=None, c0=None):
     tanh, gate = s tanh(s z) + 1 - s with s = 1/2 on the sigmoid blocks
     (sigmoid(z) = tanh(z/2)/2 + 1/2) and s = 1 on g, so none overflows.
 
+    XW is consumed: b is added and the gates are activated in place, and
+    XW itself is returned as the cache's G, so the caller must not read
+    it again.  It must have U's dtype and share no memory with W, U or b
+    (a basic-indexing row of W would be a view of the weights); either
+    violation raises ValueError.
+
     Returns (H, h_T, c_T, cache) with cache = (Hs, Cs, G) and the views
     H = Hs[1:], h_T = Hs[T], c_T = Cs[T].  Hs and Cs are (T+1) x [B x]
     hidden, row 0 the initial state (zeros when None) and row t+1 the
-    state after step t; G (XW's shape) holds the activated gates [i f g o].
+    state after step t; G is XW, now holding the activated gates [i f g o].
     """
     hid = p.hidden
     if XW.ndim not in (2, 3) or XW.shape[-1] != 4 * hid:
@@ -216,12 +225,18 @@ def lstm_forward(p, XW, h0=None, c0=None):
     for name, state in (("h0", h0), ("c0", c0)):
         if state is not None and state.shape != state_shape:
             raise ValueError(f"{name} has shape {state.shape}, expected {state_shape}")
-    dt = np.result_type(XW.dtype, p.U.dtype)
+    dt = p.U.dtype
+    if XW.dtype != dt:
+        raise ValueError(f"sequence has dtype {XW.dtype}, expected U's {dt}")
+    if any(np.may_share_memory(XW, w) for w in (p.W, p.U, p.b)):
+        raise ValueError("sequence shares memory with the weights, which the "
+                         "in-place gates would overwrite")
     Hs = np.empty((T + 1,) + state_shape, dtype=dt)
     Cs = np.empty((T + 1,) + state_shape, dtype=dt)
     Hs[0] = 0 if h0 is None else h0
     Cs[0] = 0 if c0 is None else c0
-    G = np.add(XW, p.b, dtype=dt)
+    G = XW
+    G += p.b
     scale = np.full(4 * hid, 0.5, dtype=dt)
     scale[2 * hid:3 * hid] = 1.0
     shift = 1.0 - scale

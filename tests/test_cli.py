@@ -21,7 +21,7 @@ import pytest
 from vidcap import __version__
 from vidcap import model as mdl
 from vidcap.cli import build_parser, main
-from vidcap.features import write_feature_file
+from vidcap.features import MAGIC, write_feature_file
 from vidcap.model import (ModelConfig, ModelParams, _write_tensor,
                           load_checkpoint, save_checkpoint)
 from vidcap.tokenizer import Tokenizer
@@ -471,6 +471,29 @@ def test_caption_corrupt_checkpoint_exits_2(ws, tmp_path, kind):
     assert len(err.strip().splitlines()) == 1
     assert ("record at byte 28 is not tensor 'encoder.W'" if kind == "name"
             else "'encoder.W' has non-finite") in err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_caption_non_finite_features_exit_2(ws, tmp_path, bad):
+    m = np.zeros((8, 16), dtype="<f4")
+    m[3, 5] = bad
+    path = tmp_path / "bad.vfm"
+    path.write_bytes(MAGIC + struct.pack("<II", 8, 16) + m.tobytes())
+    code, out, err = run_cli("caption", "--checkpoint", str(ws["ckpt"]),
+                             "--tokenizer", str(ws["tok"]), "--features", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {path}: non-finite feature entries"]
+
+
+def test_caption_zero_row_features_exit_1(ws, tmp_path):
+    # a 0-row .vfm reads, then fails the checkpoint's shape without a traceback
+    path = tmp_path / "empty.vfm"
+    write_feature_file(str(path), np.zeros((0, 16), dtype=np.float32))
+    code, out, err = run_cli("caption", "--checkpoint", str(ws["ckpt"]),
+                             "--tokenizer", str(ws["tok"]), "--features", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: features have shape (0, 16), "
+                                "checkpoint expects (8, 16)"]
 
 
 def test_caption_unknown_tensor_checkpoint_exits_2(ws, tmp_path):

@@ -141,6 +141,37 @@ def test_read_rejects_non_finite_payload(tmp_path):
         read_feature_file(write_blob(tmp_path, blob))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 17, 34])
+def test_read_rejects_each_non_finite_value_anywhere(tmp_path, bad, at):
+    m = np.ones(35, dtype="<f4")
+    m[at] = bad
+    blob = MAGIC + struct.pack("<II", 5, 7) + m.tobytes()
+    with pytest.raises(InputError, match="non-finite"):
+        read_feature_file(write_blob(tmp_path, blob))
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0)])
+def test_empty_matrix_round_trips(tmp_path, shape):
+    # an empty matrix has no min or max to check
+    path = str(tmp_path / "e.vfm")
+    write_feature_file(path, np.zeros(shape, dtype=np.float32))
+    back = read_feature_file(path)
+    assert back.shape == shape and back.dtype == np.float32
+
+
+def test_read_returns_every_finite_bit_pattern_unchanged(tmp_path):
+    # random bit patterns with NaN/inf exponents cleared: signed zeros,
+    # subnormals and the extremes come back bit for bit
+    bits = np.random.default_rng(3).integers(0, 2 ** 32, size=(64, 33), dtype=np.uint32)
+    bits[(bits & 0x7F800000) == 0x7F800000] &= 0x807FFFFF
+    bits[0, :4] = [0x80000000, 0x00000001, 0x7F7FFFFF, 0xFF7FFFFF]
+    blob = MAGIC + struct.pack("<II", *bits.shape) + bits.astype("<u4").tobytes()
+    back = read_feature_file(write_blob(tmp_path, blob))
+    assert back.dtype == np.float32 and back.shape == bits.shape
+    assert back.tobytes() == blob[12:]
+
+
 # ---------------------------------------------------------------------------
 # Manifest
 # ---------------------------------------------------------------------------
@@ -175,7 +206,8 @@ def test_manifest_skips_comments_and_blanks(tmp_path):
 
 def test_manifest_rejects_duplicates_missing_files_and_bad_rows(tmp_path):
     manifest = make_corpus_dir(tmp_path)
-    base = open(manifest, encoding="utf-8").read()
+    with open(manifest, encoding="utf-8") as fh:
+        base = fh.read()
     for extra in ("a\tfeat/a.vfm\n", "c\tfeat/nope.vfm\n", "no-tab-here\n"):
         bad = tmp_path / "bad.tsv"
         bad.write_text(base + extra, encoding="utf-8")

@@ -451,6 +451,52 @@ def test_greedy_empty_split_and_misshaped_video():
         greedy_decode(params, tok, videos, TOY.max_words)
 
 
+def test_inference_and_training_passes_leave_the_weights_bitwise_unchanged():
+    # lstm_forward activates its XW in place, so a gather that returned a
+    # view of decoder.W (a scalar index's basic-indexing row) would
+    # overwrite the embedding table with gates
+    tok = small_tokenizer()
+    params = _diverse_params()
+    before = {name: t.tobytes() for name, t in params.tensors().items()}
+    videos = _videos(17)
+    decode_step(params, DecodeState(*encode_video(params, videos[0])), 3)
+    decode_step(params, DecodeState(*encode_video(params, videos[:3])), np.array([3, 3, 5]))
+    greedy_decode(params, tok, videos[0], TOY.max_words)
+    greedy_decode(params, tok, iter(list(videos)), TOY.max_words)  # chunks of 16 and 1
+    feat, dec_in, _ = toy_inputs(15, dtype=np.float32)
+    training_forward(params, feat, dec_in)
+    training_forward(params, videos[:2], np.stack([dec_in, dec_in[::-1]]))
+    assert {name: t.tobytes() for name, t in params.tensors().items()} == before
+    dec = params.decoder
+    with pytest.raises(ValueError, match="shares memory"):
+        nn.lstm_forward(dec, dec.W[2][None])
+    with pytest.raises(ValueError, match="dtype"):
+        nn.lstm_forward(dec, dec.W[2][None].astype(np.float64))
+    assert {name: t.tobytes() for name, t in params.tensors().items()} == before
+
+
+def test_encode_video_peak_is_one_gate_array_and_the_states():
+    # the projection XW becomes the gate array in place: a stacked pass
+    # holds one (T, B, 4 latent) array next to Hs and Cs, not two
+    cfg = ModelConfig(frames=40, feature_dim=8, latent=32, max_words=4, vocab=7)
+    params = ModelParams.init(cfg, seed=11)
+    B = 8
+    feats = np.random.default_rng(11).standard_normal(
+        (B, cfg.frames, cfg.feature_dim)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        encode_video(params, feats)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    xw = 4 * cfg.frames * B * 4 * cfg.latent  # 160 KiB
+    states = 2 * 4 * (cfg.frames + 1) * B * cfg.latent  # Hs and Cs, 82 KiB
+    # slack: numpy's ufunc buffers over the time-major view (8192
+    # elements, 32 KiB) and one step's rows
+    assert peak <= xw + states + 64 * 2**10
+
+
 def test_max_words_cap():
     ModelConfig(max_words=model.MAX_WORDS).validate()
     with pytest.raises(InputError, match="max_words must be at most 1024"):

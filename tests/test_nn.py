@@ -100,7 +100,7 @@ def test_forward_single_step_equals_cell():
     rng = np.random.default_rng(0)
     p = random_lstm(rng, 3, 2)
     XW = rng.standard_normal((1, 3)) @ p.W
-    H, hT, cT, (Hs, Cs, G) = nn.lstm_forward(p, XW)
+    H, hT, cT, (Hs, Cs, G) = nn.lstm_forward(p, XW.copy())
     _, h, c, _ = nn.lstm_forward(p, XW, np.zeros(2), np.zeros(2))
     assert np.array_equal(H[0], h) and np.array_equal(hT, h)
     assert np.array_equal(cT, c)
@@ -115,7 +115,7 @@ def test_forward_equals_chained_cells():
     rng = np.random.default_rng(1)
     p = random_lstm(rng, 3, 2)
     XW = rng.standard_normal((4, 3)) @ p.W
-    H, hT, cT, _ = nn.lstm_forward(p, XW)
+    H, hT, cT, _ = nn.lstm_forward(p, XW.copy())
     h = np.zeros(2)
     c = np.zeros(2)
     for t in range(4):
@@ -187,7 +187,7 @@ def test_forward_batch_matches_per_sequence_calls(case):
     XW = rng.standard_normal((T, B, 4 * hid)).astype(np.float32)
     h0 = rng.standard_normal((B, hid)).astype(np.float32)
     c0 = rng.standard_normal((B, hid)).astype(np.float32)
-    H, hT, cT, (Hs, Cs, G) = nn.lstm_forward(p, XW, h0, c0)
+    H, hT, cT, (Hs, Cs, G) = nn.lstm_forward(p, XW.copy(), h0, c0)
     assert H.shape == (T, B, hid) and hT.shape == cT.shape == (B, hid)
     assert Hs.shape == Cs.shape == (T + 1, B, hid) and G.shape == XW.shape
     for b in range(B):
@@ -208,7 +208,7 @@ def test_chained_steps_at_few_rows_are_bitwise_one_call():
     p = nn.init_lstm_params(rng, 6, hid)
     XW = rng.standard_normal((T, B, 4 * hid)).astype(np.float32)
     h0, c0 = rng.standard_normal((2, B, hid)).astype(np.float32)
-    H, hT, cT, cache = nn.lstm_forward(p, XW, h0, c0)
+    H, hT, cT, cache = nn.lstm_forward(p, XW.copy(), h0, c0)
     h, c, steps = h0, c0, []
     for t in range(T):
         Ht, h, c, step = nn.lstm_forward(p, XW[t:t + 1], h, c)
@@ -253,7 +253,7 @@ def test_forward_batch_zero_state_default():
     p = random_lstm(rng, 3, 2)
     XW = rng.standard_normal((4, 3, 8))
     zeros = np.zeros((3, 2))
-    for x, y in zip(nn.lstm_forward(p, XW)[:3], nn.lstm_forward(p, XW, zeros, zeros)[:3]):
+    for x, y in zip(nn.lstm_forward(p, XW.copy())[:3], nn.lstm_forward(p, XW, zeros, zeros)[:3]):
         assert np.array_equal(x, y)
 
 
@@ -392,7 +392,7 @@ def test_backward_batch_equals_per_sequence_calls(upstream, T, B, hid):
     dH = rng.standard_normal((T, B, hid)) if upstream != "final" else None
     dh_last, dc_last = (rng.standard_normal((2, B, hid)) if upstream != "dH"
                         else (None, None))
-    H, hT, cT, cache = nn.lstm_forward(p, XW, h0, c0)
+    H, hT, cT, cache = nn.lstm_forward(p, XW.copy(), h0, c0)
     dXW, dU, db, dh0, dc0 = nn.lstm_backward(p, cache, dH, dh_last, dc_last)
     dU_sum, db_sum = np.zeros_like(dU), np.zeros_like(db)
     for b in range(B):
