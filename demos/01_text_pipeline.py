@@ -40,7 +40,7 @@ print(f"\n== parsing ==\n  {len(raw.pairs)} captions, {raw.skipped} malformed li
 corp = build_corpus(raw)
 print(f"\n== length filter (6..10 tokens including bos/eos) ==")
 print(f"  kept {corp.kept}, dropped {corp.dropped}")
-for vid in corp.keys():
+for vid in corp.entries:
     for tokens in corp.entries[vid]:
         print(f"  {vid}: {' '.join(tokens)}")
 

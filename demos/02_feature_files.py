@@ -40,7 +40,7 @@ store = FeatureStore(os.path.join(work, "manifest.tsv"))
 first = store.get("clip")
 second = store.get("clip")
 print(f"\n== FeatureStore ==")
-print(f"  ids: {store.ids()}")
+print(f"  ids: {list(store.entries)}")
 print(f"  each get reads the file again: new array {first is not second}, "
       f"equal values {np.array_equal(first, second)}")
 print(f"\nscratch dir: {work}")

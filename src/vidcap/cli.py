@@ -47,7 +47,8 @@ def _add_options(sub, table):
 
 
 def read_config_file(path):
-    """Parse `key = value` lines; `#` comments and blank lines ignored."""
+    """Parse `key = value` lines; `#` comments and blank lines ignored.
+    Hyphens in keys read as underscores, and a key may appear once."""
     values = {}
     try:
         fh = open_text(path)
@@ -61,7 +62,10 @@ def read_config_file(path):
             if "=" not in line:
                 raise InputError(f"{path}:{ln}: expected 'key = value'")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in values:
+                raise InputError(f"{path}:{ln}: duplicate key '{key}'")
+            values[key] = value.strip()
     return values
 
 
@@ -96,12 +100,13 @@ def _resolve_options(ns):
         raise InputError(f"seed must be >= 0, got {ns.seed}")
 
 
+_MODEL, _TRAIN = mdl.ModelConfig, training.TrainConfig  # field defaults = CLI defaults
 _MODEL_OPTS = [
-    (["--frames"], "frames", int, 80, False, "encoder timesteps per video"),
-    (["--feature-dim"], "feature_dim", int, 4096, False, "per-frame feature width"),
-    (["--latent"], "latent", int, 512, False, "LSTM hidden size"),
-    (["--max-words"], "max_words", int, 10, False, "decoder timesteps"),
-    (["--vocab"], "vocab", int, 1500, False, "vocabulary cap"),
+    (["--frames"], "frames", int, _MODEL.frames, False, "encoder timesteps per video"),
+    (["--feature-dim"], "feature_dim", int, _MODEL.feature_dim, False, "per-frame feature width"),
+    (["--latent"], "latent", int, _MODEL.latent, False, "LSTM hidden size"),
+    (["--max-words"], "max_words", int, _MODEL.max_words, False, "decoder timesteps"),
+    (["--vocab"], "vocab", int, _MODEL.vocab, False, "vocabulary cap"),
 ]
 
 
@@ -110,8 +115,9 @@ def _model_config(ns):
                            ns.max_words, ns.vocab).validate()
 
 
-def _load_tokenizer_for(ns, cfg):
-    tok = Tokenizer.load(os.path.join(ns.out, TOKENIZER_FILE))
+def _load_tokenizer(path, cfg):
+    """The tokenizer at path; its cap must be the model's vocabulary size."""
+    tok = Tokenizer.load(path)
     if tok.cap != cfg.vocab:
         raise RuntimeError(f"tokenizer cap {tok.cap} does not match "
                            f"vocabulary size {cfg.vocab}")
@@ -155,7 +161,7 @@ def cmd_train(ns):
     tcfg = training.TrainConfig(
         batch_size=ns.batch_size, epochs=ns.epochs, lr=ns.lr, seed=ns.seed,
         checkpoint_every=ns.checkpoint_every).validate()  # before the costly init
-    tok = _load_tokenizer_for(ns, cfg)
+    tok = _load_tokenizer(os.path.join(ns.out, TOKENIZER_FILE), cfg)
     train_keys = corpus_mod.load_split_keys(ns.out, "train")
     val_keys = corpus_mod.load_split_keys(ns.out, "val")
     corp = corpus_mod.build_corpus(corpus_mod.parse_descriptions(ns.descriptions))
@@ -171,10 +177,7 @@ def cmd_train(ns):
 def cmd_caption(ns):
     """Print the greedy caption for one video or feature file."""
     cfg, params, _ = mdl.load_checkpoint(ns.checkpoint)
-    tok = Tokenizer.load(ns.tokenizer)
-    if tok.cap != cfg.vocab:
-        raise RuntimeError(f"tokenizer cap {tok.cap} does not match "
-                           f"checkpoint vocabulary {cfg.vocab}")
+    tok = _load_tokenizer(ns.tokenizer, cfg)
     if ns.features:
         feat = read_feature_file(ns.features)
     elif ns.video_id and ns.manifest:
@@ -191,7 +194,7 @@ def cmd_caption(ns):
 def cmd_eval(ns):
     """Caption a whole split and write report/summary/histogram CSVs."""
     cfg, params, _ = mdl.load_checkpoint(ns.checkpoint)
-    tok = _load_tokenizer_for(ns, cfg)
+    tok = _load_tokenizer(os.path.join(ns.out, TOKENIZER_FILE), cfg)
     keys = corpus_mod.load_split_keys(ns.out, ns.split)
     corp = corpus_mod.build_corpus(corpus_mod.parse_descriptions(ns.descriptions))
     store = FeatureStore(ns.manifest, expected_shape=(cfg.frames, cfg.feature_dim))
@@ -233,7 +236,7 @@ def build_parser():
         (["--descriptions"], "descriptions", str, None, True, "caption text file"),
         (["--manifest"], "manifest", str, None, True, "feature manifest file"),
         (["--out"], "out", str, None, True, "output directory"),
-        (["--vocab"], "vocab", int, 1500, False, "vocabulary cap"),
+        (["--vocab"], "vocab", int, _MODEL.vocab, False, "vocabulary cap"),
         (["--seed"], "seed", int, 42, False, "split shuffle seed"),
     ])
     p.set_defaults(func=cmd_prepare)
@@ -243,14 +246,14 @@ def build_parser():
         (["--descriptions"], "descriptions", str, None, True, "caption text file"),
         (["--manifest"], "manifest", str, None, True, "feature manifest file"),
         (["--out"], "out", str, None, True, "directory with prepare artifacts"),
-        (["--batch-size"], "batch_size", int, 50, False, "samples per Adam step"),
-        (["--epochs"], "epochs", int, 80, False, "training epochs"),
-        (["--lr"], "lr", float, 1e-4, False, "Adam learning rate"),
-        (["--seed"], "seed", int, 42, False, "init and shuffle seed"),
+        (["--batch-size"], "batch_size", int, _TRAIN.batch_size, False, "samples per Adam step"),
+        (["--epochs"], "epochs", int, _TRAIN.epochs, False, "training epochs"),
+        (["--lr"], "lr", float, _TRAIN.lr, False, "Adam learning rate"),
+        (["--seed"], "seed", int, _TRAIN.seed, False, "init and shuffle seed"),
         (["--threads"], "threads", int, 1, False,
          "accepted, no effect: training runs on one thread; set "
          "OPENBLAS_NUM_THREADS to use more cores"),
-        (["--checkpoint-every"], "checkpoint_every", int, 0, False,
+        (["--checkpoint-every"], "checkpoint_every", int, _TRAIN.checkpoint_every, False,
          "extra checkpoint every N epochs (0 = final only)"),
     ])
     p.set_defaults(func=cmd_train)

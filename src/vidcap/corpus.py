@@ -67,9 +67,6 @@ class DescriptionCorpus:
     kept: int = 0
     dropped: int = 0
 
-    def keys(self):
-        return list(self.entries)
-
 
 def build_corpus(raw):
     """Wrap captions with bos/eos and keep those within the length window.
@@ -138,8 +135,15 @@ def save_split(split, out_dir):
 
 
 def load_split_keys(out_dir, split_name):
+    """A split's video ids in file order; each may be listed once."""
     if split_name not in _SPLIT_FILES:
         raise InputError(f"unknown split '{split_name}'; expected train, val or test")
     path = os.path.join(out_dir, _SPLIT_FILES[split_name])
+    keys = {}
     with open_text(path) as fh:
-        return [line.strip() for line in fh if line.strip()]
+        for ln, key in enumerate(map(str.strip, fh), 1):
+            if key in keys:
+                raise InputError(f"{path}:{ln}: duplicate video id '{key}'")
+            if key:  # blank lines are skipped
+                keys[key] = None
+    return list(keys)

@@ -82,9 +82,6 @@ class EvalReport:
             return 0.0
         return sum(r.bleu for r in self.rows) / len(self.rows)
 
-    def histogram(self):
-        return histogram_counts([r.bleu for r in self.rows])
-
 
 def evaluate_split(predictions, corpus, keys, split_name):
     """Score every key's prediction against all its corpus references.
@@ -147,5 +144,5 @@ def write_summary_csv(path, report):
 def write_histogram_csv(path, report):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("split,bin_low,bin_high,count\n")
-        for low, high, count in report.histogram():
+        for low, high, count in histogram_counts([r.bleu for r in report.rows]):
             fh.write(f"{report.split},{fmt6(low)},{fmt6(high)},{count}\n")

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from .util import InputError, open_text
+from .util import InputError, all_finite, open_text
 
 MAGIC = b"VFM1"
 _HEADER_BYTES = 12
@@ -38,19 +38,27 @@ def decimation_indices(frame_count, target=80):
 
 
 def write_feature_file(path, matrix):
-    """Write a 2-D matrix of finite values as float32 in .vfm format."""
+    """Write a 2-D matrix as float32 in .vfm format.
+
+    Every value must be finite once cast to float32 (1e39 is not); a
+    rejected matrix opens no file.  The payload is the cast array's own
+    buffer, with no bytes copy.
+    """
     m = np.asarray(matrix)
     if m.ndim != 2:
         raise InputError(f"feature matrix must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InputError("feature matrix contains non-finite entries")
     rows, cols = m.shape
     if rows >= 2 ** 32 or cols >= 2 ** 32:
         raise InputError(f"dimensions {rows}x{cols} overflow the 32-bit header")
+    with np.errstate(over="ignore"):  # an overflow is caught as inf below
+        data = np.ascontiguousarray(m, dtype="<f4")
+    if not all_finite(data):
+        raise InputError("feature matrix contains entries that are not finite "
+                         "as float32")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", rows, cols))
-        fh.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
+        fh.write(data)
 
 
 def read_feature_file(path):
@@ -73,9 +81,7 @@ def read_feature_file(path):
         m = np.empty((rows, cols), dtype="<f4")
         if fh.readinto(m.reshape(-1).view(np.uint8)) != m.nbytes:
             raise InputError(f"{path}: payload is shorter than its header says")
-    # min and max, unlike isfinite, build no matrix-sized temporary; an
-    # empty matrix has neither, and nothing to check
-    if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
+    if not all_finite(m):
         raise InputError(f"{path}: non-finite feature entries")
     return m
 
@@ -118,9 +124,6 @@ class FeatureStore:
 
     def __contains__(self, video_id):
         return video_id in self.entries
-
-    def ids(self):
-        return list(self.entries)
 
     def get(self, video_id):
         if video_id not in self.entries:

@@ -19,7 +19,8 @@ WORDS = ("a", "man", "woman", "dog", "cat", "ball", "guitar", "slices",
 
 def make_fixture(out_dir, n_videos=6, seed=1, captions_per_video=3,
                  frames=8, feature_dim=16):
-    """Write a synthetic corpus; fully deterministic per seed.
+    """Write a synthetic corpus, fully deterministic per seed; returns the
+    paths of its "manifest" and "descriptions" files.
 
     Captions draw 4..8 words from an 18-word pool, so every wrapped
     length lands in the 6..10 window and a vocabulary cap of 40 keeps
@@ -37,7 +38,6 @@ def make_fixture(out_dir, n_videos=6, seed=1, captions_per_video=3,
     rng = np.random.default_rng(seed)
     feat_dir = os.path.join(out_dir, "feat")
     os.makedirs(feat_dir, exist_ok=True)
-    captions = {}
     seen = set()
     manifest_lines = []
     desc_lines = []
@@ -49,21 +49,17 @@ def make_fixture(out_dir, n_videos=6, seed=1, captions_per_video=3,
             if words not in seen:
                 seen.add(words)
                 break
-        captions[vid] = " ".join(words)
         raw_frames = int(rng.integers(frames, 10 * frames))
         raw = rng.standard_normal((raw_frames, feature_dim)).astype(np.float32)
         matrix = raw[decimation_indices(raw_frames, frames)]
         rel = os.path.join("feat", vid + ".vfm")
         write_feature_file(os.path.join(out_dir, rel), matrix)
         manifest_lines.append(f"{vid}\t{rel}\n")
-        desc_lines.extend(f"{vid}\t{captions[vid]}\n"
-                          for _ in range(captions_per_video))
+        desc_lines += [f"{vid}\t{' '.join(words)}\n"] * captions_per_video
     manifest_path = os.path.join(out_dir, "manifest.tsv")
     descriptions_path = os.path.join(out_dir, "descriptions.txt")
     with open(manifest_path, "w", encoding="utf-8") as fh:
         fh.writelines(manifest_lines)
     with open(descriptions_path, "w", encoding="utf-8") as fh:
         fh.writelines(desc_lines)
-    return {"manifest": manifest_path,
-            "descriptions": descriptions_path,
-            "captions": captions}
+    return {"manifest": manifest_path, "descriptions": descriptions_path}

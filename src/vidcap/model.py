@@ -18,7 +18,8 @@ import struct
 import numpy as np
 
 from . import nn
-from .util import InputError
+from .corpus import BOS, EOS
+from .util import InputError, all_finite
 
 CHECKPOINT_MAGIC = b"SQ2S"
 CHECKPOINT_VERSION = 1
@@ -184,8 +185,9 @@ class DecodeState:
 
 def decode_step(params, state, token_index):
     """One decoder step on a token index, or on B indices with (B, latent)
-    state rows: a T = 1 lstm_forward over the words' embedding rows.
-    Returns (probs, state), probs (V,) or (B, V)."""
+    state rows: a T = 1 lstm_forward over the words' embedding rows, then
+    the softmax head that training_forward runs.  Returns (probs, state),
+    probs (V,) or (B, V)."""
     V = params.decoder.input_dim
     index = np.asarray(token_index)
     if index.min() < 1 or index.max() > V:
@@ -194,15 +196,15 @@ def decode_step(params, state, token_index):
     # would be a view of the weights that lstm_forward's gates overwrite
     XW = np.take(params.decoder.W, index - 1, axis=0)[None]
     H, h, c, _ = nn.lstm_forward(params.decoder, XW, state.h, state.c)
-    probs = nn.softmax_rows(H @ params.head.W + params.head.b)[0]
-    return probs, DecodeState(h, c)
+    probs = nn.dense_softmax_forward(params.head, H.reshape(-1, H.shape[-1]))
+    return probs.reshape(index.shape + (-1,)), DecodeState(h, c)
 
 
 class DecodeDiverged(RuntimeError):
     """Greedy decoding produced non-finite probabilities."""
 
 
-def greedy_decode(params, tok, feats, max_words=10):
+def greedy_decode(params, tok, feats, max_words=ModelConfig.max_words):
     """Greedy captioning: feed bos, take the argmax, re-feed, stop on eos.
 
     feats is one video's frames x D matrix, which gives its word list,
@@ -217,14 +219,14 @@ def greedy_decode(params, tok, feats, max_words=10):
     step whose probabilities are not all finite (finite weights can
     still overflow) raises DecodeDiverged instead of numpy warnings.
     """
-    bos = tok.word_to_index.get("bos")
-    eos = tok.word_to_index.get("eos")
+    bos = tok.word_to_index.get(BOS)
+    eos = tok.word_to_index.get(EOS)
     if bos is None or eos is None:
-        raise InputError("tokenizer must contain 'bos' and 'eos'")
+        raise InputError(f"tokenizer must contain '{BOS}' and '{EOS}'")
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(feats, np.ndarray) and feats.ndim == 2:
             state = DecodeState(*encode_video(params, feats))
-            return _greedy_rows(params, tok, state, bos, max_words)[0]
+            return _greedy_rows(params, tok, state, bos, bos, eos, max_words)[0]
         captions, videos, chunk, n = [], iter(feats), None, EVAL_CHUNK
         while n == EVAL_CHUNK:
             n = 0
@@ -236,15 +238,15 @@ def greedy_decode(params, tok, feats, max_words=10):
                 chunk[n - 1] = feat
             if n:
                 state = DecodeState(*encode_video(params, chunk[:n]))
-                captions += _greedy_rows(params, tok, state, np.full(n, bos), max_words)
+                captions += _greedy_rows(params, tok, state, np.full(n, bos), bos, eos,
+                                         max_words)
     return captions
 
 
-def _greedy_rows(params, tok, state, prev, max_words):
+def _greedy_rows(params, tok, state, prev, bos, eos, max_words):
     """Greedy steps from state, feeding prev (a token, or one per state
     row), until every row has emitted eos or max_words steps have run;
-    returns each row's words."""
-    bos, eos = tok.word_to_index["bos"], tok.word_to_index["eos"]
+    returns each row's words, without the bos and eos indices."""
     rows = np.arange(np.size(prev))  # the caption each remaining row extends
     words = [[] for _ in rows]
     for step in range(1, max_words + 1):
@@ -344,8 +346,7 @@ def load_checkpoint(path):
             arr = np.empty(shape, dtype="<f4")
             if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
                 raise InputError(f"{path}: tensor '{name}' is missing or truncated")
-            # min and max, unlike isfinite, build no tensor-sized temporary
-            if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            if not all_finite(arr):
                 raise InputError(f"{path}: tensor '{name}' has non-finite values")
             tensors[name] = arr
         if fh.tell() != size:

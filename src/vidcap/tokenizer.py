@@ -47,16 +47,6 @@ class Tokenizer:
         w2i = self.word_to_index
         return [w2i[w] for w in caption if w in w2i]
 
-    def decode(self, indices):
-        """Inverse of encode; every index must name a vocabulary word."""
-        i2w = self.index_to_word
-        words = []
-        for idx in indices:
-            if idx not in i2w:
-                raise InputError(f"index {idx} is not in the vocabulary (1..{self.size})")
-            words.append(i2w[idx])
-        return words
-
     def pad(self, indices, max_len):
         """`indices` zero-padded to a length-max_len int vector; each index
         must lie in [1, cap], the row range of the model's embedding table."""

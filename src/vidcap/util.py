@@ -2,6 +2,8 @@
 
 import io
 
+import numpy as np
+
 
 class InputError(ValueError):
     """Bad user input or artifact contents; maps to CLI exit code 2."""
@@ -16,6 +18,12 @@ def open_text(path):
         return io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not valid UTF-8 (byte {e.start})") from None
+
+
+def all_finite(arr):
+    """Whether every value of arr is finite (an empty array is).  min and
+    max, unlike isfinite, build no array-sized temporary."""
+    return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
 def fisher_yates(items, rng):

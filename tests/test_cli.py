@@ -374,6 +374,44 @@ def test_train_tokenizer_cap_mismatch_exits_1(ws):
     assert "does not match" in err
 
 
+@pytest.mark.parametrize("command", ["caption", "eval"])
+def test_tokenizer_cap_mismatch_exits_1_before_writing(ws, tmp_path, command):
+    # train, caption and eval share one check of the cap against the model
+    run = tmp_path / "run"
+    shutil.copytree(ws["run"], run)
+    tok = run / "tokenizer.txt"
+    tok.write_text(tok.read_text(encoding="utf-8").replace("V=40", "V=41"), encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    if command == "caption":
+        args = ["caption", "--tokenizer", str(tok),
+                "--features", str(ws["data"] / "feat" / "vid001.vfm")]
+    else:
+        args = ["eval", *ws["base"][:4], "--out", str(run), "--split", "train"]
+    code, out, err = run_cli(*args, "--checkpoint", str(ws["ckpt"]))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: tokenizer cap 41 does not match vocabulary size 40"]
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_repeated_split_key_exits_2_before_writing(ws, tmp_path, command):
+    run = tmp_path / "run"
+    shutil.copytree(ws["run"], run)
+    keys = run / "train.keys"
+    listed = keys.read_text(encoding="utf-8").split()
+    keys.write_text("".join(k + "\n" for k in listed + listed[:1]), encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    if command == "train":
+        args = ["train", *MODEL_ARGS, "--epochs", "1"]
+    else:
+        args = ["eval", "--checkpoint", str(ws["ckpt"]), "--split", "train"]
+    code, out, err = run_cli(*args, *ws["base"][:4], "--out", str(run))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: {keys}:{len(listed) + 1}: duplicate video id '{listed[0]}'"]
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
 # ---------------------------------------------------------------------------
 # caption
 # ---------------------------------------------------------------------------
@@ -785,6 +823,17 @@ def test_config_file_supplies_defaults_and_cli_wins(ws, tmp_path):
     assert code == 0
     head = (tmp_path / "b" / "tokenizer.txt").read_text().splitlines()[0]
     assert head == "V=9"
+
+
+@pytest.mark.parametrize("lines", [["lr = 1", "lr = 0.01"],
+                                   ["batch-size = 6", "batch_size = 4"]])
+def test_config_repeated_key_exits_2_before_writing(ws, tmp_path, lines):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    code, out, err = train_writes_nothing(ws, tmp_path, "--config", str(cfg))
+    assert code == 2 and out == ""
+    key = lines[1].split()[0]
+    assert err.splitlines() == [f"error: {cfg}:2: duplicate key '{key}'"]
 
 
 def test_config_rejects_unknown_keys(ws, tmp_path):

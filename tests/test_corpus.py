@@ -91,7 +91,7 @@ def test_filter_window_counts_sentinels():
 
 def test_videos_without_surviving_captions_are_dropped():
     corp = corpus_from([("keep", "a b c d"), ("gone", "x y")])
-    assert corp.keys() == ["keep"]
+    assert list(corp.entries) == ["keep"]
 
 
 def test_filter_tallies_match_scalar_recount():

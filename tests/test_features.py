@@ -1,6 +1,7 @@
 """Feature handling tests: decimation map, .vfm files, manifest, store."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,27 @@ def test_write_rejects_bad_shapes_and_values(tmp_path):
     bad[0, 0] = np.inf
     with pytest.raises(InputError):
         write_feature_file(path, bad)
+    big = np.zeros((2, 2))
+    big[1, 1] = 1e39  # finite as float64, inf as float32
+    with pytest.raises(InputError, match="not finite as float32"):
+        write_feature_file(path, big)
+    assert not (tmp_path / "m.vfm").exists()
+
+
+def test_write_copies_no_matrix(tmp_path):
+    # the payload goes to the file from the array's own buffer
+    m = np.arange(2**20, dtype=np.float32).reshape(1024, 1024)
+    path = str(tmp_path / "m.vfm")
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        write_feature_file(path, m)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert m.nbytes >= 4 * 2**20
+    assert peak <= 2**20
+    assert np.array_equal(read_feature_file(path), m)
 
 
 def write_blob(tmp_path, blob):
@@ -230,7 +252,7 @@ def test_store_without_cache_rereads(tmp_path):
 def test_store_membership_and_ids(tmp_path):
     store = FeatureStore(make_corpus_dir(tmp_path))
     assert "a" in store and "zz" not in store
-    assert sorted(store.ids()) == ["a", "b"]
+    assert sorted(store.entries) == ["a", "b"]
 
 
 def test_store_rejects_unknown_ids_and_bad_shapes(tmp_path):
