@@ -193,9 +193,11 @@ def cmd_caption(ns):
 
 def cmd_eval(ns):
     """Caption a whole split and write report/summary/histogram CSVs."""
+    keys = corpus_mod.load_split_keys(ns.out, ns.split)
+    if not keys:  # a mean over no videos would score nothing
+        raise InputError(f"split '{ns.split}' in {ns.out} has no videos")
     cfg, params, _ = mdl.load_checkpoint(ns.checkpoint)
     tok = _load_tokenizer(os.path.join(ns.out, TOKENIZER_FILE), cfg)
-    keys = corpus_mod.load_split_keys(ns.out, ns.split)
     corp = corpus_mod.build_corpus(corpus_mod.parse_descriptions(ns.descriptions))
     store = FeatureStore(ns.manifest, expected_shape=(cfg.frames, cfg.feature_dim))
     training.check_keys(keys, corp, store)  # before the first decode

@@ -24,11 +24,25 @@ from .util import InputError, all_finite
 CHECKPOINT_MAGIC = b"SQ2S"
 CHECKPOINT_VERSION = 1
 MAX_WORDS = 1024  # ~100x the paper's 10, so no header can decode without end
-# videos per encoder GEMM and decoder batch when greedy_decode captions
-# a split.  At full size a chunk's working set is 16 x 80 x 4096 float32
-# frames (21 MB), one 80 x 16 x 2048 gate array (10.5 MB, the projection
-# that lstm_forward activates in place) and Hs and Cs (5.3 MB together)
+# videos per decoder batch when greedy_decode captions a split.  At full
+# size a chunk's working set is one ENCODE_GROUP of frames (8 x 80 x 4096
+# float32, 10.5 MB), the chunk's 80 x 16 x 2048 projection (10.5 MB,
+# which lstm_forward activates in place as the gates) and one
+# ENCODE_SLICE of Hs and Cs (17 x 16 x 512 each, 1.1 MB together)
 EVAL_CHUNK = 16
+# videos whose frames greedy_decode projects with one encoder.W GEMM.
+# Row blocks of a GEMM round as the whole product does, so the group
+# size changes no output bit.  eval over 101 full-size videos (one BLAS
+# thread, one pinned CPU, 2-core Xeon) peaked at 130.8 MB ru_maxrss with
+# a 16-video frame stack and one 80-step call, 114.4 MB with 8-video
+# groups.  4-video groups read 103.8 MB, but four 320-row GEMMs took
+# 230 ms where one 1280-row GEMM took 196 and two 640-row GEMMs 202
+ENCODE_GROUP = 8
+# encoder steps per lstm_forward call at inference, so only one slice's
+# Hs and Cs are alive; chained calls round as one call does.  With
+# 8-video groups, eval's peak above fell from 114.4 to 109.3 MB, as low
+# as one-step slices read
+ENCODE_SLICE = 16
 
 # a checkpoint's eight records, in file order, and the shape the config
 # gives each
@@ -162,19 +176,44 @@ def training_backward(params, caches, target):
     return loss, grads
 
 
-def _encoder_forward(params, feat):
-    """encode_video's pass; returns lstm_forward's (H, h, c, cache)."""
+def _project(params, feat):
+    """feat @ encoder.W for one video (frames x D) or for B stacked ones
+    (B x frames x D, one GEMM), time-major as the recurrence steps."""
     feat = np.asarray(feat)
     XW = feat.reshape(-1, feat.shape[-1]) @ params.encoder.W
     if feat.ndim == 3:  # rows are video-major; the recurrence steps time
         XW = XW.reshape(feat.shape[0], feat.shape[1], -1).swapaxes(0, 1)
-    return nn.lstm_forward(params.encoder, XW)
+    return XW
+
+
+def _encoder_forward(params, feat):
+    """training_forward's encoder pass, one lstm_forward call whose cache
+    backward needs; returns its (H, h, c, cache)."""
+    return nn.lstm_forward(params.encoder, _project(params, feat))
+
+
+def _final_state(params, XW):
+    """Final encoder (h, c) over the time-major projection XW (frames x
+    [B x] 4 latent), which it consumes.
+
+    The recurrence runs as lstm_forward calls over ENCODE_SLICE-step
+    slices of XW, each starting from copies of the previous slice's
+    final state, so one slice's Hs and Cs are alive at a time.  The rows
+    and U's row panels are those of one call, so the result is bitwise
+    that of _encoder_forward.
+    """
+    h = c = None
+    for t in range(0, len(XW), ENCODE_SLICE):
+        h, c = [s.copy() for s in nn.lstm_forward(params.encoder,
+                                                  XW[t:t + ENCODE_SLICE], h, c)[1:3]]
+    return h, c
 
 
 def encode_video(params, feat):
     """Final encoder state of one video (frames x D) or of B stacked ones
-    (B x frames x D, one GEMM with encoder.W); frame outputs are dropped."""
-    return _encoder_forward(params, feat)[1:3]
+    (B x frames x D): one GEMM with encoder.W, then _final_state's
+    slices; frame outputs are dropped."""
+    return _final_state(params, _project(params, feat))
 
 
 @dataclass
@@ -209,9 +248,13 @@ def greedy_decode(params, tok, feats, max_words=ModelConfig.max_words):
 
     feats is one video's frames x D matrix, which gives its word list,
     or an iterable of such matrices, which gives their word lists.  The
-    iterable is read lazily into one EVAL_CHUNK-video buffer, so memory
-    is bounded by the chunk; each chunk is one encode_video pass whose
-    rows step together, each leaving the batch at its eos.
+    iterable is read lazily, EVAL_CHUNK videos per chunk whose rows step
+    together, each leaving the batch at its eos.  A chunk's videos are
+    copied into one reused ENCODE_GROUP-video frame buffer, and each
+    full group (and the last partial one) is projected with one GEMM
+    into its rows of one reused EVAL_CHUNK-row XW; _final_state then
+    encodes the chunk a slice of steps at a time.  Memory is bounded by
+    one group of frames, one chunk's XW and one slice of states.
 
     At most max_words steps run and no list contains a sentinel.  The
     argmax runs over the fitted vocabulary (ties to the lowest index); a
@@ -227,20 +270,33 @@ def greedy_decode(params, tok, feats, max_words=ModelConfig.max_words):
         if isinstance(feats, np.ndarray) and feats.ndim == 2:
             state = DecodeState(*encode_video(params, feats))
             return _greedy_rows(params, tok, state, bos, bos, eos, max_words)[0]
-        captions, videos, chunk, n = [], iter(feats), None, EVAL_CHUNK
+        W = params.encoder.W
+        captions, videos, group, n = [], iter(feats), None, EVAL_CHUNK
         while n == EVAL_CHUNK:
             n = 0
             for n, feat in enumerate(itertools.islice(videos, EVAL_CHUNK), 1):
-                if chunk is None:
-                    chunk = np.empty((EVAL_CHUNK,) + feat.shape, dtype=feat.dtype)
-                if feat.shape != chunk.shape[1:]:
-                    raise ValueError(f"video shape {feat.shape} is not {chunk.shape[1:]}")
-                chunk[n - 1] = feat
+                if group is None:
+                    group = np.empty((ENCODE_GROUP,) + feat.shape, dtype=feat.dtype)
+                    XW = np.empty((EVAL_CHUNK, feat.shape[0], W.shape[1]),
+                                  dtype=np.result_type(feat.dtype, W.dtype))
+                if feat.shape != group.shape[1:]:
+                    raise ValueError(f"video shape {feat.shape} is not {group.shape[1:]}")
+                group[(n - 1) % ENCODE_GROUP] = feat
+                if n % ENCODE_GROUP == 0:
+                    _project_group(group, W, XW[n - ENCODE_GROUP:n])
+            if n % ENCODE_GROUP:
+                _project_group(group, W, XW[n - n % ENCODE_GROUP:n])
             if n:
-                state = DecodeState(*encode_video(params, chunk[:n]))
+                state = DecodeState(*_final_state(params, XW[:n].swapaxes(0, 1)))
                 captions += _greedy_rows(params, tok, state, np.full(n, bos), bos, eos,
                                          max_words)
     return captions
+
+
+def _project_group(group, W, out):
+    """out (g x frames x 4 latent) = the first g videos of group @ W, one GEMM."""
+    g = len(out)
+    np.matmul(group[:g].reshape(-1, group.shape[-1]), W, out=out.reshape(-1, W.shape[1]))
 
 
 def _greedy_rows(params, tok, state, prev, bos, eos, max_words):

@@ -125,6 +125,17 @@ def cross_entropy_one_hot(P, Y):
     return loss, d_logits
 
 
+def softmax_rows_reference(logits):
+    """The allocating softmax the in-place one replaced, verbatim: a new
+    float64 array for the cast, the shift, exp and the quotient.
+    nn.softmax_rows must match it bitwise."""
+    work = np.result_type(logits.dtype, np.float64)
+    shifted = logits.astype(work) - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=-1, keepdims=True)
+    return p.astype(logits.dtype)
+
+
 def adam_step_reference(state, params, grads):
     """The allocating Adam step the blocked in-place one replaced, verbatim.
 

@@ -13,7 +13,6 @@ import struct
 import subprocess
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +24,8 @@ from vidcap.features import MAGIC, write_feature_file
 from vidcap.model import (ModelConfig, ModelParams, _write_tensor,
                           load_checkpoint, save_checkpoint)
 from vidcap.tokenizer import Tokenizer
+
+from memtrace import traced
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODEL_ARGS = ["--frames", "8", "--feature-dim", "16", "--latent", "8",
@@ -708,6 +709,23 @@ def test_eval_unknown_split_exits_2(ws):
     assert "unknown split" in err
 
 
+def test_eval_empty_split_exits_2_before_reading_the_checkpoint(ws, tmp_path, monkeypatch):
+    # the fixture's 6 videos split 5/1/0, and eval's default split is test
+    run = tmp_path / "run"
+    shutil.copytree(ws["run"], run, ignore=shutil.ignore_patterns("*.csv"))
+    assert (run / "test.keys").read_text(encoding="utf-8").split() == []
+    loads = []
+    monkeypatch.setattr(mdl, "load_checkpoint", loads.append)
+    code, out, err = run_cli("eval", "--checkpoint", str(ws["ckpt"]),
+                             "--descriptions", str(ws["data"] / "descriptions.txt"),
+                             "--manifest", str(ws["data"] / "manifest.tsv"),
+                             "--out", str(run))
+    assert code == 2
+    assert out == "" and loads == []
+    assert err.splitlines() == [f"error: split 'test' in {run} has no videos"]
+    assert not any(run.glob("*.csv"))
+
+
 @pytest.mark.parametrize("missing", ["descriptions", "manifest"])
 def test_eval_checks_split_keys_before_decoding(ws, tmp_path, monkeypatch, missing):
     data, run = tmp_path / "data", tmp_path / "run"
@@ -746,14 +764,8 @@ def traced_eval_peak(tmp_path, n_videos):
     assert run_cli("prepare", *base, "--vocab", "40")[0] == 0
     cfg = ModelConfig(frames=16, feature_dim=2048, latent=8, max_words=10, vocab=40)
     save_checkpoint(str(run / "init.sq2s"), cfg, ModelParams.init(cfg, seed=3))
-    tracemalloc.start()
-    try:
-        live = tracemalloc.get_traced_memory()[0]
-        code, _, err = run_cli("eval", "--checkpoint", str(run / "init.sq2s"),
-                               *base, "--split", "train")
-        peak = tracemalloc.get_traced_memory()[1] - live
-    finally:
-        tracemalloc.stop()
+    (code, _, err), _, peak = traced(run_cli, "eval", "--checkpoint",
+                                     str(run / "init.sq2s"), *base, "--split", "train")
     assert code == 0, err
     return peak
 
@@ -764,6 +776,14 @@ def test_eval_peak_memory_does_not_grow_with_the_split(tmp_path):
     small = traced_eval_peak(tmp_path / "a", n_videos=6)
     large = traced_eval_peak(tmp_path / "b", n_videos=30)
     assert large <= small + 256 * 1024, (small, large)
+
+
+def test_eval_peak_holds_one_group_of_frames(tmp_path):
+    # 27 videos: a chunk's frames pass through one ENCODE_GROUP-video
+    # buffer (8 x 128 KB), not a stack of its 16 videos (16 x 128 KB);
+    # the stack peaked at 2,703 KiB here, the group at 1,677 KiB
+    peak = traced_eval_peak(tmp_path, n_videos=30)
+    assert peak <= 1920 * 2**10, peak
 
 
 def _overflowing_checkpoint(ws, path):

@@ -1,7 +1,6 @@
 """Feature handling tests: decimation map, .vfm files, manifest, store."""
 
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,8 @@ from vidcap.features import (MAGIC, FeatureStore, decimation_indices,
                              load_manifest, read_feature_file,
                              write_feature_file)
 from vidcap.util import InputError
+
+from memtrace import traced
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +118,7 @@ def test_write_copies_no_matrix(tmp_path):
     # the payload goes to the file from the array's own buffer
     m = np.arange(2**20, dtype=np.float32).reshape(1024, 1024)
     path = str(tmp_path / "m.vfm")
-    tracemalloc.start()
-    try:
-        live = tracemalloc.get_traced_memory()[0]
-        write_feature_file(path, m)
-        peak = tracemalloc.get_traced_memory()[1] - live
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(write_feature_file, path, m)
     assert m.nbytes >= 4 * 2**20
     assert peak <= 2**20
     assert np.array_equal(read_feature_file(path), m)

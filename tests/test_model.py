@@ -1,7 +1,6 @@
 """Model assembly tests: counts, training pass, inference, checkpoints."""
 
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from vidcap.model import (CHECKPOINT_MAGIC, DecodeState, ModelConfig,
 from vidcap.tokenizer import Tokenizer
 from vidcap.util import InputError
 
+from memtrace import traced
 import oracles
 
 TOY = ModelConfig(frames=5, feature_dim=3, latent=4, max_words=4, vocab=7)
@@ -89,13 +89,7 @@ def test_init_matches_householder_oracle(seed):
 def test_init_peak_memory_is_the_tensors_it_keeps():
     # no tensor-sized float64 draw: one GLOROT_BLOCK of draws and the
     # float64 orthogonal factors (256 x 64 here) are the transients
-    tracemalloc.start()
-    try:
-        live = tracemalloc.get_traced_memory()[0]
-        params = ModelParams.init(WIDE, seed=3)
-        peak = tracemalloc.get_traced_memory()[1] - live
-    finally:
-        tracemalloc.stop()
+    params, _, peak = traced(ModelParams.init, WIDE, seed=3)
     kept = sum(t.nbytes for t in params.tensors().values())
     assert params.encoder.W.nbytes == 4 * 2**20
     assert peak - kept <= 2 * 2**20
@@ -204,6 +198,48 @@ def test_encode_video_is_order_sensitive():
     h1, _ = encode_video(params, feat)
     h2, _ = encode_video(params, feat[::-1].copy())
     assert not np.allclose(h1, h2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1, 4, 16])
+@pytest.mark.parametrize("frames", [1, 15, 16, 17, 40])
+def test_sliced_encoder_state_is_bitwise_one_call(frames, rows, dtype):
+    # ENCODE_SLICE-step calls chained on copies of the final state round
+    # as _encoder_forward's one call; at latent 256, 4 rows take U in
+    # row panels and 16 rows one product
+    cfg = ModelConfig(frames=frames, feature_dim=8, latent=256, max_words=4, vocab=7)
+    params = ModelParams.init(cfg, seed=frames + rows, dtype=dtype)
+    assert len(nn.recurrent_panels(4, cfg.latent)) > 1
+    shape = (rows, frames, cfg.feature_dim) if rows > 1 else (frames, cfg.feature_dim)
+    feats = np.random.default_rng(rows).standard_normal(shape).astype(dtype)
+    _, h_one, c_one, _ = model._encoder_forward(params, feats)
+    h, c = encode_video(params, feats)
+    assert h.dtype == c.dtype == dtype
+    assert np.array_equal(h, h_one) and np.array_equal(c, c_one)
+
+
+@pytest.mark.parametrize("n", [5, 8, 16, 19, 35])
+def test_greedy_chunk_state_is_bitwise_one_stacked_call(monkeypatch, n):
+    # each chunk is projected in ENCODE_GROUP-video GEMMs (a partial
+    # group last) and encoded in slices: its decoder starts from the
+    # state one call over the stacked chunk gives
+    cfg = ModelConfig(frames=21, feature_dim=24, latent=16, max_words=4, vocab=7)
+    params = ModelParams.init(cfg, seed=n)
+    videos = np.random.default_rng(n).standard_normal(
+        (n, cfg.frames, cfg.feature_dim)).astype(np.float32)
+    starts, rows = [], model._greedy_rows
+
+    def recording(params, tok, state, *args):
+        starts.append((state.h.copy(), state.c.copy()))
+        return rows(params, tok, state, *args)
+
+    monkeypatch.setattr(model, "_greedy_rows", recording)
+    greedy_decode(params, small_tokenizer(), iter(list(videos)), cfg.max_words)
+    chunks = range(0, n, model.EVAL_CHUNK)
+    assert len(starts) == len(chunks)
+    for (h, c), s in zip(starts, chunks):
+        _, h_one, c_one, _ = model._encoder_forward(params, videos[s:s + model.EVAL_CHUNK])
+        assert np.array_equal(h, h_one) and np.array_equal(c, c_one)
 
 
 def test_decode_step_zero_params_uniform():
@@ -476,25 +512,21 @@ def test_inference_and_training_passes_leave_the_weights_bitwise_unchanged():
 
 
 def test_encode_video_peak_is_one_gate_array_and_the_states():
-    # the projection XW becomes the gate array in place: a stacked pass
-    # holds one (T, B, 4 latent) array next to Hs and Cs, not two
+    # the projection XW becomes the gate array in place, and the
+    # recurrence runs in ENCODE_SLICE-step calls: a stacked pass holds
+    # one (T, B, 4 latent) array and one slice's Hs and Cs, not two gate
+    # arrays or every step's states (the single call peaked at 282,192 B)
     cfg = ModelConfig(frames=40, feature_dim=8, latent=32, max_words=4, vocab=7)
     params = ModelParams.init(cfg, seed=11)
     B = 8
     feats = np.random.default_rng(11).standard_normal(
         (B, cfg.frames, cfg.feature_dim)).astype(np.float32)
-    tracemalloc.start()
-    try:
-        live = tracemalloc.get_traced_memory()[0]
-        encode_video(params, feats)
-        peak = tracemalloc.get_traced_memory()[1] - live
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(encode_video, params, feats)
     xw = 4 * cfg.frames * B * 4 * cfg.latent  # 160 KiB
-    states = 2 * 4 * (cfg.frames + 1) * B * cfg.latent  # Hs and Cs, 82 KiB
+    states = 2 * 4 * (model.ENCODE_SLICE + 1) * B * cfg.latent  # Hs and Cs, 34 KiB
     # slack: numpy's ufunc buffers over the time-major view (8192
-    # elements, 32 KiB) and one step's rows
-    assert peak <= xw + states + 64 * 2**10
+    # elements, 32 KiB), one step's rows and the copied final state
+    assert peak <= xw + states + 64 * 2**10 < 282_192
 
 
 def test_max_words_cap():
@@ -528,13 +560,7 @@ def test_checkpoint_bytes_match_the_tobytes_writer(tmp_path, monkeypatch):
 def test_checkpoint_save_copies_no_tensor(tmp_path):
     # each payload goes to the file from the array's own buffer
     params = ModelParams.init(WIDE, seed=3)
-    tracemalloc.start()
-    try:
-        live = tracemalloc.get_traced_memory()[0]
-        save_checkpoint(tmp_path / "model.sq2s", WIDE, params)
-        peak = tracemalloc.get_traced_memory()[1] - live
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(save_checkpoint, tmp_path / "model.sq2s", WIDE, params)
     assert params.encoder.W.nbytes >= 4 * 2**20
     assert peak <= 2**20
 
@@ -696,18 +722,16 @@ def test_checkpoint_nonfinite_weights(tmp_path, name, bad):
 def test_checkpoint_oversized_dims_rejected_before_allocation(tmp_path):
     # only encoder.W's record header is present; its payload would be
     # ~2**66 bytes (past int64) or 64 MB
+    def rejected(path):
+        with pytest.raises(InputError, match="'encoder.W' is missing or truncated"):
+            load_checkpoint(path)
+
     path = tmp_path / "model.sq2s"
     for feature_dim, latent in [(2**32 - 1, 2**30 - 1), (4096, 1024)]:
         path.write_bytes(CHECKPOINT_MAGIC
                          + struct.pack("<6I", 1, 1, feature_dim, latent, 1, 1)
                          + model._record_header("encoder.W", (feature_dim, 4 * latent)))
-        tracemalloc.start()
-        try:
-            with pytest.raises(InputError, match="'encoder.W' is missing or truncated"):
-                load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(rejected, path)
         assert peak < 64 * 1024
 
 

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vidcap import nn
+from memtrace import traced
 from oracles import (adam_step_reference, cross_entropy_one_hot, glorot_uniform_one_shot,
                      lstm_backward_outer, lstm_cell_scalar, one_hot_rows,
-                     orthogonal_householder)
+                     orthogonal_householder, softmax_rows_reference)
 
 
 def random_lstm(rng, in_dim, hid, dtype=np.float64, scale=0.5):
@@ -468,6 +469,25 @@ def test_softmax_rows_sum_to_one(rows):
     sums = P.sum(axis=1, dtype=np.float64)
     assert np.all(np.abs(sums - 1.0) <= 1e-6)
     assert np.all(P >= 0.0) and np.all(P <= 1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 1500), (16, 1500), (10, 50, 1500), (3, 7)])
+def test_softmax_in_place_matches_the_allocating_formula(shape, dtype):
+    logits = (8 * np.random.default_rng(len(shape)).standard_normal(shape)).astype(dtype)
+    before = logits.copy()
+    P = nn.softmax_rows(logits)
+    want = softmax_rows_reference(logits)
+    assert P.dtype == want.dtype == dtype and np.array_equal(P, want)
+    assert np.array_equal(logits, before)  # the input is left as it was
+
+
+def test_softmax_peak_is_the_cast_and_the_result():
+    # float32 logits: one float64 work array (2x their bytes) and the
+    # float32 result (1x); a new array per operation peaked at ~7x
+    logits = np.random.default_rng(0).standard_normal((640, 1500)).astype(np.float32)
+    _, _, peak = traced(nn.softmax_rows, logits)
+    assert peak <= 3 * logits.nbytes + 2**20, peak / logits.nbytes
 
 
 def test_cross_entropy_perfect_prediction_zero_loss():

@@ -18,6 +18,7 @@ from vidcap.training import (EpochMetrics, MetricsHistory, TrainConfig,
                              evaluate_samples, make_batches, train)
 from vidcap.util import InputError, fisher_yates
 
+from memtrace import traced
 import oracles
 
 MCFG = ModelConfig(frames=8, feature_dim=16, latent=8, max_words=10, vocab=40)
@@ -120,13 +121,7 @@ def test_build_samples_keeps_at_most_256_bytes_per_sample():
     corp, keys = DescriptionCorpus(entries), list(entries)
     tok = Tokenizer(cap=40).fit(c for caps in entries.values() for c in caps)
     n = 250 * 8
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        table = build_samples(keys, corp, tok, 10)
-        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
+    table, kept, peak = traced(build_samples, keys, corp, tok, 10)
     assert len(table[1]) == n
     assert kept <= 256 * n, kept / n
     assert peak <= 256 * n, peak / n
@@ -444,13 +439,7 @@ def traced_peak(tmp_path, batch_size, n_videos=6,
     store = FeatureStore(paths["manifest"])
     params = ModelParams.init(mcfg, seed=3)
     tcfg = TrainConfig(batch_size=batch_size, epochs=2, lr=1e-3, seed=3)
-    tracemalloc.start()
-    try:
-        live = tracemalloc.get_traced_memory()[0]
-        train(params, tcfg, mcfg, keys[:-1], keys[-1:], corp, tok, store)
-        return tracemalloc.get_traced_memory()[1] - live
-    finally:
-        tracemalloc.stop()
+    return traced(train, params, tcfg, mcfg, keys[:-1], keys[-1:], corp, tok, store)[2]
 
 
 def test_peak_memory_does_not_grow_with_batch_size(tmp_path):
