@@ -90,17 +90,40 @@ def param_count(cfg):
 
 @dataclass
 class ModelParams:
+    """The model's eight TENSOR_ORDER tensors, as views that tile one
+    contiguous 1-D buffer, flat, back to back in that order.
+
+    Adam updates flat in one pass (nn.adam_step), and a training run's
+    gradients are one buffer of the same layout, whose named views
+    views(buffer) gives.  Build one with init, _params_from_tensors or
+    load_checkpoint; each fills the views of a new buffer in place.
+    """
+
     encoder: nn.LstmParams
     decoder: nn.LstmParams
     head: nn.DenseParams
+    flat: np.ndarray
+
+    @classmethod
+    def empty(cls, shapes, dtype):
+        """Uninitialized parameters: a new buffer that the TENSOR_ORDER
+        shapes (a name -> shape dict) tile."""
+        flat = np.empty(sum(math.prod(s) for s in shapes.values()), dtype=dtype)
+        t = _tile(flat, shapes)
+        return cls(nn.LstmParams(t["encoder.W"], t["encoder.U"], t["encoder.b"]),
+                   nn.LstmParams(t["decoder.W"], t["decoder.U"], t["decoder.b"]),
+                   nn.DenseParams(t["head.W"], t["head.b"]), flat)
 
     @classmethod
     def init(cls, cfg, seed, dtype=np.float32):
-        """Seeded initialization; identical seeds give identical tensors."""
+        """Seeded initialization; identical seeds give identical tensors.
+        Each initializer fills its views of one new buffer in place."""
+        params = cls.empty(_shapes(cfg), dtype)
         rng = np.random.default_rng(seed)
-        return cls(nn.init_lstm_params(rng, cfg.feature_dim, cfg.latent, dtype),
-                   nn.init_lstm_params(rng, cfg.vocab, cfg.latent, dtype),
-                   nn.init_dense_params(rng, cfg.latent, cfg.vocab, dtype))
+        nn.init_lstm_params(rng, cfg.feature_dim, cfg.latent, out=params.encoder)
+        nn.init_lstm_params(rng, cfg.vocab, cfg.latent, out=params.decoder)
+        nn.init_dense_params(rng, cfg.latent, cfg.vocab, out=params.head)
+        return params
 
     def tensors(self):
         """Named parameter tensors in the fixed checkpoint order."""
@@ -110,12 +133,33 @@ class ModelParams:
                 "decoder.b": self.decoder.b,
                 "head.W": self.head.W, "head.b": self.head.b}
 
+    def views(self, buffer):
+        """Named views of buffer (1-D, flat's size) laid out as the tensors."""
+        return _tile(buffer, {k: t.shape for k, t in self.tensors().items()})
+
+
+def _shapes(cfg):
+    return {name: make_shape(cfg) for name, make_shape in _EXPECTED_SHAPES.items()}
+
+
+def _tile(flat, shapes):
+    """Named views of consecutive pieces of flat, one per shape, in order."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        stop = start + math.prod(shape)
+        views[name] = flat[start:stop].reshape(shape)
+        start = stop
+    return views
+
 
 def _params_from_tensors(t):
-    return ModelParams(
-        nn.LstmParams(t["encoder.W"], t["encoder.U"], t["encoder.b"]),
-        nn.LstmParams(t["decoder.W"], t["decoder.U"], t["decoder.b"]),
-        nn.DenseParams(t["head.W"], t["head.b"]))
+    """ModelParams holding copies of the TENSOR_ORDER tensors in dict t,
+    in one buffer of their common dtype."""
+    params = ModelParams.empty({k: t[k].shape for k in TENSOR_ORDER},
+                               np.result_type(*t.values()))
+    for name, view in params.tensors().items():
+        view[...] = t[name]
+    return params
 
 
 def training_forward(params, feats, dec_in, video=slice(None)):
@@ -144,7 +188,7 @@ def training_forward(params, feats, dec_in, video=slice(None)):
     return (P[:, 0] if single else P), (feats, video, enc_cache, steps, dec_cache, H, P)
 
 
-def training_backward(params, caches, target):
+def training_backward(params, caches, target, grads=None):
     """Batch-mean loss and parameter gradients for a cached training_forward pass.
 
     target ((B, T), or (T,) for one caption) holds each step's correct
@@ -153,26 +197,33 @@ def training_backward(params, caches, target):
     The (dh0, dc0) rows of captions that share a video are summed before
     the encoder's backward, which is exact: lstm_backward is linear in
     them.
+    Every gradient is written in place into its view in grads, the
+    named views params.views gives of a buffer laid out as params.flat
+    (train passes those of its one buffer per run), or of a new buffer
+    when grads is None.  Returns (loss, grads).
     """
     feats, video, enc_cache, steps, dec_cache, H, P = caches
+    if grads is None:
+        grads = params.views(np.empty_like(params.flat))
     loss, d_logits = nn.cross_entropy(P, np.atleast_2d(target).T)
-    dW_h, db_h, dH = nn.dense_softmax_backward(params.head, H.reshape(-1, H.shape[-1]),
-                                               d_logits.reshape(-1, P.shape[-1]))
-    dXW_d, dU_d, db_d, dh0, dc0 = nn.lstm_backward(params.decoder, dec_cache,
-                                                   dH.reshape(H.shape))
-    dW_d = np.zeros_like(params.decoder.W)
+    _, _, dH = nn.dense_softmax_backward(params.head, H.reshape(-1, H.shape[-1]),
+                                         d_logits.reshape(-1, P.shape[-1]),
+                                         out=(grads["head.W"], grads["head.b"]))
+    dXW_d, _, _, dh0, dc0 = nn.lstm_backward(params.decoder, dec_cache,
+                                             dH.reshape(H.shape),
+                                             out=(grads["decoder.U"], grads["decoder.b"]))
+    dW_d = grads["decoder.W"]
+    dW_d[...] = 0
     # row by row in step order, as the one-hot product sums; np.add.at
     # took 16x as long (200 rows of 2048 floats, numpy 2.4)
     for k, row in zip(steps[steps > 0] - 1, dXW_d[steps > 0]):
         dW_d[k] += row
     owner = np.eye(len(feats), dtype=dh0.dtype)[:, video]  # Bv x B, 1 where row feeds caption
-    dXW_e, dU_e, db_e, _, _ = nn.lstm_backward(params.encoder, enc_cache, None,
-                                               owner @ dh0, owner @ dc0)
+    dXW_e, _, _, _, _ = nn.lstm_backward(params.encoder, enc_cache, None,
+                                         owner @ dh0, owner @ dc0,
+                                         out=(grads["encoder.U"], grads["encoder.b"]))
     dXW_e = dXW_e.swapaxes(0, 1).reshape(-1, dXW_e.shape[-1])  # video-major, as feats
-    grads = {"encoder.W": feats.reshape(-1, feats.shape[-1]).T @ dXW_e,
-             "encoder.U": dU_e, "encoder.b": db_e,
-             "decoder.W": dW_d, "decoder.U": dU_d, "decoder.b": db_d,
-             "head.W": dW_h, "head.b": db_h}
+    np.matmul(feats.reshape(-1, feats.shape[-1]).T, dXW_e, out=grads["encoder.W"])
     return loss, grads
 
 
@@ -366,11 +417,13 @@ def load_checkpoint(path):
 
     The file must be exactly what save_checkpoint writes: the 28-byte
     header, then the eight TENSOR_ORDER records in order, each with the
-    shape the header's config implies, and no trailing bytes.  Each
-    record's size is checked against the file before its header is
-    compared and its payload is read straight into its array.  A header
-    dimension of 0, any other layout or a non-finite value raises
-    InputError.  The third slot is always None.
+    shape the header's config implies, and no trailing bytes.  A first
+    pass checks each record's size against the file before comparing its
+    header, and then that nothing trails the last; only then is the
+    parameter buffer allocated, and a second pass reads each payload
+    straight into its view.  A header dimension of 0, any other layout
+    or a non-finite value raises InputError.  The third slot is always
+    None.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -387,9 +440,8 @@ def load_checkpoint(path):
             cfg.validate()
         except InputError as e:
             raise InputError(f"{path}: {e}") from None
-        tensors = {}
-        for name, make_shape in _EXPECTED_SHAPES.items():
-            shape = make_shape(cfg)
+        shapes, payloads = _shapes(cfg), []
+        for name, shape in shapes.items():
             header = _record_header(name, shape)
             # math.prod: header dims near 2**32 overflow np.prod's int64
             nbytes = 4 * math.prod(shape)
@@ -399,13 +451,16 @@ def load_checkpoint(path):
             if fh.read(len(header)) != header:
                 raise InputError(f"{path}: record at byte {pos} is not tensor "
                                  f"'{name}' with shape {shape}")
-            arr = np.empty(shape, dtype="<f4")
-            if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
-                raise InputError(f"{path}: tensor '{name}' is missing or truncated")
-            if not all_finite(arr):
-                raise InputError(f"{path}: tensor '{name}' has non-finite values")
-            tensors[name] = arr
+            payloads.append(fh.tell())
+            fh.seek(nbytes, os.SEEK_CUR)
         if fh.tell() != size:
             raise InputError(f"{path}: {size - fh.tell()} trailing bytes after "
                              f"tensor '{TENSOR_ORDER[-1]}'")
-    return cfg, _params_from_tensors(tensors), None
+        params = ModelParams.empty(shapes, "<f4")
+        for pos, (name, arr) in zip(payloads, params.tensors().items()):
+            fh.seek(pos)
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise InputError(f"{path}: tensor '{name}' is missing or truncated")
+            if not all_finite(arr):
+                raise InputError(f"{path}: tensor '{name}' has non-finite values")
+    return cfg, params, None

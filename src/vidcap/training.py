@@ -130,16 +130,18 @@ def evaluate_samples(params, store, samples):
     """Forward-only mean (loss, accuracy) over a build_samples table;
     (0, 0) for an empty one.  Each read_batch and training_forward pass
     takes the rows of model.EVAL_CHUNK consecutive videos, so each video
-    is read and encoded once."""
+    is read and encoded once, and keeps only P, which it drops before
+    the next pass reads: one pass is alive at a time."""
     keys, video, dec_in, target = samples
     loss_sum = acc_sum = 0.0
     starts = np.unique(video, return_index=True)[1][::mdl.EVAL_CHUNK].tolist()
     for rows in map(slice, starts, starts[1:] + [len(video)]):
         feats, row_map = read_batch(store, keys, video[rows])
-        P, _ = mdl.training_forward(params, feats, dec_in[rows], row_map)
+        P = mdl.training_forward(params, feats, dec_in[rows], row_map)[0]
         tgt, n = target[rows].T, rows.stop - rows.start
         loss_sum += nn.cross_entropy(P, tgt)[0] * n
         acc_sum += accuracy(P, tgt) * n
+        del feats, P  # before the next pass reads
     return loss_sum / max(len(video), 1), acc_sum / max(len(video), 1)
 
 
@@ -155,10 +157,12 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
     applies; validation follows.  Epoch metrics are per-sample means.
     A non-finite loss or gradient, in training or in validation, raises
     TrainingDiverged before the batch's Adam step; checkpoints already
-    on disk are left in place.  A batch's activations and gradients are
-    dropped before the next batch's pass, and Adam updates its moments
-    and the weights in place.  numpy's overflow/invalid warnings are off
-    in the epoch loop: the finiteness checks report.
+    on disk are left in place.  Every batch writes its gradients into
+    one buffer, laid out as params.flat and allocated once per run, and
+    Adam updates params.flat and its two moments in place from it, so
+    no batch allocates a gradient tensor.  A batch's activations are
+    dropped before the next batch's pass.  numpy's overflow/invalid
+    warnings are off in the epoch loop: the finiteness checks report.
     """
     cfg.validate()
     check_keys(list(train_keys) + list(val_keys), corpus, store)
@@ -166,7 +170,10 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
     val_samples = build_samples(val_keys, corpus, tok, model_cfg.max_words)
     if not len(video):
         raise InputError("no trainable samples in the training split")
-    opt, history, tensors = nn.AdamState(lr=cfg.lr), MetricsHistory(), params.tensors()
+    grad = np.empty_like(params.flat)  # every batch's gradients, one buffer per run
+    grads = params.views(grad)
+    opt = nn.AdamState(lr=cfg.lr, layout=tuple((k, g.size) for k, g in grads.items()))
+    history = MetricsHistory()
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
             loss_sum = acc_sum = 0.0
@@ -174,13 +181,13 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
                 for rows in make_batches(len(video), cfg.batch_size, cfg.seed, epoch):
                     feats, row_map = read_batch(store, keys, video[rows])
                     P, caches = mdl.training_forward(params, feats, dec_in[rows], row_map)
-                    loss, grads = mdl.training_backward(params, caches, target[rows])
+                    loss = mdl.training_backward(params, caches, target[rows], grads)[0]
                     if not np.isfinite(loss):
                         raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
                     loss_sum += loss * len(rows)
                     acc_sum += accuracy(P, target[rows].T) * len(rows)
-                    nn.adam_step(opt, tensors, grads)
-                    del feats, P, caches, grads  # before the next batch's pass
+                    nn.adam_step(opt, params.flat, grad)
+                    del feats, P, caches  # before the next batch's pass
                 val_loss, val_acc = evaluate_samples(params, store, val_samples)
             except FloatingPointError as e:
                 raise TrainingDiverged(f"epoch {epoch}: {e}") from e

@@ -5,6 +5,7 @@ library (scalar loops, Fraction arithmetic, per-timestep rank-1 updates)
 so a shared bug is unlikely.
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 import math
 
@@ -134,6 +135,16 @@ def softmax_rows_reference(logits):
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
     return p.astype(logits.dtype)
+
+
+@dataclass
+class AdamReferenceState:
+    """adam_step_reference's state: per-tensor moment dicts and the step."""
+
+    lr: float = 1e-4
+    t: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
 
 
 def adam_step_reference(state, params, grads):
@@ -272,7 +283,10 @@ def init_params_reference(cfg, seed, dtype=np.float32):
     encoder, decoder = lstm(cfg.feature_dim), lstm(cfg.vocab)
     head = nn.DenseParams(glorot_uniform_one_shot(rng, cfg.latent, cfg.vocab, dtype),
                           np.zeros(cfg.vocab, dtype=dtype))
-    return model.ModelParams(encoder, decoder, head)
+    return model._params_from_tensors({
+        "encoder.W": encoder.W, "encoder.U": encoder.U, "encoder.b": encoder.b,
+        "decoder.W": decoder.W, "decoder.U": decoder.U, "decoder.b": decoder.b,
+        "head.W": head.W, "head.b": head.b})
 
 
 def write_tensor_tobytes(fh, name, arr):

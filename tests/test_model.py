@@ -95,6 +95,35 @@ def test_init_peak_memory_is_the_tensors_it_keeps():
     assert peak - kept <= 2 * 2**20
 
 
+def assert_tiles_one_buffer(params):
+    """The TENSOR_ORDER tensors are views that tile params.flat, one
+    C-contiguous 1-D buffer, back to back in that order."""
+    flat, tensors = params.flat, params.tensors()
+    assert flat.ndim == 1 and flat.flags.c_contiguous and flat.base is None
+    assert list(tensors) == list(TENSOR_ORDER)
+    offset = 0
+    for name, t in tensors.items():
+        assert t.base is flat and t.flags.c_contiguous and t.dtype == flat.dtype, name
+        assert t.ctypes.data == flat.ctypes.data + offset * flat.itemsize, name
+        offset += t.size
+    assert offset == flat.size == param_count(TOY)[3]
+
+
+def test_init_load_and_copy_tile_one_buffer(tmp_path):
+    params = ModelParams.init(TOY, seed=4)
+    assert_tiles_one_buffer(params)
+    save_checkpoint(tmp_path / "model.sq2s", TOY, params)
+    loaded = load_checkpoint(tmp_path / "model.sq2s")[1]
+    copied = _params_from_tensors({k: t.copy() for k, t in params.tensors().items()})
+    for other in (loaded, copied):
+        assert_tiles_one_buffer(other)
+        assert np.array_equal(other.flat, params.flat)
+        assert not np.shares_memory(other.flat, params.flat)
+    wide = _params_from_tensors({k: t.astype(np.float64) for k, t in params.tensors().items()})
+    assert wide.flat.dtype == np.float64
+    assert_tiles_one_buffer(wide)
+
+
 # ---------------------------------------------------------------------------
 # Training forward / backward
 # ---------------------------------------------------------------------------
@@ -164,6 +193,24 @@ def test_backward_ignores_trailing_padding_inputs():
     assert loss_c == loss_d
     for name in grads_c:
         assert np.array_equal(grads_c[name], grads_d[name])
+
+
+def test_backward_fills_every_gradient_of_a_reused_buffer():
+    # a buffer full of NaN from an earlier batch gives bitwise the
+    # gradients of a fresh one, as views of it laid out as the parameters
+    params = ModelParams.init(TOY, seed=5, dtype=np.float64)
+    feat, dec_in, target = toy_inputs(5)
+    loss, fresh = training_backward(params, training_forward(params, feat, dec_in)[1], target)
+    grad = np.full_like(params.flat, np.nan)
+    again, grads = training_backward(params, training_forward(params, feat, dec_in)[1],
+                                     target, params.views(grad))
+    assert again == loss and list(grads) == list(TENSOR_ORDER)
+    offset = 0
+    for name, g in grads.items():
+        assert g.base is grad and g.ctypes.data == grad.ctypes.data + offset * 8, name
+        assert np.array_equal(g, fresh[name]), name
+        offset += g.size
+    assert offset == grad.size
 
 
 def test_backward_near_converged_gradients_vanish():
@@ -563,6 +610,23 @@ def test_checkpoint_save_copies_no_tensor(tmp_path):
     _, _, peak = traced(save_checkpoint, tmp_path / "model.sq2s", WIDE, params)
     assert params.encoder.W.nbytes >= 4 * 2**20
     assert peak <= 2**20
+
+
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
+    a, b = tmp_path / "a.sq2s", tmp_path / "b.sq2s"
+    save_checkpoint(a, TOY, ModelParams.init(TOY, seed=23))
+    cfg, loaded, _ = load_checkpoint(a)
+    save_checkpoint(b, cfg, loaded)
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_checkpoint_load_peaks_at_its_tensors(tmp_path):
+    # each payload is read straight into its view of the one buffer
+    path = tmp_path / "model.sq2s"
+    save_checkpoint(path, WIDE, ModelParams.init(WIDE, seed=3))
+    (_, params, _), _, peak = traced(load_checkpoint, path)
+    assert params.flat.nbytes == param_count(WIDE)[3] * 4 > 4 * 2**20
+    assert peak <= params.flat.nbytes + 2**20, (params.flat.nbytes, peak)
 
 
 def test_checkpoint_rerun_is_byte_identical(tmp_path):

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from vidcap import nn
 from memtrace import traced
-from oracles import (adam_step_reference, cross_entropy_one_hot, glorot_uniform_one_shot,
-                     lstm_backward_outer, lstm_cell_scalar, one_hot_rows,
-                     orthogonal_householder, softmax_rows_reference)
+from oracles import (AdamReferenceState, adam_step_reference, cross_entropy_one_hot,
+                     glorot_uniform_one_shot, lstm_backward_outer, lstm_cell_scalar,
+                     one_hot_rows, orthogonal_householder, softmax_rows_reference)
 
 
 def random_lstm(rng, in_dim, hid, dtype=np.float64, scale=0.5):
@@ -606,65 +606,90 @@ def test_cross_entropy_gradient_through_softmax(seed):
 # Adam
 # ---------------------------------------------------------------------------
 
+def one_tensor(name, size, lr=1e-4):
+    """An AdamState over a buffer that holds one tensor."""
+    return nn.AdamState(lr=lr, layout=((name, size),))
+
+
 def test_adam_first_step_closed_form():
-    state = nn.AdamState(lr=1e-4)
-    p = {"w": np.zeros(1)}
-    nn.adam_step(state, p, {"w": np.ones(1)})
+    state = one_tensor("w", 1, lr=1e-4)
+    p = np.zeros(1)
+    nn.adam_step(state, p, np.ones(1))
     expected = -1e-4 / (1.0 + 1e-7)  # bias-corrected m-hat = v-hat = 1
-    assert abs(p["w"][0] - expected) < 1e-18
+    assert abs(p[0] - expected) < 1e-18
     assert state.t == 1
 
 
 def test_adam_zero_grad_is_exact_noop():
-    state = nn.AdamState()
-    p = {"w": np.array([1.25, -3.5])}
-    before = p["w"].copy()
-    nn.adam_step(state, p, {"w": np.zeros(2)})
-    assert np.array_equal(p["w"], before)
+    state = one_tensor("w", 2)
+    p = np.array([1.25, -3.5])
+    before = p.copy()
+    nn.adam_step(state, p, np.zeros(2))
+    assert np.array_equal(p, before)
 
 
 def test_adam_zero_lr_is_exact_noop():
-    state = nn.AdamState(lr=0.0)
-    p = {"w": np.array([1.25, -3.5])}
-    before = p["w"].copy()
-    nn.adam_step(state, p, {"w": np.array([0.7, -2.0])})
-    assert np.array_equal(p["w"], before)
+    state = one_tensor("w", 2, lr=0.0)
+    p = np.array([1.25, -3.5])
+    before = p.copy()
+    nn.adam_step(state, p, np.array([0.7, -2.0]))
+    assert np.array_equal(p, before)
 
 
 def test_adam_three_step_scalar_recurrence():
     lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-7
-    state = nn.AdamState(lr=lr)
-    p = {"w": np.array([0.5])}
+    state = one_tensor("w", 1, lr=lr)
+    p = np.array([0.5])
     grads = [0.3, -1.1, 0.05]
     w, m, v = 0.5, 0.0, 0.0
     for t, g in enumerate(grads, start=1):
-        nn.adam_step(state, p, {"w": np.array([g])})
+        nn.adam_step(state, p, np.array([g]))
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         w -= lr * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
-        assert abs(p["w"][0] - w) < 1e-12
+        assert abs(p[0] - w) < 1e-12
 
 
 def test_adam_nonfinite_gradient_names_tensor():
-    state = nn.AdamState()
-    p = {"decoder.W": np.zeros(2), "head.b": np.zeros(1)}
-    g = {"decoder.W": np.array([1.0, np.inf]), "head.b": np.zeros(1)}
+    state = nn.AdamState(layout=(("decoder.W", 2), ("head.b", 1)))
+    p = np.zeros(3)
+    g = np.array([1.0, np.inf, 0.0])
     with pytest.raises(FloatingPointError, match="decoder.W"):
         nn.adam_step(state, p, g)
     assert state.t == 0  # rejected before any state change
 
 
 def test_adam_mismatched_names_or_shapes():
-    state = nn.AdamState()
+    state = one_tensor("a", 2)
+    with pytest.raises(ValueError, match="layout"):
+        nn.adam_step(state, np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
-        nn.adam_step(state, {"a": np.zeros(2)}, {"b": np.zeros(2)})
-    with pytest.raises(ValueError):
-        nn.adam_step(state, {"a": np.zeros(2)}, {"a": np.zeros(3)})
+        nn.adam_step(state, np.zeros(2), np.zeros(3))
+    assert state.t == 0 and state.m is None
 
 
 BLOCK = nn.ADAM_BLOCK
+# back to back, "short" and "tail" start mid-block and "block" on a boundary
 ADAM_SHAPES = {"one": (1,), "short": (BLOCK - 1,), "block": (BLOCK // 64, 64),
                "long": (BLOCK + 1,), "tail": (3 * BLOCK + 7,)}
+ADAM_LAYOUT = tuple((k, math.prod(s)) for k, s in ADAM_SHAPES.items())
+
+
+def named(flat):
+    """Each ADAM_SHAPES tensor's view of a buffer laid out as ADAM_LAYOUT."""
+    views, start = {}, 0
+    for k, s in ADAM_SHAPES.items():
+        views[k] = flat[start:start + math.prod(s)].reshape(s)
+        start += math.prod(s)
+    return views
+
+
+def laid_out(tensors, dtype):
+    """The ADAM_SHAPES tensors of a dict copied back to back into one buffer."""
+    flat = np.empty(sum(n for _, n in ADAM_LAYOUT), dtype=dtype)
+    for k, view in named(flat).items():
+        view[...] = tensors[k]
+    return flat
 
 
 def adam_case(dtype, seed=0):
@@ -681,48 +706,94 @@ def adam_case(dtype, seed=0):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_blocked_in_place_matches_allocating_reference(dtype):
-    params, grads = adam_case(dtype)
-    ref_params = {k: v.copy() for k, v in params.items()}
-    state = nn.AdamState(lr=3e-3)
-    ref = nn.AdamState(lr=3e-3)
+    # the blocks straddle the tensor boundaries of one flat buffer; the
+    # reference steps each tensor alone
+    ref_params, grads = adam_case(dtype)
+    flat = laid_out(ref_params, dtype)
+    state = nn.AdamState(lr=3e-3, layout=ADAM_LAYOUT)
+    ref = AdamReferenceState(lr=3e-3)
     moments = None
     for g in grads:
-        nn.adam_step(state, params, g)
+        nn.adam_step(state, flat, laid_out(g, dtype))
         adam_step_reference(ref, ref_params, g)
-        for k in ADAM_SHAPES:
-            assert params[k].dtype == state.m[k].dtype == state.v[k].dtype == dtype
-            assert np.array_equal(params[k], ref_params[k]), k
-            assert np.array_equal(state.m[k], ref.m[k]), k
-            assert np.array_equal(state.v[k], ref.v[k]), k
+        assert flat.dtype == state.m.dtype == state.v.dtype == dtype
+        for got, want in ((flat, ref_params), (state.m, ref.m), (state.v, ref.v)):
+            for k, view in named(got).items():
+                assert np.array_equal(view, want[k]), k
         if moments is None:
-            moments = {k: (state.m[k], state.v[k]) for k in ADAM_SHAPES}
-        for k, (m, v) in moments.items():
-            assert state.m[k] is m and state.v[k] is v  # updated in place
+            moments = state.m, state.v
+        assert state.m is moments[0] and state.v is moments[1]  # updated in place
     assert state.t == ref.t == len(grads)
+
+
+def step_rejected(flat, bad, state):
+    """Assert that adam_step(state, flat, bad) raises without changing
+    t, the moments or the parameters; returns the error."""
+    before = [x.copy() for x in (flat, state.m, state.v)]
+    t = state.t
+    with pytest.raises(FloatingPointError) as err:
+        nn.adam_step(state, flat, bad)
+    assert state.t == t
+    for x, was in zip((flat, state.m, state.v), before):
+        assert np.array_equal(x, was)
+    return str(err.value)
 
 
 def test_adam_nonfinite_last_tensor_changes_nothing():
     params, grads = adam_case(np.float32, seed=1)
-    state = nn.AdamState(lr=3e-3)
-    nn.adam_step(state, params, grads[0])
-    before = {k: (params[k].copy(), state.m[k].copy(), state.v[k].copy()) for k in params}
-    bad = dict(grads[1])
-    last = list(bad)[-1]
-    bad[last] = bad[last].copy()
-    bad[last][-1] = np.nan
-    with pytest.raises(FloatingPointError, match=last):
-        nn.adam_step(state, params, bad)
+    flat = laid_out(params, np.float32)
+    state = nn.AdamState(lr=3e-3, layout=ADAM_LAYOUT)
+    nn.adam_step(state, flat, laid_out(grads[0], np.float32))
+    bad = laid_out(grads[1], np.float32)
+    bad[-1] = np.nan
+    last = ADAM_LAYOUT[-1][0]
+    assert f"'{last}'" in step_rejected(flat, bad, state)
     assert state.t == 1
-    for k, (p, m, v) in before.items():
-        assert np.array_equal(params[k], p)
-        assert np.array_equal(state.m[k], m) and np.array_equal(state.v[k], v)
+
+
+@pytest.mark.parametrize("poisoned,named_tensor", [
+    ([("tail", 0)], "tail"),  # starts mid-block, in the block where "long" ends
+    ([("long", -1)], "long"),  # ends in the block where "tail" starts
+    ([("long", -1), ("tail", 0)], "long"),  # the first non-finite value names it
+    ([("short", 0)], "short"),  # starts at element 1 of the first block
+])
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+def test_adam_nonfinite_mid_block_names_the_right_tensor(poisoned, named_tensor, bad_value):
+    assert sum(n for _, n in ADAM_LAYOUT[:-1]) % BLOCK == 1  # "tail" starts mid-block
+    params, grads = adam_case(np.float32, seed=2)
+    flat = laid_out(params, np.float32)
+    state = nn.AdamState(lr=3e-3, layout=ADAM_LAYOUT)
+    nn.adam_step(state, flat, laid_out(grads[0], np.float32))
+    bad = laid_out(grads[1], np.float32)
+    for k, i in poisoned:
+        named(bad)[k].reshape(-1)[i] = bad_value
+    message = step_rejected(flat, bad, state)
+    assert message == f"non-finite gradient for tensor '{named_tensor}'"
+
+
+def test_adam_step_makes_the_same_calls_for_one_tensor_or_eight(monkeypatch):
+    # one pass over the buffer, whatever the number of tensors it holds:
+    # 8 tensors of 5,000 values and one of 40,000 span the same blocks
+    calls = []
+    for name in ("multiply", "isfinite"):
+        ufunc = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _f=ufunc, _n=name, **k:
+                            calls.append(_n) or _f(*a, **k))
+    counts = []
+    for layout in ((("all", 40_000),), tuple((f"t{i}", 5_000) for i in range(8))):
+        rng = np.random.default_rng(0)
+        p, g = rng.standard_normal(40_000), rng.standard_normal(40_000)
+        calls.clear()
+        nn.adam_step(nn.AdamState(layout=layout), p, g)
+        counts.append((calls.count("multiply"), calls.count("isfinite")))
+    assert counts[0] == counts[1] and counts[0][0] > 0, counts
 
 
 def test_adam_rejects_non_contiguous_parameter():
-    state = nn.AdamState()
-    p = {"w": np.zeros((4, 4))[:, ::2]}
+    state = one_tensor("w", 4)
+    p = np.zeros(8)[::2]
     with pytest.raises(ValueError, match="contiguous"):
-        nn.adam_step(state, p, {"w": np.ones((4, 2))})
+        nn.adam_step(state, p, np.ones(4))
     assert state.t == 0
 
 

@@ -286,6 +286,22 @@ def test_evaluate_samples_over_several_passes(tmp_path, monkeypatch):
     assert gets == keys and encoded == [16, 16, 3]
 
 
+def test_evaluate_samples_holds_one_pass_at_a_time(tmp_path):
+    # 16 x 2048 features (128 KB a video), so a pass of 16 videos holds
+    # 2 MB of frames; a second pass alive with the first would add ~2 MB
+    paths = make_fixture(str(tmp_path), n_videos=48, seed=1, frames=16, feature_dim=2048)
+    corp = build_corpus(parse_descriptions(paths["descriptions"]))
+    keys = sorted(corp.entries)
+    tok = Tokenizer(cap=40).fit(c for k in keys for c in corp.entries[k])
+    store = FeatureStore(paths["manifest"])
+    mcfg = ModelConfig(frames=16, feature_dim=2048, latent=8, max_words=10, vocab=40)
+    params = ModelParams.init(mcfg, seed=5)
+    one, three = (traced(evaluate_samples, params, store,
+                         build_samples(keys[:n], corp, tok, mcfg.max_words))[2]
+                  for n in (16, 48))
+    assert three <= one + 64 * 1024, (one, three)
+
+
 def test_non_finite_loss_mid_batch_skips_the_adam_step(tmp_path, monkeypatch):
     # a batch is one training_backward call: poison the second batch's loss
     corp, tok, store, keys = pipeline(tmp_path)
@@ -327,7 +343,7 @@ def test_training_equals_batch_list_reference(tmp_path):
         ref = ModelParams.init(MCFG, seed=6)
         tcfg = TrainConfig(batch_size=batch_size, epochs=3, lr=1e-3, seed=6)
         _, history = train(params, tcfg, MCFG, keys[:5], keys[5:], corp, tok, store)
-        state, tensors = nn.AdamState(lr=tcfg.lr), ref.tensors()
+        state, tensors = oracles.AdamReferenceState(lr=tcfg.lr), ref.tensors()
         for epoch, row in enumerate(history.rows, start=1):
             losses = []
             for rows in make_batches(n, tcfg.batch_size, tcfg.seed, epoch):
@@ -367,6 +383,27 @@ def test_train_runs_one_forward_and_backward_per_batch(tmp_path, monkeypatch):
     train(ModelParams.init(MCFG, seed=2), tcfg, MCFG, keys[:5], [], corp, tok, store)
     batches = -(-n // 4)
     assert n == 15 and calls == {"forward": 2 * batches, "backward": 2 * batches}
+
+
+def test_every_batch_writes_the_runs_one_gradient_buffer(tmp_path, monkeypatch):
+    corp, tok, store, keys = pipeline(tmp_path)
+    seen, backward = [], mdl.training_backward
+
+    def kept(*args):
+        loss, grads = backward(*args)
+        seen.append(grads)  # holds every batch's dict, the first one included
+        return loss, grads
+
+    monkeypatch.setattr(mdl, "training_backward", kept)
+    params = ModelParams.init(MCFG, seed=4)
+    tcfg = TrainConfig(batch_size=4, epochs=2, lr=1e-3, seed=4)
+    train(params, tcfg, MCFG, keys[:5], [], corp, tok, store)
+    first = seen[0]
+    assert len(seen) == 8 and list(first) == list(params.tensors())
+    for grads in seen[1:]:
+        for name, g in grads.items():
+            assert np.shares_memory(g, first[name]), name
+    assert not any(np.shares_memory(g, params.flat) for g in first.values())
 
 
 def test_batch_reads_and_encodes_each_distinct_video_once(tmp_path, monkeypatch):
@@ -483,8 +520,10 @@ def test_batch_holds_its_frames_once(tmp_path, monkeypatch):
     traced_peak(tmp_path, batch_size=15, mcfg=mcfg)
     frames, peak = seen[0]  # the first batch; tracing starts just before train
     assert frames == 5 * 16 * 2048 * 4
-    # the batch array plus one read in flight, before the forward pass
-    assert peak <= frames + 256 * 1024, (frames, peak)
+    # the batch array plus one read in flight, before the forward pass,
+    # above the run's one gradient buffer (allocated before the first batch)
+    grad = mdl.param_count(mcfg)[3] * 4
+    assert peak <= grad + frames + 256 * 1024, (grad, frames, peak)
 
 
 def test_non_finite_parameters_abort_the_run(tmp_path):
