@@ -117,12 +117,14 @@ class ModelParams:
     @classmethod
     def init(cls, cfg, seed, dtype=np.float32):
         """Seeded initialization; identical seeds give identical tensors.
-        Each initializer fills its views of one new buffer in place."""
+        Each initializer fills its views of one new buffer in place, and
+        the head's bias is zero."""
         params = cls.empty(_shapes(cfg), dtype)
         rng = np.random.default_rng(seed)
-        nn.init_lstm_params(rng, cfg.feature_dim, cfg.latent, out=params.encoder)
-        nn.init_lstm_params(rng, cfg.vocab, cfg.latent, out=params.decoder)
-        nn.init_dense_params(rng, cfg.latent, cfg.vocab, out=params.head)
+        nn.init_lstm_params(rng, params.encoder)
+        nn.init_lstm_params(rng, params.decoder)
+        nn.glorot_uniform(rng, params.head.W)
+        params.head.b[...] = 0.0
         return params
 
     def tensors(self):

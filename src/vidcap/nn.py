@@ -113,20 +113,18 @@ class DenseParams:
 GLOROT_BLOCK = 1 << 16  # float64 draws per rng.uniform call: a 512 KB temporary
 
 
-def glorot_uniform(rng, rows, cols, dtype=np.float32, out=None):
-    """Uniform init on [-limit, limit] with limit = sqrt(6/(rows+cols)).
+def glorot_uniform(rng, out):
+    """Fill out (a C-contiguous rows x cols array) from the uniform
+    distribution on [-limit, limit], limit = sqrt(6/(rows+cols)).
 
-    The result (out, a C-contiguous rows x cols array, when given; else
-    a new one of dtype) is filled row-major from rng.uniform in blocks
-    of at most GLOROT_BLOCK elements.  The generator draws one double
-    per element whatever the call size, so this consumes the same stream
-    and gives bitwise the values of one (rows x cols) float64 draw cast
-    to dtype, without that tensor-sized temporary (64 MB for the
-    4096 x 2048 encoder.W).
+    out is filled row-major from rng.uniform in blocks of at most
+    GLOROT_BLOCK elements.  The generator draws one double per element
+    whatever the call size, so this consumes the same stream and gives
+    bitwise the values of one (rows x cols) float64 draw cast to out's
+    dtype, without that tensor-sized temporary (64 MB for the
+    4096 x 2048 encoder.W).  Returns out.
     """
-    limit = np.sqrt(6.0 / (rows + cols))
-    if out is None:
-        out = np.empty((rows, cols), dtype=dtype)
+    limit = np.sqrt(6.0 / sum(out.shape))
     flat = out.reshape(-1)
     for start in range(0, flat.size, GLOROT_BLOCK):
         block = flat[start:start + GLOROT_BLOCK]
@@ -157,28 +155,15 @@ def orthogonal(rng, rows, cols, dtype=np.float32):
     return np.ascontiguousarray(qt if rows < cols else qt.T, dtype=dtype)
 
 
-def init_lstm_params(rng, input_dim, hidden, dtype=np.float32, out=None):
-    """Glorot input kernel, orthogonal recurrent kernel, forget bias 1,
-    written into out's arrays (an LstmParams of these shapes, such as
-    views of one parameter buffer) when given, else into new ones."""
-    if out is None:
-        out = LstmParams(np.empty((input_dim, 4 * hidden), dtype=dtype),
-                         np.empty((hidden, 4 * hidden), dtype=dtype),
-                         np.empty(4 * hidden, dtype=dtype))
-    glorot_uniform(rng, input_dim, 4 * hidden, out=out.W)
+def init_lstm_params(rng, out):
+    """Fill out (an LstmParams, such as views of one parameter buffer)
+    with a Glorot input kernel, an orthogonal recurrent kernel and
+    forget bias 1; its shapes give the dimensions.  Returns out."""
+    hidden = out.U.shape[0]
+    glorot_uniform(rng, out.W)
     out.U[...] = orthogonal(rng, hidden, 4 * hidden, out.U.dtype)
     out.b[...] = 0.0
     out.b[hidden:2 * hidden] = 1.0
-    return out
-
-
-def init_dense_params(rng, hidden, out_dim, dtype=np.float32, out=None):
-    """Glorot kernel and zero bias, into out (a DenseParams) when given."""
-    if out is None:
-        out = DenseParams(np.empty((hidden, out_dim), dtype=dtype),
-                          np.empty(out_dim, dtype=dtype))
-    glorot_uniform(rng, hidden, out_dim, out=out.W)
-    out.b[...] = 0.0
     return out
 
 
@@ -417,14 +402,15 @@ class AdamState:
 
     layout holds the (name, size) of each tensor the buffer holds back
     to back, in order; it only names the tensor in adam_step's
-    non-finite-gradient error.  m and v are the first and second
-    moments, flat and laid out as the parameters: zeros created at the
-    first step, then updated in place as the same two arrays.  t counts
-    the steps taken.
+    non-finite-gradient error, and it has no default, so a state
+    without one fails where it is built.  m and v are the first and
+    second moments, flat and laid out as the parameters: zeros created
+    at the first step, then updated in place as the same two arrays.
+    t counts the steps taken.
     """
 
+    layout: tuple
     lr: float = 1e-4
-    layout: tuple = ()
     t: int = 0
     m: np.ndarray = None
     v: np.ndarray = None

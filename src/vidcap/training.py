@@ -158,7 +158,8 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
     A non-finite loss or gradient, in training or in validation, raises
     TrainingDiverged before the batch's Adam step; checkpoints already
     on disk are left in place.  Every batch writes its gradients into
-    one buffer, laid out as params.flat and allocated once per run, and
+    one buffer, laid out as params.flat and allocated once per run after
+    the first batch's forward pass (which so holds no gradient), and
     Adam updates params.flat and its two moments in place from it, so
     no batch allocates a gradient tensor.  A batch's activations are
     dropped before the next batch's pass.  numpy's overflow/invalid
@@ -170,10 +171,8 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
     val_samples = build_samples(val_keys, corpus, tok, model_cfg.max_words)
     if not len(video):
         raise InputError("no trainable samples in the training split")
-    grad = np.empty_like(params.flat)  # every batch's gradients, one buffer per run
-    grads = params.views(grad)
-    opt = nn.AdamState(lr=cfg.lr, layout=tuple((k, g.size) for k, g in grads.items()))
-    history = MetricsHistory()
+    layout = tuple((k, t.size) for k, t in params.tensors().items())
+    opt, history, grad = nn.AdamState(layout, lr=cfg.lr), MetricsHistory(), None
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
             loss_sum = acc_sum = 0.0
@@ -181,6 +180,9 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
                 for rows in make_batches(len(video), cfg.batch_size, cfg.seed, epoch):
                     feats, row_map = read_batch(store, keys, video[rows])
                     P, caches = mdl.training_forward(params, feats, dec_in[rows], row_map)
+                    if grad is None:  # the run's one gradient buffer, made once
+                        grad = np.empty_like(params.flat)
+                        grads = params.views(grad)
                     loss = mdl.training_backward(params, caches, target[rows], grads)[0]
                     if not np.isfinite(loss):
                         raise TrainingDiverged(f"non-finite loss at epoch {epoch}")

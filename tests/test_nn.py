@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vidcap import nn
+from vidcap.model import _tile
 from memtrace import traced
 from oracles import (AdamReferenceState, adam_step_reference, cross_entropy_one_hot,
                      glorot_uniform_one_shot, lstm_backward_outer, lstm_cell_scalar,
@@ -19,6 +20,13 @@ def random_lstm(rng, in_dim, hid, dtype=np.float64, scale=0.5):
         (scale * rng.standard_normal((in_dim, 4 * hid))).astype(dtype),
         (scale * rng.standard_normal((hid, 4 * hid))).astype(dtype),
         (scale * rng.standard_normal(4 * hid)).astype(dtype))
+
+
+def init_lstm(rng, in_dim, hid, dtype=np.float32):
+    """nn.init_lstm_params into new arrays of these shapes."""
+    return nn.init_lstm_params(rng, nn.LstmParams(np.empty((in_dim, 4 * hid), dtype),
+                                                  np.empty((hid, 4 * hid), dtype),
+                                                  np.empty(4 * hid, dtype)))
 
 
 def oracle_caches(cache):
@@ -184,7 +192,7 @@ def test_forward_batch_matches_per_sequence_calls(case):
     # and bitwise at B = 1, where the GEMM has one row (measured exact)
     T, hid, B = BATCH_CASES[case]
     rng = np.random.default_rng(200 + case)
-    p = nn.init_lstm_params(rng, 6, hid)
+    p = init_lstm(rng, 6, hid)
     XW = rng.standard_normal((T, B, 4 * hid)).astype(np.float32)
     h0 = rng.standard_normal((B, hid)).astype(np.float32)
     c0 = rng.standard_normal((B, hid)).astype(np.float32)
@@ -206,7 +214,7 @@ def test_chained_steps_at_few_rows_are_bitwise_one_call():
     T, B, hid = 6, 4, 512
     assert len(nn.recurrent_panels(B, hid)) > 1
     rng = np.random.default_rng(9)
-    p = nn.init_lstm_params(rng, 6, hid)
+    p = init_lstm(rng, 6, hid)
     XW = rng.standard_normal((T, B, 4 * hid)).astype(np.float32)
     h0, c0 = rng.standard_normal((2, B, hid)).astype(np.float32)
     H, hT, cT, cache = nn.lstm_forward(p, XW.copy(), h0, c0)
@@ -387,7 +395,7 @@ def test_backward_batch_equals_per_sequence_calls(upstream, T, B, hid):
     rng = np.random.default_rng(12)
     in_dim = 3
     p = (random_lstm(rng, in_dim, hid) if hid < 512
-         else nn.init_lstm_params(rng, in_dim, hid, np.float64))
+         else init_lstm(rng, in_dim, hid, np.float64))
     XW = rng.standard_normal((T, B, in_dim)) @ p.W
     h0, c0 = rng.standard_normal((2, B, hid))
     dH = rng.standard_normal((T, B, hid)) if upstream != "final" else None
@@ -677,11 +685,7 @@ ADAM_LAYOUT = tuple((k, math.prod(s)) for k, s in ADAM_SHAPES.items())
 
 def named(flat):
     """Each ADAM_SHAPES tensor's view of a buffer laid out as ADAM_LAYOUT."""
-    views, start = {}, 0
-    for k, s in ADAM_SHAPES.items():
-        views[k] = flat[start:start + math.prod(s)].reshape(s)
-        start += math.prod(s)
-    return views
+    return _tile(flat, ADAM_SHAPES)
 
 
 def laid_out(tensors, dtype):
@@ -802,8 +806,8 @@ def test_adam_rejects_non_contiguous_parameter():
 # ---------------------------------------------------------------------------
 
 def test_init_deterministic_per_seed():
-    a = nn.init_lstm_params(np.random.default_rng(9), 5, 4)
-    b = nn.init_lstm_params(np.random.default_rng(9), 5, 4)
+    a = init_lstm(np.random.default_rng(9), 5, 4)
+    b = init_lstm(np.random.default_rng(9), 5, 4)
     assert np.array_equal(a.W, b.W)
     assert np.array_equal(a.U, b.U)
     assert np.array_equal(a.b, b.b)
@@ -811,7 +815,7 @@ def test_init_deterministic_per_seed():
 
 def test_glorot_bounds():
     rng = np.random.default_rng(10)
-    w = nn.glorot_uniform(rng, 30, 50)
+    w = nn.glorot_uniform(rng, np.empty((30, 50), np.float32))
     limit = math.sqrt(6.0 / 80.0)
     assert np.all(np.abs(w) <= limit)
 
@@ -845,7 +849,7 @@ def test_orthogonal_matches_householder_qr(rows, cols):
 def test_glorot_matches_one_shot_draw_bitwise(rows, cols, dtype):
     # blocked filling consumes the same stream: the next draw agrees too
     rng, ref_rng = np.random.default_rng(rows + cols), np.random.default_rng(rows + cols)
-    w = nn.glorot_uniform(rng, rows, cols, dtype)
+    w = nn.glorot_uniform(rng, np.empty((rows, cols), dtype))
     ref = glorot_uniform_one_shot(ref_rng, rows, cols, dtype)
     assert w.dtype == dtype and w.shape == (rows, cols)
     assert np.array_equal(w, ref)
@@ -853,7 +857,7 @@ def test_glorot_matches_one_shot_draw_bitwise(rows, cols, dtype):
 
 
 def test_lstm_init_bias_blocks():
-    p = nn.init_lstm_params(np.random.default_rng(13), 5, 4)
+    p = init_lstm(np.random.default_rng(13), 5, 4)
     assert np.array_equal(p.b[4:8], np.ones(4))  # forget block
     assert np.array_equal(p.b[:4], np.zeros(4))
     assert np.array_equal(p.b[8:], np.zeros(8))
