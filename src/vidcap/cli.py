@@ -20,8 +20,6 @@ from .features import FeatureStore, load_manifest, read_feature_file
 from .tokenizer import Tokenizer
 from .util import InputError, fmt6, open_text
 
-_UNSET = object()
-
 TOKENIZER_FILE = "tokenizer.txt"
 METRICS_FILE = "metrics.csv"
 
@@ -29,21 +27,14 @@ METRICS_FILE = "metrics.csv"
 def _add_options(sub, table):
     """Register options whose defaults resolve after config merging.
 
-    table rows: (flags, dest, kind, default, required, help).
+    table rows: (flags, dest, kind, default, required, help).  Every flag
+    parses to None when not given (no type makes None), and the table is
+    kept on the namespace for _resolve_options.
     """
-    types, defaults, required = {}, {}, []
-    for flags, dest, kind, default, req, hlp in table:
-        sub.add_argument(*flags, dest=dest, type=kind, default=_UNSET,
-                         metavar=dest.upper(), help=hlp)
-        types[dest] = kind
-        defaults[dest] = default
-        if req:
-            required.append(dest)
-    sub.add_argument("--config", dest="config", type=str, default=_UNSET,
-                     metavar="FILE", help="key = value file with option defaults")
-    types["config"] = str
-    defaults["config"] = None
-    sub.set_defaults(_types=types, _defaults=defaults, _required=required)
+    for flags, dest, kind, _, _, hlp in table:
+        sub.add_argument(*flags, dest=dest, type=kind, metavar=dest.upper(), help=hlp)
+    sub.add_argument("--config", metavar="FILE", help="key = value file with option defaults")
+    sub.set_defaults(_options=table)
 
 
 def read_config_file(path):
@@ -79,19 +70,16 @@ def _coerce(raw, kind, key):
 
 def _resolve_options(ns):
     """Apply CLI > config > default precedence onto the namespace."""
-    config_path = ns.config if ns.config is not _UNSET else None
-    values = read_config_file(config_path) if config_path else {}
+    values = read_config_file(ns.config) if ns.config else {}
+    dests = {row[1] for row in ns._options}
     for key in values:
-        if key not in ns._types or key == "config":
+        if key not in dests:
             raise InputError(f"unknown config key '{key}' for command '{ns.command}'")
-    for dest, default in ns._defaults.items():
-        if getattr(ns, dest) is _UNSET:
-            if dest in values:
-                setattr(ns, dest, _coerce(values[dest], ns._types[dest], dest))
-            else:
-                setattr(ns, dest, default)
-    for dest in ns._required:
+    for _, dest, kind, default, _, _ in ns._options:
         if getattr(ns, dest) is None:
+            setattr(ns, dest, _coerce(values[dest], kind, dest) if dest in values else default)
+    for _, dest, _, _, required, _ in ns._options:
+        if required and getattr(ns, dest) is None:
             raise InputError(f"missing required option --{dest.replace('_', '-')} "
                              f"(or config key '{dest}')")
     if getattr(ns, "threads", 1) < 1:
@@ -308,6 +296,9 @@ def main(argv=None):
         return 2
     except (RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # numpy's message names the failed allocation
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

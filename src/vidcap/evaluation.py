@@ -106,13 +106,8 @@ def histogram_counts(scores):
 
     Bins are right-open except the last, which includes 1.0.
     """
-    edges = np.arange(HIST_BINS + 1) / HIST_BINS
-    counts = [0] * HIST_BINS
-    for s in scores:
-        b = min(int(np.searchsorted(edges, s, side="right")) - 1, HIST_BINS - 1)
-        counts[b] += 1
-    return [(float(edges[i]), float(edges[i + 1]), counts[i])
-            for i in range(HIST_BINS)]
+    counts, edges = np.histogram(scores, bins=np.arange(HIST_BINS + 1) / HIST_BINS)
+    return list(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
 
 
 def _quoted(text):

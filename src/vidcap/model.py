@@ -180,7 +180,7 @@ def training_forward(params, feats, dec_in, video=slice(None)):
     single = np.ndim(dec_in) == 1
     if single:
         feats, dec_in = np.asarray(feats)[None], np.asarray(dec_in)[None]
-    _, h, c, enc_cache = _encoder_forward(params, feats)
+    _, h, c, enc_cache = nn.lstm_forward(params.encoder, _project(params, feats))
     dec, steps = params.decoder, np.asarray(dec_in).T
     XW = dec.W[steps - 1]  # a copying gather, which lstm_forward consumes
     XW[steps == 0] = 0  # padding reads zeros
@@ -229,20 +229,19 @@ def training_backward(params, caches, target, grads=None):
     return loss, grads
 
 
-def _project(params, feat):
+def _project(params, feat, out=None):
     """feat @ encoder.W for one video (frames x D) or for B stacked ones
-    (B x frames x D, one GEMM), time-major as the recurrence steps."""
-    feat = np.asarray(feat)
-    XW = feat.reshape(-1, feat.shape[-1]) @ params.encoder.W
+    (B x frames x D), one GEMM, time-major as the recurrence steps.  With
+    out (B x frames x 4 latent, contiguous) the product is written into
+    out, video-major, and out is returned."""
+    feat, W = np.asarray(feat), params.encoder.W
+    XW = np.matmul(feat.reshape(-1, feat.shape[-1]), W,
+                   out=None if out is None else out.reshape(-1, W.shape[1]))
+    if out is not None:
+        return out
     if feat.ndim == 3:  # rows are video-major; the recurrence steps time
         XW = XW.reshape(feat.shape[0], feat.shape[1], -1).swapaxes(0, 1)
     return XW
-
-
-def _encoder_forward(params, feat):
-    """training_forward's encoder pass, one lstm_forward call whose cache
-    backward needs; returns its (H, h, c, cache)."""
-    return nn.lstm_forward(params.encoder, _project(params, feat))
 
 
 def _final_state(params, XW):
@@ -253,7 +252,7 @@ def _final_state(params, XW):
     slices of XW, each starting from copies of the previous slice's
     final state, so one slice's Hs and Cs are alive at a time.  The rows
     and U's row panels are those of one call, so the result is bitwise
-    that of _encoder_forward.
+    that of one lstm_forward call over all of XW.
     """
     h = c = None
     for t in range(0, len(XW), ENCODE_SLICE):
@@ -336,20 +335,14 @@ def greedy_decode(params, tok, feats, max_words=ModelConfig.max_words):
                     raise ValueError(f"video shape {feat.shape} is not {group.shape[1:]}")
                 group[(n - 1) % ENCODE_GROUP] = feat
                 if n % ENCODE_GROUP == 0:
-                    _project_group(group, W, XW[n - ENCODE_GROUP:n])
+                    _project(params, group, XW[n - ENCODE_GROUP:n])
             if n % ENCODE_GROUP:
-                _project_group(group, W, XW[n - n % ENCODE_GROUP:n])
+                _project(params, group[:n % ENCODE_GROUP], XW[n - n % ENCODE_GROUP:n])
             if n:
                 state = DecodeState(*_final_state(params, XW[:n].swapaxes(0, 1)))
                 captions += _greedy_rows(params, tok, state, np.full(n, bos), bos, eos,
                                          max_words)
     return captions
-
-
-def _project_group(group, W, out):
-    """out (g x frames x 4 latent) = the first g videos of group @ W, one GEMM."""
-    g = len(out)
-    np.matmul(group[:g].reshape(-1, group.shape[-1]), W, out=out.reshape(-1, W.shape[1]))
 
 
 def _greedy_rows(params, tok, state, prev, bos, eos, max_words):

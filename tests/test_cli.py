@@ -106,6 +106,16 @@ def test_missing_required_option_exits_2(tmp_path):
     assert "missing required option" in err
 
 
+@pytest.mark.parametrize("command", ["prepare", "train", "caption", "eval", "make-fixture"])
+def test_help_lists_each_option_once(command):
+    # argparse formats help only when asked, so a bad row shows up here
+    rows = build_parser().parse_args([command])._options
+    code, out, _ = run_cli(command, "--help")
+    assert code == 0
+    for flag in [flags[0] for flags, *_ in rows] + ["--config"]:
+        assert len(re.findall(rf"^ +{re.escape(flag)} ", out, flags=re.M)) == 1, flag
+
+
 # ---------------------------------------------------------------------------
 # prepare
 # ---------------------------------------------------------------------------
@@ -207,6 +217,37 @@ def test_train_divergence_prints_only_the_error_line(ws, tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
         "error: epoch 1: non-finite probabilities in cross_entropy"]
+
+
+def option_args(tmp_path, source, options):
+    """options ({key: value}) as flags, or as a config file for --config."""
+    if source == "flag":
+        return [arg for key, value in options.items() for arg in (f"--{key}", str(value))]
+    cfg = tmp_path / "options.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in options.items()), encoding="utf-8")
+    return ["--config", str(cfg)]
+
+
+def run_writing_nothing(ws, tmp_path, *args):
+    """run_cli(*args) with --out a copy of the prepared run directory;
+    return its result, asserting no file there changed."""
+    out = tmp_path / "out"
+    shutil.copytree(ws["run"], out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    result = run_cli(*args, "--out", str(out))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    return result
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_impossible_model_size_exits_1_before_writing(ws, tmp_path, source):
+    # a valid model config whose parameters (32 PiB) cannot be allocated
+    dims = option_args(tmp_path, source, {"feature-dim": 2147483647, "latent": 1048576})
+    code, out, err = run_writing_nothing(ws, tmp_path, "train", *ws["base"][:4],
+                                         "--frames", "8", "--vocab", "40", *dims)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "PiB" in lines[0]
 
 
 def test_train_rerun_is_byte_identical_at_two_blas_threads(tmp_path):
@@ -854,6 +895,42 @@ def test_config_repeated_key_exits_2_before_writing(ws, tmp_path, lines):
     assert code == 2 and out == ""
     key = lines[1].split()[0]
     assert err.splitlines() == [f"error: {cfg}:2: duplicate key '{key}'"]
+
+
+def test_train_options_from_config_match_flags(ws, tmp_path):
+    outputs = {}
+    for source in ("flag", "config"):
+        out = tmp_path / source
+        shutil.copytree(ws["run"], out)
+        paths = option_args(tmp_path, source, {"descriptions": ws["base"][1],
+                                               "manifest": ws["base"][3], "out": out})
+        code, _, err = run_cli("train", *paths, *MODEL_ARGS, "--epochs", "2",
+                               "--batch-size", "4", "--seed", "3")
+        assert code == 0, err
+        outputs[source] = [(out / f).read_bytes() for f in ("metrics.csv", "ckpt-2.sq2s")]
+    assert outputs["config"] == outputs["flag"]
+
+
+@pytest.mark.parametrize("missing", ["nothing", "manifest"])
+def test_config_value_of_wrong_type_exits_2_before_writing(ws, tmp_path, missing):
+    # reported before a required option that is missing too
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = x\n", encoding="utf-8")
+    manifest = [] if missing == "manifest" else ["--manifest", ws["base"][3]]
+    code, out, err = run_writing_nothing(ws, tmp_path, "train", *ws["base"][:2], *manifest,
+                                         *MODEL_ARGS, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: config value for 'epochs' is not a valid int: 'x'"]
+
+
+def test_flag_beats_config_for_a_required_option(ws, tmp_path):
+    cfg = tmp_path / "prep.cfg"
+    cfg.write_text(f"out = {tmp_path / 'config'}\n", encoding="utf-8")
+    code, _, err = run_cli("prepare", *ws["base"][:4], "--out", str(tmp_path / "flag"),
+                           "--config", str(cfg))
+    assert code == 0, err
+    assert (tmp_path / "flag" / "tokenizer.txt").exists()
+    assert not (tmp_path / "config").exists()
 
 
 def test_config_rejects_unknown_keys(ws, tmp_path):

@@ -165,6 +165,11 @@ def test_histogram_bin_edges_are_right_open():
     assert counts == [1, 1, 0, 0, 0, 0, 0, 0, 0, 2]
     assert rows[0][:2] == (0.0, 0.1)
     assert rows[9][:2] == (0.9, 1.0)
+    # each edge's bin also holds the float just above it and the one just
+    # below the next edge; the last bin also holds 1.0
+    edges = np.arange(11) / 10
+    near = np.concatenate([edges, np.nextafter(edges[1:], 0), np.nextafter(edges[:-1], 1)])
+    assert [c for _, _, c in histogram_counts(near.tolist())] == [3] * 9 + [4]
 
 
 def test_histogram_counts_sum_to_input_size():

@@ -252,14 +252,14 @@ def test_encode_video_is_order_sensitive():
 @pytest.mark.parametrize("frames", [1, 15, 16, 17, 40])
 def test_sliced_encoder_state_is_bitwise_one_call(frames, rows, dtype):
     # ENCODE_SLICE-step calls chained on copies of the final state round
-    # as _encoder_forward's one call; at latent 256, 4 rows take U in
+    # as one lstm_forward call; at latent 256, 4 rows take U in
     # row panels and 16 rows one product
     cfg = ModelConfig(frames=frames, feature_dim=8, latent=256, max_words=4, vocab=7)
     params = ModelParams.init(cfg, seed=frames + rows, dtype=dtype)
     assert len(nn.recurrent_panels(4, cfg.latent)) > 1
     shape = (rows, frames, cfg.feature_dim) if rows > 1 else (frames, cfg.feature_dim)
     feats = np.random.default_rng(rows).standard_normal(shape).astype(dtype)
-    _, h_one, c_one, _ = model._encoder_forward(params, feats)
+    _, h_one, c_one, _ = nn.lstm_forward(params.encoder, model._project(params, feats))
     h, c = encode_video(params, feats)
     assert h.dtype == c.dtype == dtype
     assert np.array_equal(h, h_one) and np.array_equal(c, c_one)
@@ -285,7 +285,8 @@ def test_greedy_chunk_state_is_bitwise_one_stacked_call(monkeypatch, n):
     chunks = range(0, n, model.EVAL_CHUNK)
     assert len(starts) == len(chunks)
     for (h, c), s in zip(starts, chunks):
-        _, h_one, c_one, _ = model._encoder_forward(params, videos[s:s + model.EVAL_CHUNK])
+        chunk = videos[s:s + model.EVAL_CHUNK]
+        _, h_one, c_one, _ = nn.lstm_forward(params.encoder, model._project(params, chunk))
         assert np.array_equal(h, h_one) and np.array_equal(c, c_one)
 
 
