@@ -16,7 +16,7 @@ from . import corpus as corpus_mod
 from . import evaluation, fixture
 from . import model as mdl
 from . import training
-from .features import FeatureStore, load_manifest, read_feature_file
+from .features import FeatureStore, VideoFrames, load_manifest, read_feature_file
 from .tokenizer import Tokenizer
 from .util import InputError, fmt6, open_text
 
@@ -189,7 +189,7 @@ def cmd_eval(ns):
     corp = corpus_mod.build_corpus(corpus_mod.parse_descriptions(ns.descriptions))
     store = FeatureStore(ns.manifest, expected_shape=(cfg.frames, cfg.feature_dim))
     training.check_keys(keys, corp, store)  # before the first decode
-    videos = (store.get(key) for key in keys)  # read inside greedy_decode
+    videos = [VideoFrames(store, key) for key in keys]  # read inside greedy_decode
     predictions = dict(zip(keys, mdl.greedy_decode(params, tok, videos, cfg.max_words)))
     report = evaluation.evaluate_split(predictions, corp, keys, ns.split)
     evaluation.write_report_csv(os.path.join(ns.out, "report.csv"), report)

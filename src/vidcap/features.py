@@ -5,6 +5,7 @@ and column counts as unsigned 32-bit little-endian, then the row-major
 IEEE-754 binary32 payload.  A manifest maps video ids to feature files.
 """
 
+from dataclasses import dataclass
 import os
 import struct
 
@@ -61,11 +62,18 @@ def write_feature_file(path, matrix):
         fh.write(data)
 
 
-def read_feature_file(path):
-    """Read a .vfm file back into a float32 matrix, bit-exactly.
+def read_feature_file(path, rows=slice(None), out=None, expected_shape=None,
+                      name=None):
+    """Read rows of a .vfm file (by default all) into a float32 matrix,
+    bit-exactly.
 
-    The file size is checked against the header before the matrix is
-    allocated, and the payload is read straight into it.
+    The magic and the file size are checked against the header, and the
+    header's (rows, cols) against expected_shape when given (the error
+    calls the matrix name, by default path), before anything is
+    allocated.  rows is a step-1 slice of the file's rows, as numpy
+    clips it; they are read straight into out (contiguous float32, of
+    their shape) when given, else into a new matrix, which is returned
+    once every value read is known to be finite.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -74,16 +82,28 @@ def read_feature_file(path):
             raise InputError(f"{path}: truncated header ({len(head)} bytes)")
         if head[:4] != MAGIC:
             raise InputError(f"{path}: bad magic {head[:4]!r}, expected {MAGIC!r}")
-        rows, cols = struct.unpack_from("<II", head, 4)
-        expected = _HEADER_BYTES + 4 * rows * cols
+        shape = struct.unpack_from("<II", head, 4)
+        expected = _HEADER_BYTES + 4 * shape[0] * shape[1]
         if size != expected:
             raise InputError(f"{path}: payload is {size} bytes, expected {expected}")
-        m = np.empty((rows, cols), dtype="<f4")
-        if fh.readinto(m.reshape(-1).view(np.uint8)) != m.nbytes:
+        if expected_shape is not None and shape != expected_shape:
+            raise InputError(f"features for '{path if name is None else name}' have "
+                             f"shape {shape}, expected {expected_shape}")
+        start, stop, step = rows.indices(shape[0])
+        if step != 1:
+            raise ValueError(f"rows {rows} must be a step-1 slice")
+        want = (max(stop - start, 0), shape[1])
+        if out is None:
+            out = np.empty(want, dtype="<f4")
+        elif out.shape != want or out.dtype != "<f4" or not out.flags.c_contiguous:
+            raise ValueError(f"out is {out.dtype} {out.shape}, expected contiguous "
+                             f"float32 {want}")
+        fh.seek(4 * start * shape[1], os.SEEK_CUR)
+        if fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
             raise InputError(f"{path}: payload is shorter than its header says")
-    if not all_finite(m):
+    if not all_finite(out):
         raise InputError(f"{path}: non-finite feature entries")
-    return m
+    return out
 
 
 def load_manifest(path):
@@ -125,11 +145,30 @@ class FeatureStore:
     def __contains__(self, video_id):
         return video_id in self.entries
 
-    def get(self, video_id):
+    def get(self, video_id, rows=slice(None), out=None):
+        """A video's matrix, or its frames rows read into out, as
+        read_feature_file reads them; the header's shape must be the
+        store's expected shape, when it has one."""
         if video_id not in self.entries:
             raise InputError(f"unknown video id '{video_id}'")
-        m = read_feature_file(self.entries[video_id])
-        if self.expected_shape is not None and m.shape != self.expected_shape:
-            raise InputError(f"features for '{video_id}' have shape {m.shape}, "
-                             f"expected {self.expected_shape}")
-        return m
+        return read_feature_file(self.entries[video_id], rows, out,
+                                 self.expected_shape, video_id)
+
+
+@dataclass(frozen=True)
+class VideoFrames:
+    """One video of a store as a lazy source, read a range of frames at a
+    time: shape is the store's expected shape, and read(rows, out) reads
+    those rows into out through FeatureStore.get.  Nothing is read until
+    read is called."""
+
+    store: FeatureStore
+    video_id: str
+    dtype = np.dtype("<f4")
+
+    @property
+    def shape(self):
+        return self.store.expected_shape
+
+    def read(self, rows, out):
+        return self.store.get(self.video_id, rows, out)

@@ -24,24 +24,25 @@ from .util import InputError, all_finite
 CHECKPOINT_MAGIC = b"SQ2S"
 CHECKPOINT_VERSION = 1
 MAX_WORDS = 1024  # ~100x the paper's 10, so no header can decode without end
-# videos per decoder batch when greedy_decode captions a split.  At full
-# size a chunk's working set is one ENCODE_GROUP of frames (8 x 80 x 4096
-# float32, 10.5 MB), the chunk's 80 x 16 x 2048 projection (10.5 MB,
-# which lstm_forward activates in place as the gates) and one
-# ENCODE_SLICE of Hs and Cs (17 x 16 x 512 each, 1.1 MB together)
+# videos per validation pass of training.evaluate_samples, which caches
+# every step of a pass for its loss
 EVAL_CHUNK = 16
-# videos whose frames greedy_decode projects with one encoder.W GEMM.
-# Row blocks of a GEMM round as the whole product does, so the group
-# size changes no output bit.  eval over 101 full-size videos (one BLAS
-# thread, one pinned CPU, 2-core Xeon) peaked at 130.8 MB ru_maxrss with
-# a 16-video frame stack and one 80-step call, 114.4 MB with 8-video
-# groups.  4-video groups read 103.8 MB, but four 320-row GEMMs took
-# 230 ms where one 1280-row GEMM took 196 and two 640-row GEMMs 202
-ENCODE_GROUP = 8
-# encoder steps per lstm_forward call at inference, so only one slice's
-# Hs and Cs are alive; chained calls round as one call does.  With
-# 8-video groups, eval's peak above fell from 114.4 to 109.3 MB, as low
-# as one-step slices read
+# videos per decoder batch when greedy_decode captions a split; eval's
+# 101 full-size videos are one chunk, whose encoder and decoder steps
+# each take all 101 rows through one product (h @ U at latent 512: 59 us
+# per row at 16 rows, 26 at 101, 23 at 128; one BLAS thread, 2-core Xeon)
+DECODE_CHUNK = 128
+# a split's two slice buffers (frames, and their projection) have the
+# rows of SLICE_VIDEOS videos' frames, at least DECODE_CHUNK, allocated
+# once: a chunk of n videos is encoded rows // n frames at a time.  At
+# full size that is 640 rows (10.5 MB of frames, 5.2 MB of gates), 6
+# frames for eval's 101 videos; on 16 x 2048 features at latent 8, 128
+# rows (1 MB).  greedy_decode over those 101 full-size videos peaked at
+# 20.4 MiB (tracemalloc), against 22.7 MiB for 16-video chunks projected
+# in 8-video groups, and at 22.3 MiB with 9 videos' rows
+SLICE_VIDEOS = 8
+# encoder steps per lstm_forward call of _final_state, so only one
+# slice's Hs and Cs are alive; chained calls round as one call does
 ENCODE_SLICE = 16
 
 # a checkpoint's eight records, in file order, and the shape the config
@@ -244,9 +245,10 @@ def _project(params, feat, out=None):
     return XW
 
 
-def _final_state(params, XW):
+def _final_state(params, XW, h=None, c=None):
     """Final encoder (h, c) over the time-major projection XW (frames x
-    [B x] 4 latent), which it consumes.
+    [B x] 4 latent), which it consumes, from the state (h, c) (zeros
+    when None).
 
     The recurrence runs as lstm_forward calls over ENCODE_SLICE-step
     slices of XW, each starting from copies of the previous slice's
@@ -254,10 +256,42 @@ def _final_state(params, XW):
     and U's row panels are those of one call, so the result is bitwise
     that of one lstm_forward call over all of XW.
     """
-    h = c = None
     for t in range(0, len(XW), ENCODE_SLICE):
         h, c = [s.copy() for s in nn.lstm_forward(params.encoder,
                                                   XW[t:t + ENCODE_SLICE], h, c)[1:3]]
+    return h, c
+
+
+def _slice_rows(frames):
+    """Rows of a split's two slice buffers (frames, and their
+    projection): SLICE_VIDEOS videos' frames, and at least one per video
+    of a chunk."""
+    return max(SLICE_VIDEOS * frames, DECODE_CHUNK)
+
+
+def _encode_chunk(params, videos, X, XW, S):
+    """Final encoder state of a chunk of videos (each frames x D: arrays,
+    or lazy sources with shape and read(rows, out)), streamed over time.
+
+    For each slice of S frames (the last may be shorter), every video's
+    rows are read straight into the front of the flat buffer X,
+    projected with one GEMM into the front of the flat buffer XW, and
+    the chunk's recurrence advances from the previous slice's state.
+    Each frame is read once.  Row blocks of a GEMM round as the whole
+    product does, so the state is bitwise one stacked lstm_forward's.
+    """
+    (frames, dim), n, width = videos[0].shape, len(videos), params.encoder.W.shape[1]
+    h = c = None
+    for t in range(0, frames, S):
+        s = min(S, frames - t)
+        x = X[:n * s * dim].reshape(n, s, dim)
+        for video, rows in zip(videos, x):
+            if isinstance(video, np.ndarray):
+                rows[...] = video[t:t + s]
+            else:
+                video.read(slice(t, t + s), rows)
+        xw = _project(params, x, XW[:n * s * width].reshape(n, s, width))
+        h, c = _final_state(params, xw.swapaxes(0, 1), h, c)
     return h, c
 
 
@@ -299,14 +333,15 @@ def greedy_decode(params, tok, feats, max_words=ModelConfig.max_words):
     """Greedy captioning: feed bos, take the argmax, re-feed, stop on eos.
 
     feats is one video's frames x D matrix, which gives its word list,
-    or an iterable of such matrices, which gives their word lists.  The
-    iterable is read lazily, EVAL_CHUNK videos per chunk whose rows step
-    together, each leaving the batch at its eos.  A chunk's videos are
-    copied into one reused ENCODE_GROUP-video frame buffer, and each
-    full group (and the last partial one) is projected with one GEMM
-    into its rows of one reused EVAL_CHUNK-row XW; _final_state then
-    encodes the chunk a slice of steps at a time.  Memory is bounded by
-    one group of frames, one chunk's XW and one slice of states.
+    or an iterable of videos, which gives their word lists.  A video is
+    a frames x D array or a lazy source of one (features.VideoFrames:
+    its shape, and read(rows, out) to read a range of frames).  The
+    iterable is drawn DECODE_CHUNK videos per chunk, whose rows step
+    together, each leaving the batch at its eos.  _encode_chunk streams
+    a chunk of n videos through the encoder rows // n frames at a time,
+    in two flat buffers of _slice_rows rows allocated once, so with lazy
+    sources memory is bounded by one slice, not by the chunk or the
+    split (arrays are held a chunk at a time, as drawn).
 
     At most max_words steps run and no list contains a sentinel.  The
     argmax runs over the fitted vocabulary (ties to the lowest index); a
@@ -323,25 +358,20 @@ def greedy_decode(params, tok, feats, max_words=ModelConfig.max_words):
             state = DecodeState(*encode_video(params, feats))
             return _greedy_rows(params, tok, state, bos, bos, eos, max_words)[0]
         W = params.encoder.W
-        captions, videos, group, n = [], iter(feats), None, EVAL_CHUNK
-        while n == EVAL_CHUNK:
-            n = 0
-            for n, feat in enumerate(itertools.islice(videos, EVAL_CHUNK), 1):
-                if group is None:
-                    group = np.empty((ENCODE_GROUP,) + feat.shape, dtype=feat.dtype)
-                    XW = np.empty((EVAL_CHUNK, feat.shape[0], W.shape[1]),
-                                  dtype=np.result_type(feat.dtype, W.dtype))
-                if feat.shape != group.shape[1:]:
-                    raise ValueError(f"video shape {feat.shape} is not {group.shape[1:]}")
-                group[(n - 1) % ENCODE_GROUP] = feat
-                if n % ENCODE_GROUP == 0:
-                    _project(params, group, XW[n - ENCODE_GROUP:n])
-            if n % ENCODE_GROUP:
-                _project(params, group[:n % ENCODE_GROUP], XW[n - n % ENCODE_GROUP:n])
-            if n:
-                state = DecodeState(*_final_state(params, XW[:n].swapaxes(0, 1)))
-                captions += _greedy_rows(params, tok, state, np.full(n, bos), bos, eos,
-                                         max_words)
+        captions, videos, X = [], iter(feats), None
+        while chunk := list(itertools.islice(videos, DECODE_CHUNK)):
+            if X is None:
+                shape, dtype = chunk[0].shape, chunk[0].dtype
+                rows = _slice_rows(shape[0])
+                X = np.empty(rows * shape[1], dtype=dtype)
+                XW = np.empty(rows * W.shape[1], dtype=np.result_type(dtype, W.dtype))
+            for video in chunk:
+                if video.shape != shape:
+                    raise ValueError(f"video shape {video.shape} is not {shape}")
+            S = min(rows // len(chunk), shape[0])
+            state = DecodeState(*_encode_chunk(params, chunk, X, XW, S))
+            captions += _greedy_rows(params, tok, state, np.full(len(chunk), bos),
+                                     bos, eos, max_words)
     return captions
 
 

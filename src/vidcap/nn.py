@@ -193,7 +193,7 @@ def recurrent_panels(rows, hidden):
     by enough rows that panels no longer paid off in both directions
     (hidden 512, forward/backward per step: B = 16 857/645 us as one
     product, 666/669 us in 29-row panels; B = 24 1039/923 against
-    1155/874 us), so eval's 16-video chunks keep one product.  The rule
+    1155/874 us), so validation's 16-video passes keep one product.  The rule
     depends on (rows, hidden) only, so T chained one-step calls round
     as one T-step call does.
     """

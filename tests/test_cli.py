@@ -520,6 +520,35 @@ def test_wrong_feature_shape_exits_2_before_writing(ws, tmp_path, command):
     assert not (run / "report.csv").exists() and not (run / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("fault", ["nan-in-last-frame", "one-float-short"])
+def test_eval_checks_every_frame_of_the_last_video(ws, tmp_path, fault):
+    # eval reads each video a slice of frames at a time; a fault in the
+    # last slice of the split's last video still exits 2 before any CSV
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(ws["data"], data)
+    run.mkdir()
+    for name in ("train.keys", "val.keys", "test.keys", "tokenizer.txt"):
+        shutil.copy(ws["run"] / name, run / name)
+    last = (run / "train.keys").read_text(encoding="utf-8").split()[-1]
+    path = data / "feat" / f"{last}.vfm"
+    blob = path.read_bytes()
+    if fault == "nan-in-last-frame":
+        m = np.frombuffer(blob[12:], dtype="<f4").reshape(8, 16).copy()
+        m[-1, -1] = np.nan
+        path.write_bytes(blob[:12] + m.tobytes())
+        want = f"error: {path}: non-finite feature entries"
+    else:
+        path.write_bytes(blob[:-4])
+        want = f"error: {path}: payload is {len(blob) - 4} bytes, expected {len(blob)}"
+    code, out, err = run_cli("eval", "--checkpoint", str(ws["ckpt"]),
+                             "--descriptions", str(data / "descriptions.txt"),
+                             "--manifest", str(data / "manifest.tsv"),
+                             "--out", str(run), "--split", "train")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [want]
+    assert not any(run.glob("*.csv"))
+
+
 def test_caption_missing_checkpoint_exits_1(ws, tmp_path):
     code, _, _ = run_cli("caption", "--checkpoint", str(tmp_path / "none.sq2s"),
                          "--tokenizer", str(ws["tok"]),
@@ -820,9 +849,10 @@ def test_eval_peak_memory_does_not_grow_with_the_split(tmp_path):
 
 
 def test_eval_peak_holds_one_group_of_frames(tmp_path):
-    # 27 videos: a chunk's frames pass through one ENCODE_GROUP-video
-    # buffer (8 x 128 KB), not a stack of its 16 videos (16 x 128 KB);
-    # the stack peaked at 2,703 KiB here, the group at 1,677 KiB
+    # 27 videos: the chunk's frames pass through one slice buffer of 128
+    # rows (1 MB), not a stack of 16 videos (16 x 128 KB); the stack
+    # peaked at 2,703 KiB here, 8-video groups at 1,677 KiB and the
+    # slice buffer at 1,465 KiB
     peak = traced_eval_peak(tmp_path, n_videos=30)
     assert peak <= 1920 * 2**10, peak
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vidcap.features import (MAGIC, FeatureStore, decimation_indices,
-                             load_manifest, read_feature_file,
-                             write_feature_file)
+from vidcap.features import (MAGIC, FeatureStore, VideoFrames,
+                             decimation_indices, load_manifest,
+                             read_feature_file, write_feature_file)
 from vidcap.util import InputError
 
 from memtrace import traced
@@ -189,6 +189,49 @@ def test_read_returns_every_finite_bit_pattern_unchanged(tmp_path):
     assert back.tobytes() == blob[12:]
 
 
+def test_read_rows_are_the_full_read_rows(tmp_path):
+    m = np.random.default_rng(4).standard_normal((7, 5)).astype(np.float32)
+    path = str(tmp_path / "m.vfm")
+    write_feature_file(path, m)
+    for rows in (slice(0, 7), slice(2, 5), slice(6, 7), slice(3, 3), slice(5, 99),
+                 slice(-2, None), slice(None)):
+        assert read_feature_file(path, rows).tobytes() == m[rows].tobytes()
+        out = np.full(m[rows].shape, -1.0, dtype=np.float32)
+        assert read_feature_file(path, rows, out) is out
+        assert out.tobytes() == m[rows].tobytes()
+
+
+def test_read_rows_rejects_strides_and_bad_out(tmp_path):
+    path = str(tmp_path / "m.vfm")
+    write_feature_file(path, np.ones((4, 3), dtype=np.float32))
+    with pytest.raises(ValueError, match="step-1"):
+        read_feature_file(path, slice(0, 4, 2))
+    for out in (np.empty((2, 3), np.float64), np.empty((3, 3), np.float32),
+                np.empty((2, 6), np.float32)[:, ::2]):
+        with pytest.raises(ValueError, match="contiguous float32"):
+            read_feature_file(path, slice(1, 3), out)
+
+
+@pytest.mark.parametrize("at", [0, 13, 34])
+def test_read_rows_check_the_rows_they_read(tmp_path, at):
+    # every row read is checked for finiteness; rows left unread are not
+    m = np.ones(35, dtype="<f4")
+    m[at] = np.nan
+    path = write_blob(tmp_path, MAGIC + struct.pack("<II", 5, 7) + m.tobytes())
+    row = at // 7
+    with pytest.raises(InputError, match="non-finite"):
+        read_feature_file(path, slice(row, row + 1))
+    others = slice(row + 1, 5) if row < 4 else slice(0, row)
+    assert np.array_equal(read_feature_file(path, others), np.ones((5, 7))[others])
+
+
+def test_read_rows_check_the_whole_file_size(tmp_path):
+    m = np.ones((4, 3), dtype="<f4")
+    path = write_blob(tmp_path, MAGIC + struct.pack("<II", 4, 3) + m.tobytes()[:-4])
+    with pytest.raises(InputError, match="payload is 56 bytes, expected 60"):
+        read_feature_file(path, slice(0, 1))
+
+
 # ---------------------------------------------------------------------------
 # Manifest
 # ---------------------------------------------------------------------------
@@ -257,3 +300,42 @@ def test_store_rejects_unknown_ids_and_bad_shapes(tmp_path):
     strict = FeatureStore(manifest, expected_shape=(4, 4))
     with pytest.raises(InputError, match="shape"):
         strict.get("a")
+
+
+def test_store_checks_the_header_shape_before_reading(tmp_path):
+    # a 64 MB file of the wrong shape is rejected from its header alone:
+    # no payload is allocated or read
+    path = tmp_path / "big.vfm"
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<II", 4096, 4096))
+        fh.truncate(12 + 4 * 4096 * 4096)
+    (tmp_path / "m.tsv").write_text("big\tbig.vfm\n", encoding="utf-8")
+    store = FeatureStore(str(tmp_path / "m.tsv"), expected_shape=(80, 4096))
+
+    def rejection(rows):
+        with pytest.raises(InputError) as info:
+            store.get("big", rows)
+        return str(info.value)
+
+    for rows in (slice(None), slice(0, 5)):
+        message, _, peak = traced(rejection, rows)
+        assert message == "features for 'big' have shape (4096, 4096), expected (80, 4096)"
+        assert peak < 64 * 2**10, peak
+
+
+def test_store_reports_a_misshaped_non_finite_file_by_its_shape(tmp_path):
+    path = tmp_path / "nan.vfm"
+    path.write_bytes(MAGIC + struct.pack("<II", 1, 2) + struct.pack("<2f", np.nan, 0))
+    (tmp_path / "m.tsv").write_text("v\tnan.vfm\n", encoding="utf-8")
+    with pytest.raises(InputError, match=r"have shape \(1, 2\), expected \(2, 1\)"):
+        FeatureStore(str(tmp_path / "m.tsv"), expected_shape=(2, 1)).get("v")
+
+
+def test_video_frames_reads_through_the_store(tmp_path):
+    manifest = make_corpus_dir(tmp_path)
+    store = FeatureStore(manifest, expected_shape=(2, 3))
+    video = VideoFrames(store, "b")
+    assert video.shape == (2, 3) and video.dtype == np.float32
+    out = np.empty((1, 3), np.float32)
+    assert video.read(slice(1, 2), out) is out
+    assert np.array_equal(out, store.get("b")[1:])

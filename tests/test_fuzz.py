@@ -101,9 +101,25 @@ def test_checkpoint_bytes_load_or_raise_input_error(mutant_dir, blob):
 
 
 @settings(deadline=None, max_examples=200)
-@given(blob=st.deferred(lambda: mutants(valid_bytes("vfm"))))
-def test_feature_file_bytes_load_or_raise_input_error(mutant_dir, blob):
-    _loads_or_raises_input_error(mutant_dir / "mutant.vfm", blob, read_feature_file)
+@given(blob=st.deferred(lambda: mutants(valid_bytes("vfm"))),
+       start=st.integers(0, 4), stop=st.integers(0, 4))
+def test_feature_file_bytes_load_or_raise_input_error(mutant_dir, blob, start, stop):
+    # a full read, then a read of frames start:stop, which the full read
+    # rejects whenever it rejects them, and whose rows are the file's
+    path = mutant_dir / "mutant.vfm"
+    path.write_bytes(blob)
+    try:
+        full = read_feature_file(path)
+    except InputError:
+        full = None
+    try:
+        rows = read_feature_file(path, slice(start, stop))
+    except InputError:
+        assert full is None
+        return
+    if full is None:  # a non-finite value outside the rows read
+        full = np.frombuffer(blob, "<f4", offset=12).reshape(struct.unpack_from("<II", blob, 4))
+    assert rows.tobytes() == full[start:stop].tobytes()
 
 
 # Text artifacts, each well under 120 bytes so every byte can be

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vidcap import model, nn
+from vidcap.features import FeatureStore, VideoFrames, write_feature_file
 from vidcap.model import (CHECKPOINT_MAGIC, DecodeState, ModelConfig,
                           ModelParams, TENSOR_ORDER, _params_from_tensors,
                           _write_tensor, decode_step,
@@ -265,10 +266,11 @@ def test_sliced_encoder_state_is_bitwise_one_call(frames, rows, dtype):
     assert np.array_equal(h, h_one) and np.array_equal(c, c_one)
 
 
-@pytest.mark.parametrize("n", [5, 8, 16, 19, 35])
+@pytest.mark.parametrize("n", [5, 8, 16, 19, 35, model.DECODE_CHUNK - 1, model.DECODE_CHUNK,
+                               model.DECODE_CHUNK + 1, 2 * model.DECODE_CHUNK + 3])
 def test_greedy_chunk_state_is_bitwise_one_stacked_call(monkeypatch, n):
-    # each chunk is projected in ENCODE_GROUP-video GEMMs (a partial
-    # group last) and encoded in slices: its decoder starts from the
+    # each chunk is projected one slice of frames at a time (one GEMM per
+    # slice) and encoded slice by slice: its decoder starts from the
     # state one call over the stacked chunk gives
     cfg = ModelConfig(frames=21, feature_dim=24, latent=16, max_words=4, vocab=7)
     params = ModelParams.init(cfg, seed=n)
@@ -282,12 +284,99 @@ def test_greedy_chunk_state_is_bitwise_one_stacked_call(monkeypatch, n):
 
     monkeypatch.setattr(model, "_greedy_rows", recording)
     greedy_decode(params, small_tokenizer(), iter(list(videos)), cfg.max_words)
-    chunks = range(0, n, model.EVAL_CHUNK)
+    chunks = range(0, n, model.DECODE_CHUNK)
     assert len(starts) == len(chunks)
     for (h, c), s in zip(starts, chunks):
-        chunk = videos[s:s + model.EVAL_CHUNK]
+        chunk = videos[s:s + model.DECODE_CHUNK]
         _, h_one, c_one, _ = nn.lstm_forward(params.encoder, model._project(params, chunk))
         assert np.array_equal(h, h_one) and np.array_equal(c, c_one)
+
+
+def test_slice_rows_are_fixed_per_split():
+    # 8 full-size videos' frames (6-frame slices for 101 videos), or one
+    # row per video of a chunk; the count depends on the frames only
+    assert model._slice_rows(80) == 640
+    assert model._slice_rows(16) == model._slice_rows(5) == model.DECODE_CHUNK
+
+
+def _store(tmp_path, videos):
+    """A FeatureStore of videos, one .vfm file each (ids v0, v1, ...),
+    expecting their shape, and its lazy sources in order."""
+    lines = []
+    for i, video in enumerate(videos):
+        write_feature_file(str(tmp_path / f"v{i}.vfm"), video)
+        lines.append(f"v{i}\tv{i}.vfm\n")
+    (tmp_path / "manifest.tsv").write_text("".join(lines), encoding="utf-8")
+    store = FeatureStore(str(tmp_path / "manifest.tsv"), expected_shape=videos.shape[1:])
+    return store, [VideoFrames(store, f"v{i}") for i in range(len(videos))]
+
+
+@pytest.mark.parametrize("rows", [None, 2 * model.DECODE_CHUNK, 100 * model.DECODE_CHUNK])
+@pytest.mark.parametrize("n", [1, model.DECODE_CHUNK - 1, model.DECODE_CHUNK,
+                               model.DECODE_CHUNK + 1, 2 * model.DECODE_CHUNK + 3])
+def test_greedy_split_from_file_slices_matches_arrays_and_oracle(tmp_path, monkeypatch,
+                                                                  n, rows):
+    # slice buffers of _slice_rows' DECODE_CHUNK rows (1-frame slices for
+    # a full chunk), of 2 x DECODE_CHUNK (2-frame slices over 5 frames,
+    # the last ragged) and of more than any chunk's frames (one slice)
+    if rows is not None:
+        monkeypatch.setattr(model, "_slice_rows", lambda frames: rows)
+    tok, params, videos = small_tokenizer(), _diverse_params(), _videos(n)
+    _, sources = _store(tmp_path, videos)
+    want = [oracles.greedy_caption_per_video(params, tok, f, TOY.max_words)[0]
+            for f in videos]
+    assert greedy_decode(params, tok, list(videos), TOY.max_words) == want
+    assert greedy_decode(params, tok, sources, TOY.max_words) == want
+
+
+@pytest.mark.parametrize("S", [1, 2, 3, 7])
+@pytest.mark.parametrize("n", [5, model.DECODE_CHUNK + 1])
+def test_sliced_chunk_state_is_bitwise_one_stacked_call(tmp_path, monkeypatch, n, S):
+    # slices of S frames (of 7; the last chunk of 1 video takes all 7)
+    # read from files, each projected with one GEMM and stepped from the
+    # previous slice's state, give the state one lstm_forward over the
+    # stacked chunk gives
+    monkeypatch.setattr(model, "_slice_rows", lambda frames: S * min(n, model.DECODE_CHUNK))
+    cfg = ModelConfig(frames=7, feature_dim=24, latent=16, max_words=4, vocab=7)
+    params = ModelParams.init(cfg, seed=n + S)
+    videos = np.random.default_rng(n).standard_normal(
+        (n, cfg.frames, cfg.feature_dim)).astype(np.float32)
+    _, sources = _store(tmp_path, videos)
+    starts, rows = [], model._greedy_rows
+
+    def recording(params, tok, state, *args):
+        starts.append((state.h.copy(), state.c.copy()))
+        return rows(params, tok, state, *args)
+
+    monkeypatch.setattr(model, "_greedy_rows", recording)
+    greedy_decode(params, small_tokenizer(), sources, cfg.max_words)
+    chunks = range(0, n, model.DECODE_CHUNK)
+    assert len(starts) == len(chunks)
+    for (h, c), s in zip(starts, chunks):
+        chunk = videos[s:s + model.DECODE_CHUNK]
+        _, h_one, c_one, _ = nn.lstm_forward(params.encoder, model._project(params, chunk))
+        assert np.array_equal(h, h_one) and np.array_equal(c, c_one)
+
+
+def test_greedy_reads_each_frame_of_a_split_once(tmp_path, monkeypatch):
+    # 2-frame slices over 5 frames (2, 2, 1) for the first chunk, one
+    # slice for the 3-video second: every frame of every video is read
+    # through FeatureStore.get exactly once, a chunk at a time
+    C = model.DECODE_CHUNK
+    monkeypatch.setattr(model, "_slice_rows", lambda frames: 2 * C)
+    n = C + 3
+    store, sources = _store(tmp_path, _videos(n))
+    reads, get = [], FeatureStore.get
+
+    def recording(self, video_id, rows=slice(None), out=None):
+        reads.append((int(video_id[1:]), rows))
+        return get(self, video_id, rows, out)
+
+    monkeypatch.setattr(FeatureStore, "get", recording)
+    greedy_decode(_diverse_params(), small_tokenizer(), sources, TOY.max_words)
+    frames = [(i, t) for i, rows in reads for t in range(*rows.indices(TOY.frames))]
+    assert sorted(frames) == [(i, t) for i in range(n) for t in range(TOY.frames)]
+    assert [i for i, _ in reads] == 3 * list(range(C)) + [C, C + 1, C + 2]
 
 
 def test_decode_step_zero_params_uniform():
@@ -473,7 +562,7 @@ def test_diverse_params_cover_every_stop_and_bos():
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 35])
 @pytest.mark.parametrize("weights", ["diverse", "init"])
 def test_greedy_split_matches_per_video_oracle(n, weights):
-    # chunks of EVAL_CHUNK rows leaving the batch at their own eos must
+    # chunks of DECODE_CHUNK rows leaving the batch at their own eos must
     # caption each video as the one-video loop does
     tok = small_tokenizer()
     params = _diverse_params() if weights == "diverse" else ModelParams.init(TOY, seed=9)
@@ -498,22 +587,22 @@ def _recording_decode_step(monkeypatch, drawn):
 
 def test_greedy_reads_a_split_one_chunk_at_a_time(monkeypatch):
     tok = small_tokenizer()
-    drawn = []
+    drawn, C = [], model.DECODE_CHUNK
 
     def videos():
-        for f in _videos(35):
+        for f in _videos(2 * C + 3):
             drawn.append(f)
             yield f
 
     calls = _recording_decode_step(monkeypatch, drawn)
     captions = greedy_decode(_diverse_params(), tok, videos(), TOY.max_words)
-    assert len(captions) == len(drawn) == 35
+    assert len(captions) == len(drawn) == 2 * C + 3
     # each chunk's first step feeds bos to all of its rows, and no video
     # is drawn before the chunk that decodes it
     firsts = [(n, t) for i, (n, t) in enumerate(calls) if i == 0 or calls[i - 1][0] != n]
-    assert [(n, t.size) for n, t in firsts] == [(16, 16), (32, 16), (35, 3)]
+    assert [(n, t.size) for n, t in firsts] == [(C, C), (2 * C, C), (2 * C + 3, 3)]
     assert all((t == tok.word_to_index["bos"]).all() for _, t in firsts)
-    assert all(t.ndim == 1 and 1 <= t.size <= model.EVAL_CHUNK for _, t in calls)
+    assert all(t.ndim == 1 and 1 <= t.size <= model.DECODE_CHUNK for _, t in calls)
 
 
 def test_greedy_one_video_feeds_scalar_tokens(monkeypatch):
@@ -546,7 +635,7 @@ def test_inference_and_training_passes_leave_the_weights_bitwise_unchanged():
     decode_step(params, DecodeState(*encode_video(params, videos[0])), 3)
     decode_step(params, DecodeState(*encode_video(params, videos[:3])), np.array([3, 3, 5]))
     greedy_decode(params, tok, videos[0], TOY.max_words)
-    greedy_decode(params, tok, iter(list(videos)), TOY.max_words)  # chunks of 16 and 1
+    greedy_decode(params, tok, iter(list(videos)), TOY.max_words)  # one chunk of 17
     feat, dec_in, _ = toy_inputs(15, dtype=np.float32)
     training_forward(params, feat, dec_in)
     training_forward(params, videos[:2], np.stack([dec_in, dec_in[::-1]]))
