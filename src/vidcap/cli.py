@@ -24,6 +24,23 @@ TOKENIZER_FILE = "tokenizer.txt"
 METRICS_FILE = "metrics.csv"
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which registers its options (an option
+    table, see _add_options) the first time it parses, so a run builds
+    only the options of the command it runs; help is formatted while
+    parsing, after they are registered."""
+
+    def __init__(self, *args, options, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pending = options
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._pending is not None:
+            _add_options(self, self._pending)
+            self._pending = None
+        return super().parse_known_args(args, namespace)
+
+
 def _add_options(sub, table):
     """Register options whose defaults resolve after config merging.
 
@@ -210,29 +227,16 @@ def cmd_make_fixture(ns):
     return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="vidcap", allow_abbrev=False,
-        description="Encoder-decoder LSTM video captioning on precomputed "
-                    "per-frame features.")
-    parser.add_argument(
-        "--version", action="version",
-        version=f"vidcap {__version__} (checkpoint format {mdl.CHECKPOINT_VERSION})")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("prepare", help="parse captions, split keys, fit tokenizer",
-                        allow_abbrev=False)
-    _add_options(p, [
+# each subcommand's name, help, handler and option table
+_COMMANDS = [
+    ("prepare", "parse captions, split keys, fit tokenizer", cmd_prepare, [
         (["--descriptions"], "descriptions", str, None, True, "caption text file"),
         (["--manifest"], "manifest", str, None, True, "feature manifest file"),
         (["--out"], "out", str, None, True, "output directory"),
         (["--vocab"], "vocab", int, _MODEL.vocab, False, "vocabulary cap"),
         (["--seed"], "seed", int, 42, False, "split shuffle seed"),
-    ])
-    p.set_defaults(func=cmd_prepare)
-
-    p = subs.add_parser("train", help="train the model on the prepared splits", allow_abbrev=False)
-    _add_options(p, _MODEL_OPTS + [
+    ]),
+    ("train", "train the model on the prepared splits", cmd_train, _MODEL_OPTS + [
         (["--descriptions"], "descriptions", str, None, True, "caption text file"),
         (["--manifest"], "manifest", str, None, True, "feature manifest file"),
         (["--out"], "out", str, None, True, "directory with prepare artifacts"),
@@ -245,21 +249,15 @@ def build_parser():
          "OPENBLAS_NUM_THREADS to use more cores"),
         (["--checkpoint-every"], "checkpoint_every", int, _TRAIN.checkpoint_every, False,
          "extra checkpoint every N epochs (0 = final only)"),
-    ])
-    p.set_defaults(func=cmd_train)
-
-    p = subs.add_parser("caption", help="greedy-caption one video", allow_abbrev=False)
-    _add_options(p, [
+    ]),
+    ("caption", "greedy-caption one video", cmd_caption, [
         (["--checkpoint"], "checkpoint", str, None, True, "model checkpoint"),
         (["--tokenizer"], "tokenizer", str, None, True, "tokenizer file"),
         (["--manifest"], "manifest", str, None, False, "feature manifest file"),
         (["--video-id"], "video_id", str, None, False, "video id in the manifest"),
         (["--features"], "features", str, None, False, "a .vfm feature file"),
-    ])
-    p.set_defaults(func=cmd_caption)
-
-    p = subs.add_parser("eval", help="score a whole split with BLEU-2", allow_abbrev=False)
-    _add_options(p, [
+    ]),
+    ("eval", "score a whole split with BLEU-2", cmd_eval, [
         (["--checkpoint"], "checkpoint", str, None, True, "model checkpoint"),
         (["--descriptions"], "descriptions", str, None, True, "caption text file"),
         (["--manifest"], "manifest", str, None, True, "feature manifest file"),
@@ -268,11 +266,8 @@ def build_parser():
         (["--threads"], "threads", int, 1, False,
          "accepted, no effect: decoding runs on one thread; set "
          "OPENBLAS_NUM_THREADS to use more cores"),
-    ])
-    p.set_defaults(func=cmd_eval)
-
-    p = subs.add_parser("make-fixture", help="write a synthetic toy corpus", allow_abbrev=False)
-    _add_options(p, [
+    ]),
+    ("make-fixture", "write a synthetic toy corpus", cmd_make_fixture, [
         (["--out"], "out", str, None, True, "output directory"),
         (["--n-videos"], "n_videos", int, 6, False, "number of videos"),
         (["--seed"], "seed", int, 1, False, "generator seed"),
@@ -280,8 +275,23 @@ def build_parser():
          "caption repeats per video"),
         (["--frames"], "frames", int, 8, False, "feature rows per video"),
         (["--feature-dim"], "feature_dim", int, 16, False, "feature columns"),
-    ])
-    p.set_defaults(func=cmd_make_fixture)
+    ]),
+]
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="vidcap", allow_abbrev=False,
+        description="Encoder-decoder LSTM video captioning on precomputed "
+                    "per-frame features.")
+    parser.add_argument(
+        "--version", action="version",
+        version=f"vidcap {__version__} (checkpoint format {mdl.CHECKPOINT_VERSION})")
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 parser_class=_CommandParser)
+    for name, hlp, func, options in _COMMANDS:
+        subs.add_parser(name, help=hlp, allow_abbrev=False,
+                        options=options).set_defaults(func=func)
     return parser
 
 

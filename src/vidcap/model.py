@@ -181,7 +181,9 @@ def training_forward(params, feats, dec_in, video=slice(None)):
     single = np.ndim(dec_in) == 1
     if single:
         feats, dec_in = np.asarray(feats)[None], np.asarray(dec_in)[None]
-    _, h, c, enc_cache = nn.lstm_forward(params.encoder, _project(params, feats))
+    # time-major rows, so each recurrence step reads contiguous memory
+    XW = np.ascontiguousarray(_project(params, feats))
+    _, h, c, enc_cache = nn.lstm_forward(params.encoder, XW)
     dec, steps = params.decoder, np.asarray(dec_in).T
     XW = dec.W[steps - 1]  # a copying gather, which lstm_forward consumes
     XW[steps == 0] = 0  # padding reads zeros
@@ -215,11 +217,11 @@ def training_backward(params, caches, target, grads=None):
     dXW_d, _, _, dh0, dc0 = nn.lstm_backward(params.decoder, dec_cache,
                                              dH.reshape(H.shape),
                                              out=(grads["decoder.U"], grads["decoder.b"]))
-    dW_d = grads["decoder.W"]
+    dW_d, words = grads["decoder.W"], steps > 0
     dW_d[...] = 0
     # row by row in step order, as the one-hot product sums; np.add.at
     # took 16x as long (200 rows of 2048 floats, numpy 2.4)
-    for k, row in zip(steps[steps > 0] - 1, dXW_d[steps > 0]):
+    for k, row in zip((steps[words] - 1).tolist(), dXW_d[words]):
         dW_d[k] += row
     owner = np.eye(len(feats), dtype=dh0.dtype)[:, video]  # Bv x B, 1 where row feeds caption
     dXW_e, _, _, _, _ = nn.lstm_backward(params.encoder, enc_cache, None,

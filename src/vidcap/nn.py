@@ -180,6 +180,15 @@ def init_lstm_params(rng, out):
 # much as one product.
 SMALL_GEMM_MACS = 10 ** 6
 
+# Bytes of a C-contiguous XW up to which lstm_forward adds b once per
+# sequence, scales by full-width rows and copies each step's gates
+# gate-major (see there).  Forward time against the per-step path, one
+# pinned CPU: hidden 32, 10 steps of 6 rows (30 KiB) 0.63x; hidden 128,
+# 8 of 16 (256 KiB) 0.84x; hidden 256, 10 of 16 (640 KiB) 0.95x.  A
+# decode step over 101 full-width rows (827 KiB) would build its
+# full-width rows for one step.
+HOIST_BYTES = 256 * 1024
+
 
 def recurrent_panels(rows, hidden):
     """Row slices of U that a recurrence step over `rows` sequences
@@ -218,15 +227,28 @@ def lstm_forward(p, XW, h0=None, c0=None):
     (sigmoid(z) = tanh(z/2)/2 + 1/2) and s = 1 on g, so none overflows.
 
     XW is consumed: b is added and the gates are activated in place, and
-    XW itself is returned as the cache's G, so the caller must not read
-    it again.  It must have U's dtype and share no memory with W, U or b
-    (a basic-indexing row of W would be a view of the weights); either
+    XW itself is returned as the cache's G, so a pass holds one
+    T x 4*hidden array, not two, and the caller must not read XW again.
+    It must have U's dtype and share no memory with W, U or b (a
+    basic-indexing row of W would be a view of the weights); either
     violation raises ValueError.
+
+    Every step writes h_{t-1} U and i * g through out= into arrays made
+    once per call, so it allocates nothing.  A C-contiguous XW of at
+    most HOIST_BYTES (the quick start's batches) gets b added once for
+    the whole sequence, and the scale and shift rows are as wide as a
+    step's gates, so its steps broadcast nothing either; each step's
+    activated gates are copied gate-major, so the cell update reads
+    contiguous rows.  A larger or strided XW (eval's video-major
+    slices) adds b step by step, broadcasts 4*hidden-wide rows and
+    reads the gates in place: a whole-sequence pass would read it from
+    memory once more, and numpy copies a strided operand it updates in
+    place whole.
 
     Returns (H, h_T, c_T, cache) with cache = (Hs, Cs, G) and the views
     H = Hs[1:], h_T = Hs[T], c_T = Cs[T].  Hs and Cs are (T+1) x [B x]
     hidden, row 0 the initial state (zeros when None) and row t+1 the
-    state after step t; G is XW, now holding the activated gates [i f g o].
+    state after step t; G holds the activated gates [i f g o].
     """
     hid = p.hidden
     if XW.ndim not in (2, 3) or XW.shape[-1] != 4 * hid:
@@ -248,27 +270,41 @@ def lstm_forward(p, XW, h0=None, c0=None):
     Cs = np.empty((T + 1,) + state_shape, dtype=dt)
     Hs[0] = 0 if h0 is None else h0
     Cs[0] = 0 if c0 is None else c0
-    G = XW
-    scale = np.full(4 * hid, 0.5, dtype=dt)
-    scale[2 * hid:3 * hid] = 1.0
+    width = XW.shape[1:]
+    hoisted = XW.flags.c_contiguous and XW.nbytes <= HOIST_BYTES
+    scale = np.full(width if hoisted else 4 * hid, 0.5, dtype=dt)
+    scale[..., 2 * hid:3 * hid] = 1.0
     shift = 1.0 - scale
+    G = XW
+    if hoisted:
+        G += p.b
+        # each step's activated gates, copied gate-major so that the cell
+        # update reads contiguous rows; a large pass reads them in place
+        gates = np.empty((4,) + state_shape, dtype=dt)
+        i, f, g, o = gates
     batch = XW.shape[1] if XW.ndim == 3 else 1
     panels = [(s, p.U[s]) for s in recurrent_panels(batch, hid)]
-    for t in range(T):
-        z = G[t]
-        z += p.b  # per step: one G += b over a strided time slice of XW buffers 96 KiB
+    hU, ig = np.empty(width, dtype=dt), np.empty(state_shape, dtype=dt)
+    by_gate = G.reshape(G.shape[:-1] + (4, hid)).swapaxes(1, -2)  # T x 4 x [B x] hidden
+    for z, z_gates, h, c, h1, c1 in zip(G, by_gate, Hs[:-1], Cs[:-1], Hs[1:], Cs[1:]):
+        if not hoisted:
+            z += p.b
         for s, U_s in panels:
-            z += Hs[t][..., s] @ U_s
+            np.dot(h[..., s], U_s, out=hU)
+            z += hU
         z *= scale
         np.tanh(z, out=z)
         z *= scale
         z += shift
-        i, f = z[..., :hid], z[..., hid:2 * hid]
-        g, o = z[..., 2 * hid:3 * hid], z[..., 3 * hid:]
-        c = np.multiply(f, Cs[t], out=Cs[t + 1])
-        c += i * g
-        np.tanh(c, out=Hs[t + 1])
-        Hs[t + 1] *= o
+        if hoisted:
+            np.copyto(gates, z_gates)
+        else:
+            i, f, g, o = z_gates
+        np.multiply(f, c, out=c1)
+        np.multiply(i, g, out=ig)
+        c1 += ig
+        np.tanh(c1, out=h1)
+        h1 *= o
     return Hs[1:], Hs[T], Cs[T], (Hs, Cs, G)
 
 
@@ -283,12 +319,15 @@ def lstm_backward(p, cache, dH=None, dh_last=None, dc_last=None, out=(None, None
     Step t's pre-activation gradient, also that of XW[t], is
     dz = [dc g i(1-i), dc c_{t-1} f(1-f), dc i(1-g^2), dh tanh(c_t) o(1-o)]
     for the running dh, dc.  Their factors take a few whole-sequence
-    operations; the reverse time loop scales them into row t of dZ and
-    carries dh = (U dz^T)^T (half dz U^T's time for B > 1), dc = f dc
-    back one step; the rows of U dz^T come from the row panels of U that
-    lstm_forward multiplies by.  Then dU = Hs[:-1]^T dZ and db = sum dZ
-    over all rows, written into out = (dU, db) when given (views of a
-    gradient buffer, say), else into new arrays.
+    operations into dZ; the reverse time loop scales row t of dZ by
+    [dc dc dc dh] in one product and carries dh = (U dz^T)^T (half
+    dz U^T's time for B > 1), dc = f dc back one step, every product
+    and the carried states in arrays made once per call and kept
+    contiguous, so a step allocates and broadcasts nothing but the copy
+    of dc into three blocks; the rows of U dz^T come from the row panels
+    of U that lstm_forward multiplies by.  Then dU = Hs[:-1]^T dZ and db
+    = sum dZ over all rows, written into out = (dU, db) when given
+    (views of a gradient buffer, say), else into new arrays.
 
     Returns (dXW, dU, db, dh0, dc0).
     """
@@ -300,30 +339,47 @@ def lstm_backward(p, cache, dH=None, dh_last=None, dc_last=None, out=(None, None
     if dH is not None and dH.shape != (T,) + state_shape:
         raise ValueError(f"dH has shape {dH.shape}, expected {(T,) + state_shape}")
     i, f, g, o = (G[..., k * hid:(k + 1) * hid] for k in range(4))
-    tc = np.tanh(Cs[1:])
-    dc_from_dh = o * (1.0 - tc * tc)
-    dZ = np.empty(G.shape, dtype=dt)
+    dZ = np.zeros(G.shape, dtype=dt)  # the g block stays finite until it is set
     blocks = dZ.reshape(G.shape[:-1] + (4, hid))
-    blocks[..., 0, :] = g * i * (1.0 - i)
-    blocks[..., 1, :] = Cs[:-1] * f * (1.0 - f)
-    blocks[..., 2, :] = i * (1.0 - g * g)
-    blocks[..., 3, :] = tc * o * (1.0 - o)
+    dz_i, dz_f, dz_g, dz_o = (blocks[..., k, :] for k in range(4))
+    tc = np.tanh(Cs[1:], out=dz_o)
+    dc_from_dh = np.multiply(tc, tc)  # o (1 - tc^2)
+    np.subtract(1.0, dc_from_dh, out=dc_from_dh)
+    dc_from_dh *= o
+    # blocks i, f and o as [g c_{t-1} . tc] [i f . o] (1 - [i f . o]) in
+    # three whole-width passes, then block g as i (1 - g^2)
+    np.copyto(dz_i, g)
+    np.copyto(dz_f, Cs[:-1])
+    dZ *= G
+    dZ *= np.subtract(1.0, G)
+    tmp = np.multiply(g, g)
+    np.multiply(i, np.subtract(1.0, tmp, out=tmp), out=dz_g)
+    np.copyto(tmp, f)
+    f = tmp  # contiguous rows for dc *= f
     dh = np.zeros(state_shape, dtype=dt) if dh_last is None else dh_last.astype(dt, copy=True)
     dc = np.zeros(state_shape, dtype=dt) if dc_last is None else dc_last.astype(dt, copy=True)
+    dcdh = np.empty(state_shape, dtype=dt)  # dh * dc_from_dh[t]
+    # each row's [dc dc dc dh], by which one product scales a step's dz
+    D = np.empty(blocks.shape[1:], dtype=dt)
+    D_c, D_h, D_rows = D[..., :3, :], D[..., 3, :], D.reshape(G.shape[1:])
+    dc3 = dc[..., None, :]
     dhT = np.empty(state_shape[::-1], dtype=dt)  # U dz^T, refilled each step
     batch = G.shape[1] if G.ndim == 3 else 1
     panels = [(p.U[s], dhT[s]) for s in recurrent_panels(batch, hid)]
-    for t in reversed(range(T)):
-        if dH is not None:
-            dh += dH[t]
-        dc += dh * dc_from_dh[t]
-        blocks[t, ..., :3, :] *= dc[..., None, :]
-        blocks[t, ..., 3, :] *= dh
-        dz = dZ[t].T
+    steps = zip(dZ[::-1], dc_from_dh[::-1], f[::-1],
+                dH[::-1] if dH is not None else itertools.repeat(None))
+    for dz, dcdh_t, f_t, dH_t in steps:
+        if dH_t is not None:
+            dh += dH_t
+        np.multiply(dh, dcdh_t, out=dcdh)
+        dc += dcdh
+        np.copyto(D_c, dc3)
+        np.copyto(D_h, dh)
+        dz *= D_rows
         for U_s, dh_s in panels:
-            np.matmul(U_s, dz, dh_s)
-        dh = dhT.T
-        dc *= f[t]
+            np.dot(U_s, dz.T, out=dh_s)
+        np.copyto(dh, dhT.T)  # contiguous rows for the next step
+        dc *= f_t
     rows = dZ.reshape(-1, 4 * hid)
     dU, db = out
     dU = np.matmul(Hs[:-1].reshape(-1, hid).T, rows, out=dU)
@@ -362,7 +418,8 @@ def cross_entropy(P, target):
     the mean over sequences.  Returns (loss, d_logits): P minus 1 at
     each target cell on scored rows, divided by B n, and zero on padding
     rows.  The loss sums the log-probabilities in float64 whatever P's
-    dtype.
+    dtype.  Finiteness is read off P's row sums, which the normalization
+    check needs anyway; P itself is scanned only when a sum is not finite.
     """
     V = P.shape[-1]
     if target.shape != P.shape[:-1] or target.dtype.kind not in "iu":
@@ -370,9 +427,12 @@ def cross_entropy(P, target):
                          f"got {target.dtype} {target.shape}")
     if target.size and (target.min() < 0 or target.max() > V):
         raise ValueError(f"target indices must lie in [0, {V}]")
-    if not all_finite(P):
+    sums = P.sum(axis=-1)
+    # a non-finite P makes its row's sum non-finite: finite sums spare a
+    # pass over P
+    if not np.isfinite(sums).all() and not all_finite(P):
         raise FloatingPointError("non-finite probabilities in cross_entropy")
-    if np.any(np.abs(P.sum(axis=-1) - 1.0) > 1e-4):
+    if np.any(np.abs(sums - 1.0) > 1e-4):
         raise ValueError("P rows are not normalized probability vectors")
     seq = target.reshape(len(target), -1)  # T x B
     rows = P.reshape(seq.shape + (V,))
@@ -381,13 +441,12 @@ def cross_entropy(P, target):
     n = np.maximum(scored.sum(axis=0), 1)
     t, b = np.nonzero(scored)
     cols = seq[t, b] - 1
+    picked = rows[t, b, cols]
     tiny = np.finfo(P.dtype).tiny  # guards log against exp underflow to 0
-    nll = np.bincount(b, weights=-np.log(np.maximum(rows[t, b, cols], tiny)),
-                      minlength=B)
+    nll = np.bincount(b, weights=-np.log(np.maximum(picked, tiny)), minlength=B)
     loss = float(np.sum(nll / n)) / B
-    d_logits = np.zeros(rows.shape, dtype=P.dtype)
-    d_logits[scored] = rows[scored]
-    d_logits[t, b, cols] -= 1.0
+    d_logits = np.where(scored[..., None], rows, 0)
+    d_logits[t, b, cols] = picked - 1.0
     d_logits /= (B * n).astype(P.dtype)[:, None]
     return loss, d_logits.reshape(P.shape)
 
@@ -405,8 +464,9 @@ class AdamState:
     non-finite-gradient error, and it has no default, so a state
     without one fails where it is built.  m and v are the first and
     second moments, flat and laid out as the parameters: zeros created
-    at the first step, then updated in place as the same two arrays.
-    t counts the steps taken.
+    at the first step, then updated in place as the same two arrays,
+    as are the block scratch rows and finiteness mask in work.  t counts
+    the steps taken.
     """
 
     layout: tuple
@@ -414,6 +474,7 @@ class AdamState:
     t: int = 0
     m: np.ndarray = None
     v: np.ndarray = None
+    work: tuple = None
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-7
@@ -439,8 +500,9 @@ def adam_step(state, p, g):
 
     The parameters and the moments state.m/state.v are then updated in
     one pass over the buffer, one ADAM_BLOCK-element block at a time
-    through two scratch rows, so no step allocates a buffer-sized
-    temporary and none loops over tensors.  Each block runs the ufuncs
+    through two scratch rows made at the first step (state.work, with
+    the mask), so no step allocates a buffer-sized temporary and none
+    loops over tensors.  Each block runs the ufuncs
     of (beta1, beta2, eps = ADAM_BETA1/2, ADAM_EPS)
         m = beta1 m + (1 - beta1) g
         v = beta2 v + (1 - beta2) g^2
@@ -454,24 +516,26 @@ def adam_step(state, p, g):
                          "must be 1-D of one shape")
     if not p.flags.c_contiguous:
         raise ValueError("parameter buffer is not C-contiguous")
-    ends = list(itertools.accumulate(size for _, size in state.layout))
-    if ends[-1:] != [p.size]:
-        raise ValueError(f"layout covers {ends[-1] if ends else 0} values, "
-                         f"the buffer holds {p.size}")
-    finite = np.empty(min(ADAM_BLOCK, g.size), dtype=bool)
+    covered = sum(size for _, size in state.layout)
+    if covered != p.size:
+        raise ValueError(f"layout covers {covered} values, the buffer holds {p.size}")
+    if state.work is None:
+        dt = np.result_type(p, g)
+        state.work = (np.empty((2, min(ADAM_BLOCK, p.size)), dtype=dt),
+                      np.empty(min(ADAM_BLOCK, p.size), dtype=bool))
+    rows, finite = state.work
     for s in range(0, g.size, ADAM_BLOCK):
         mask = finite[:min(ADAM_BLOCK, g.size - s)]
         if not np.isfinite(g[s:s + ADAM_BLOCK], out=mask).all():
+            ends = list(itertools.accumulate(size for _, size in state.layout))
             name = state.layout[bisect.bisect_right(ends, s + int(mask.argmin()))][0]
             raise FloatingPointError(f"non-finite gradient for tensor '{name}'")
-    dt = np.result_type(p, g)
     if state.m is None:
-        state.m, state.v = np.zeros(p.shape, dtype=dt), np.zeros(p.shape, dtype=dt)
+        state.m, state.v = (np.zeros(p.shape, dtype=rows.dtype) for _ in range(2))
     state.t += 1
     b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.lr, ADAM_EPS
     b1c = 1.0 - b1 ** state.t
     b2c = 1.0 - b2 ** state.t
-    rows = np.empty((2, min(ADAM_BLOCK, p.size)), dtype=dt)
     for s in range(0, p.size, ADAM_BLOCK):
         gb, mb, vb, pb = (x[s:s + ADAM_BLOCK] for x in (g, state.m, state.v, p))
         a, u = rows[:, :gb.size]

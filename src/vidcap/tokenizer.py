@@ -89,6 +89,9 @@ class Tokenizer:
                     idx = int(idx_str)
                 except ValueError:
                     raise InputError(f"{path}:{ln}: bad index '{idx_str}'") from None
+                if word.split() != [word]:  # a caption word: no whitespace, not empty
+                    raise InputError(f"{path}:{ln}: word {word!r} is empty or holds "
+                                     "whitespace")
                 if word in tok.word_to_index or idx in tok.index_to_word:
                     raise InputError(f"{path}:{ln}: duplicate entry")
                 tok.word_to_index[word] = idx

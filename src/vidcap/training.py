@@ -1,6 +1,7 @@
 """Epoch-driven training: batching, Adam updates, metrics, checkpoints."""
 
 from dataclasses import dataclass, field
+import math
 import os
 
 import numpy as np
@@ -67,11 +68,33 @@ def make_batches(n, batch_size, seed, epoch):
         yield order[start:start + batch_size]
 
 
+# Feature bytes of a run's train and validation splits up to which train
+# reads them once, into one array, instead of each time a batch or a
+# validation pass uses them: the quick start's six 8 x 16 videos are
+# 3 KiB, a paper-size video 1.3 MB
+RESIDENT_BYTES = 256 * 1024
+
+
+def read_resident(store, keys, video, shape):
+    """A (len(keys) x frames x D) float32 array whose row v holds keys[v]'s
+    matrix, of the given shape, for each v that the video indices list,
+    read once each through store.get, in index order; other rows are
+    zero."""
+    frames = np.zeros((len(keys),) + shape, dtype=np.float32)
+    for v in sorted(set(video.tolist())):
+        frames[v] = store.get(keys[v])
+    return frames
+
+
 def read_batch(store, keys, video):
-    """Read each distinct video of sample rows' video indices once into
-    one (Bv x frames x D) float32 array, in index order; returns it and
-    the (B,) row map from each sample to its feats row."""
+    """Each distinct video of sample rows' video indices once, in index
+    order, in one (Bv x frames x D) float32 array; returns it and the
+    (B,) row map from each sample to its feats row.  store is a
+    FeatureStore, which reads each of those videos, or a read_resident
+    array of keys, whose rows are gathered."""
     distinct = sorted(set(video.tolist()))
+    if isinstance(store, np.ndarray):
+        return store[distinct], np.searchsorted(distinct, video)
     first = store.get(keys[distinct[0]])
     feats = np.empty((len(distinct),) + first.shape, dtype=np.float32)
     feats[0] = first
@@ -100,9 +123,10 @@ def accuracy(P, target):
     the lowest index.
     """
     seq = np.asarray(target).reshape(len(target), -1)
-    rows = seq > 0
-    hits = rows & (P.reshape(seq.shape + (-1,)).argmax(axis=-1) == seq - 1)
-    return float(np.mean(hits.sum(axis=0) / np.maximum(rows.sum(axis=0), 1)))
+    # padding's seq - 1 is -1, which no argmax equals
+    hits = P.reshape(seq.shape + (-1,)).argmax(axis=-1) == seq - 1
+    per_seq = hits.sum(axis=0) / np.maximum((seq > 0).sum(axis=0), 1)
+    return float(per_seq.sum() / per_seq.size)  # np.mean's sum and division
 
 
 @dataclass
@@ -130,8 +154,9 @@ def evaluate_samples(params, store, samples):
     """Forward-only mean (loss, accuracy) over a build_samples table;
     (0, 0) for an empty one.  Each read_batch and training_forward pass
     takes the rows of model.EVAL_CHUNK consecutive videos, so each video
-    is read and encoded once, and keeps only P, which it drops before
-    the next pass reads: one pass is alive at a time."""
+    is read (from store, a FeatureStore or a read_resident array of the
+    table's keys) and encoded once, and keeps only P, which it drops
+    before the next pass reads: one pass is alive at a time."""
     keys, video, dec_in, target = samples
     loss_sum = acc_sum = 0.0
     starts = np.unique(video, return_index=True)[1][::mdl.EVAL_CHUNK].tolist()
@@ -155,6 +180,10 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
     and those rows of dec_in and target go through one training_forward
     and one training_backward, whose batch-mean gradients one Adam step
     applies; validation follows.  Epoch metrics are per-sample means.
+    When the train and validation splits' features total at most
+    RESIDENT_BYTES, both are read once, before the first batch, into
+    read_resident arrays that batches and validation gather from;
+    otherwise each batch and validation pass reads its videos.
     A non-finite loss or gradient, in training or in validation, raises
     TrainingDiverged before the batch's Adam step; checkpoints already
     on disk are left in place.  Every batch writes its gradients into
@@ -171,6 +200,11 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
     val_samples = build_samples(val_keys, corpus, tok, model_cfg.max_words)
     if not len(video):
         raise InputError("no trainable samples in the training split")
+    train_src = val_src = store
+    shape = (model_cfg.frames, model_cfg.feature_dim)
+    if (len(keys) + len(val_samples[0])) * math.prod(shape) * 4 <= RESIDENT_BYTES:
+        train_src = read_resident(store, keys, video, shape)
+        val_src = read_resident(store, val_samples[0], val_samples[1], shape)
     layout = tuple((k, t.size) for k, t in params.tensors().items())
     opt, history, grad = nn.AdamState(layout, lr=cfg.lr), MetricsHistory(), None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -178,19 +212,20 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
             loss_sum = acc_sum = 0.0
             try:
                 for rows in make_batches(len(video), cfg.batch_size, cfg.seed, epoch):
-                    feats, row_map = read_batch(store, keys, video[rows])
+                    feats, row_map = read_batch(train_src, keys, video[rows])
                     P, caches = mdl.training_forward(params, feats, dec_in[rows], row_map)
                     if grad is None:  # the run's one gradient buffer, made once
                         grad = np.empty_like(params.flat)
                         grads = params.views(grad)
-                    loss = mdl.training_backward(params, caches, target[rows], grads)[0]
-                    if not np.isfinite(loss):
+                    tgt = target[rows]
+                    loss = mdl.training_backward(params, caches, tgt, grads)[0]
+                    if not math.isfinite(loss):
                         raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
                     loss_sum += loss * len(rows)
-                    acc_sum += accuracy(P, target[rows].T) * len(rows)
+                    acc_sum += accuracy(P, tgt.T) * len(rows)
                     nn.adam_step(opt, params.flat, grad)
                     del feats, P, caches  # before the next batch's pass
-                val_loss, val_acc = evaluate_samples(params, store, val_samples)
+                val_loss, val_acc = evaluate_samples(params, val_src, val_samples)
             except FloatingPointError as e:
                 raise TrainingDiverged(f"epoch {epoch}: {e}") from e
             row = EpochMetrics(epoch, loss_sum / len(video), acc_sum / len(video),

@@ -80,6 +80,83 @@ def lstm_backward_outer(W, U, X, caches, dH=None, dh_last=None, dc_last=None):
     return dW, dU, db, dX, dh, dc
 
 
+def lstm_forward_reference(p, XW, h0=None, c0=None):
+    """The step arithmetic of lstm_forward before its per-call scratch
+    and hoisted operands, frozen: per step, b added, h_{t-1} U (by the
+    same row panels of U) added, the gates scaled, activated by one
+    tanh, scaled and shifted, then the state update with a new i * g.
+    Consumes XW as lstm_forward does and returns (H, h_T, c_T, (Hs, Cs,
+    G)); nn.lstm_forward must match it bitwise."""
+    hid = p.hidden
+    T, dt = XW.shape[0], p.U.dtype
+    state_shape = XW.shape[1:-1] + (hid,)
+    Hs = np.empty((T + 1,) + state_shape, dtype=dt)
+    Cs = np.empty((T + 1,) + state_shape, dtype=dt)
+    Hs[0] = 0 if h0 is None else h0
+    Cs[0] = 0 if c0 is None else c0
+    G = XW
+    scale = np.full(4 * hid, 0.5, dtype=dt)
+    scale[2 * hid:3 * hid] = 1.0
+    shift = 1.0 - scale
+    batch = XW.shape[1] if XW.ndim == 3 else 1
+    panels = [(s, p.U[s]) for s in nn.recurrent_panels(batch, hid)]
+    for t in range(T):
+        z = G[t]
+        z += p.b
+        for s, U_s in panels:
+            z += Hs[t][..., s] @ U_s
+        z *= scale
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
+        i, f = z[..., :hid], z[..., hid:2 * hid]
+        g, o = z[..., 2 * hid:3 * hid], z[..., 3 * hid:]
+        c = np.multiply(f, Cs[t], out=Cs[t + 1])
+        c += i * g
+        np.tanh(c, out=Hs[t + 1])
+        Hs[t + 1] *= o
+    return Hs[1:], Hs[T], Cs[T], (Hs, Cs, G)
+
+
+def lstm_backward_reference(p, cache, dH=None, dh_last=None, dc_last=None):
+    """The step arithmetic of lstm_backward before its per-call scratch,
+    frozen: whole-sequence gate factors as new arrays, then per step
+    dc += dh * dc_from_dh[t] through a new product, the factors scaled
+    in place, U dz^T by the same row panels of U, and dc *= f.  Returns
+    (dXW, dU, db, dh0, dc0); nn.lstm_backward must match it bitwise."""
+    Hs, Cs, G = cache
+    T, hid, dt = G.shape[0], p.hidden, p.U.dtype
+    state_shape = G.shape[1:-1] + (hid,)
+    i, f, g, o = (G[..., k * hid:(k + 1) * hid] for k in range(4))
+    tc = np.tanh(Cs[1:])
+    dc_from_dh = o * (1.0 - tc * tc)
+    dZ = np.empty(G.shape, dtype=dt)
+    blocks = dZ.reshape(G.shape[:-1] + (4, hid))
+    blocks[..., 0, :] = g * i * (1.0 - i)
+    blocks[..., 1, :] = Cs[:-1] * f * (1.0 - f)
+    blocks[..., 2, :] = i * (1.0 - g * g)
+    blocks[..., 3, :] = tc * o * (1.0 - o)
+    dh = np.zeros(state_shape, dtype=dt) if dh_last is None else dh_last.astype(dt, copy=True)
+    dc = np.zeros(state_shape, dtype=dt) if dc_last is None else dc_last.astype(dt, copy=True)
+    dhT = np.empty(state_shape[::-1], dtype=dt)
+    batch = G.shape[1] if G.ndim == 3 else 1
+    panels = [(p.U[s], dhT[s]) for s in nn.recurrent_panels(batch, hid)]
+    for t in reversed(range(T)):
+        if dH is not None:
+            dh += dH[t]
+        dc += dh * dc_from_dh[t]
+        blocks[t, ..., :3, :] *= dc[..., None, :]
+        blocks[t, ..., 3, :] *= dh
+        dz = dZ[t].T
+        for U_s, dh_s in panels:
+            np.matmul(U_s, dz, dh_s)
+        dh = dhT.T
+        dc *= f[t]
+    rows = dZ.reshape(-1, 4 * hid)
+    dU = Hs[:-1].reshape(-1, hid).T @ rows
+    return dZ, dU, rows.sum(axis=0), dh, dc
+
+
 def greedy_caption_per_video(params, tok, feat, max_words):
     """The textbook greedy loop for one video: encode_video, then one
     decode_step per word on a scalar index, each fed the previous

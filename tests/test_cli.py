@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import argparse
 import ast
 import contextlib
 import csv
@@ -114,6 +115,18 @@ def test_help_lists_each_option_once(command):
     assert code == 0
     for flag in [flags[0] for flags, *_ in rows] + ["--config"]:
         assert len(re.findall(rf"^ +{re.escape(flag)} ", out, flags=re.M)) == 1, flag
+
+
+def test_a_run_registers_only_its_commands_options(monkeypatch):
+    # the parser lists every command, but only the parsed one gets options
+    added, add_argument = [], argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                        lambda self, *a, **k: added.append(a[0]) or add_argument(self, *a, **k))
+    ns = build_parser().parse_args(["prepare", "--out", "x", "--vocab", "7"])
+    assert (ns.command, ns.out, ns.vocab) == ("prepare", "x", 7)
+    flags = [flag for flag in added if flag.startswith("--")]
+    assert flags == ["--version", "--descriptions", "--manifest", "--out", "--vocab",
+                     "--seed", "--config"]
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +531,38 @@ def test_wrong_feature_shape_exits_2_before_writing(ws, tmp_path, command):
         "error: features for 'vid004' have shape (9, 16), expected (8, 16)"]
     assert not list(run.glob("*.sq2s"))
     assert not (run / "report.csv").exists() and not (run / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+@pytest.mark.parametrize("fault", ["nan", "shape"])
+def test_bad_resident_video_exits_2_before_the_first_batch(ws, tmp_path, monkeypatch,
+                                                          split, fault):
+    # the quick-start-sized splits are read once before training: a bad
+    # video of either split stops the run before any batch, with the
+    # message a read of it gives
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(ws["data"], data)
+    run.mkdir()
+    for name in ("train.keys", "val.keys", "test.keys", "tokenizer.txt"):
+        shutil.copy(ws["run"] / name, run / name)
+    key = (run / f"{split}.keys").read_text(encoding="utf-8").split()[-1]
+    path = data / "feat" / f"{key}.vfm"
+    if fault == "nan":
+        m = np.zeros((8, 16), dtype=np.float32)
+        m[3, 5] = np.nan
+        path.write_bytes(MAGIC + struct.pack("<II", 8, 16) + m.tobytes())
+        want = f"error: {path}: non-finite feature entries"
+    else:
+        write_feature_file(str(path), np.zeros((8, 15), dtype=np.float32))
+        want = f"error: features for '{key}' have shape (8, 15), expected (8, 16)"
+    batches = []
+    monkeypatch.setattr(mdl, "training_forward", lambda *a: batches.append(a))
+    code, out, err = run_cli("train", "--descriptions", str(data / "descriptions.txt"),
+                             "--manifest", str(data / "manifest.tsv"), "--out", str(run),
+                             *MODEL_ARGS, "--epochs", "2")
+    assert (code, out, batches) == (2, "", [])
+    assert err.splitlines() == [want]
+    assert not list(run.glob("*.sq2s")) and not (run / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize("fault", ["nan-in-last-frame", "one-float-short"])

@@ -11,7 +11,8 @@ from vidcap import nn
 from vidcap.model import _tile
 from memtrace import traced
 from oracles import (AdamReferenceState, adam_step_reference, cross_entropy_one_hot,
-                     glorot_uniform_one_shot, lstm_backward_outer, lstm_cell_scalar,
+                     glorot_uniform_one_shot, lstm_backward_outer,
+                     lstm_backward_reference, lstm_cell_scalar, lstm_forward_reference,
                      one_hot_rows, orthogonal_householder, softmax_rows_reference)
 
 
@@ -230,6 +231,69 @@ def test_chained_steps_at_few_rows_are_bitwise_one_call():
     dH = rng.standard_normal((T, B, hid)).astype(np.float32)
     for g, w in zip(nn.lstm_backward(p, chained, dH), nn.lstm_backward(p, cache, dH)):
         assert np.array_equal(g, w)
+
+
+# (T, B, hidden, layout, dtype): B None is one sequence; "video" lays XW
+# out video-major and steps a time-major view of it, as _encode_chunk's
+# slices and training_forward's projection are
+FROZEN_CASES = [
+    (10, 1, 32, "time", np.float32), (10, 5, 32, "time", np.float32),
+    (10, 6, 32, "time", np.float32), (8, 5, 32, "video", np.float32),
+    (8, None, 32, "time", np.float32), (6, 4, 7, "time", np.float64),
+    (8, 2, 512, "time", np.float32), (8, 4, 512, "video", np.float32),
+    (6, 16, 512, "time", np.float32), (3, 101, 512, "video", np.float32),
+    (2, None, 512, "time", np.float32),
+]
+
+
+def frozen_inputs(case):
+    T, B, hid, layout, dtype = case
+    rng = np.random.default_rng(500 + hid + (B or 0))
+    p = init_lstm(rng, 6, hid, dtype)
+    rows = () if B is None else (B,)
+    XW = rng.standard_normal(rows + (T, 4 * hid) if layout == "video" else
+                             (T,) + rows + (4 * hid,)).astype(dtype)
+    if layout == "video":
+        XW = XW.swapaxes(0, 1)
+    h0, c0, dh_last, dc_last = rng.standard_normal((4,) + rows + (hid,)).astype(dtype)
+    dH = rng.standard_normal((T,) + rows + (hid,)).astype(dtype)
+    return p, XW, h0, c0, dH, dh_last, dc_last
+
+
+def copy_layout(XW):
+    """A copy of XW with its strides, so each kernel consumes its own."""
+    return XW.swapaxes(0, 1).copy().swapaxes(0, 1) if XW.ndim == 3 else XW.copy()
+
+
+@pytest.mark.parametrize("case", FROZEN_CASES)
+def test_kernels_are_bitwise_the_frozen_step_arithmetic(case):
+    # every output of both kernels, with and without upstream gradients,
+    # against the frozen per-step code they replaced
+    p, XW, h0, c0, dH, dh_last, dc_last = frozen_inputs(case)
+    got = nn.lstm_forward(p, copy_layout(XW), h0, c0)
+    want = lstm_forward_reference(p, copy_layout(XW), h0, c0)
+    for g, w in zip(got[:3] + got[3], want[:3] + want[3]):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    for upstream in ((dH, dh_last, dc_last), (None, dh_last, None), (dH, None, None)):
+        got_b = nn.lstm_backward(p, got[3], *upstream)
+        want_b = lstm_backward_reference(p, want[3], *upstream)
+        for g, w in zip(got_b, want_b):
+            assert g.shape == w.shape and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("B, hid", [(6, 32), (4, 512), (101, 512)])
+def test_chained_one_step_calls_are_bitwise_the_frozen_ones(B, hid):
+    # greedy decoding's T = 1 calls, each from the last one's state
+    p, XW, h, c, dH, dh_last, dc_last = frozen_inputs((4, B, hid, "time", np.float32))
+    hr, cr = h, c
+    for t in range(len(XW)):
+        H, h, c, cache = nn.lstm_forward(p, XW[t:t + 1].copy(), h, c)
+        Hr, hr, cr, cache_r = lstm_forward_reference(p, XW[t:t + 1].copy(), hr, cr)
+        for g, w in zip((H, h, c) + cache, (Hr, hr, cr) + cache_r):
+            assert np.array_equal(g, w)
+        for g, w in zip(nn.lstm_backward(p, cache, dH[t:t + 1], dh_last, dc_last),
+                        lstm_backward_reference(p, cache_r, dH[t:t + 1], dh_last, dc_last)):
+            assert np.array_equal(g, w)
 
 
 def test_recurrent_panels_rule():

@@ -149,6 +149,12 @@ def test_load_rejects_malformed_rows(tmp_path):
         Tokenizer.load(load_text(tmp_path, "V=5\n1 a\n"))
     with pytest.raises(InputError):
         Tokenizer.load(load_text(tmp_path, "V=5\none\ta\n"))
+    # words that save never writes: caption words are str.split() tokens
+    for row, word in (("2\t", ""), ("2\ta b", "a b"), ("2\t a", " a"), ("2\ta\tb", "a\tb")):
+        path = load_text(tmp_path, f"V=5\n1\tbos\n{row}\n")
+        with pytest.raises(InputError) as err:
+            Tokenizer.load(path)
+        assert str(err.value) == f"{path}:3: word {word!r} is empty or holds whitespace"
 
 
 def test_load_rejects_duplicates_and_gaps(tmp_path):

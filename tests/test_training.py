@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from vidcap import features, training
 from vidcap import model as mdl
 from vidcap import nn
 from vidcap.corpus import DescriptionCorpus, build_corpus, parse_descriptions
@@ -410,6 +411,7 @@ def test_batch_reads_and_encodes_each_distinct_video_once(tmp_path, monkeypatch)
     corp, tok, store, keys = pipeline(tmp_path)
     _, video, _, _ = build_samples(keys[:5], corp, tok, MCFG.max_words)
     gets, encoded = count_reads_and_encoder_rows(monkeypatch, store)
+    monkeypatch.setattr(training, "RESIDENT_BYTES", 0)  # the per-use path
     for batch_size, epochs in ((len(video), 1), (4, 2)):
         gets.clear()
         encoded.clear()
@@ -426,6 +428,79 @@ def test_batch_reads_and_encodes_each_distinct_video_once(tmp_path, monkeypatch)
             assert len(video) == 15 and encoded == [5]
         else:  # some batch of 4 shares a row between captions
             assert sum(encoded) < 2 * len(video)
+
+
+def count_file_reads(monkeypatch):
+    """Record the path of every read_feature_file call, and the number
+    of training_forward calls made before each."""
+    reads, forwards = [], []
+    read, forward = features.read_feature_file, mdl.training_forward
+
+    def counting(path, *args, **kwargs):
+        reads.append((path, len(forwards)))
+        return read(path, *args, **kwargs)
+
+    monkeypatch.setattr(features, "read_feature_file", counting)
+    monkeypatch.setattr(mdl, "training_forward",
+                        lambda *a, **k: forwards.append(1) or forward(*a, **k))
+    return reads
+
+
+def split_bytes(keys, mcfg=MCFG):
+    return len(keys) * mcfg.frames * mcfg.feature_dim * 4
+
+
+def test_splits_within_the_bound_are_read_once_per_run(tmp_path, monkeypatch):
+    # 5 training and 1 validation video of 8 x 16 floats: 3 KiB, read
+    # once each before the first batch, however many batches use them
+    corp, tok, store, keys = pipeline(tmp_path)
+    assert split_bytes(keys) <= training.RESIDENT_BYTES
+    reads = count_file_reads(monkeypatch)
+    tcfg = TrainConfig(batch_size=4, epochs=3, lr=1e-3, seed=5)
+    train(ModelParams.init(MCFG, seed=5), tcfg, MCFG, keys[:5], keys[5:], corp, tok, store)
+    assert reads == [(store.entries[k], 0) for k in keys]
+    # the bound is inclusive: at exactly the splits' bytes they stay resident
+    reads.clear()
+    monkeypatch.setattr(training, "RESIDENT_BYTES", split_bytes(keys))
+    train(ModelParams.init(MCFG, seed=5), tcfg, MCFG, keys[:5], keys[5:], corp, tok, store)
+    assert len(reads) == len(keys)
+
+
+def test_splits_over_the_bound_are_read_once_per_use(tmp_path, monkeypatch):
+    # 16 x 2048 features: six videos are 768 KiB, over the bound, so each
+    # batch reads its distinct videos and each validation pass its video
+    mcfg = ModelConfig(frames=16, feature_dim=2048, latent=8, max_words=10, vocab=40)
+    paths = make_fixture(str(tmp_path), n_videos=6, seed=1, frames=16, feature_dim=2048)
+    corp = build_corpus(parse_descriptions(paths["descriptions"]))
+    keys = sorted(corp.entries)
+    tok = Tokenizer(cap=40).fit(c for k in keys for c in corp.entries[k])
+    store = FeatureStore(paths["manifest"])
+    assert split_bytes(keys, mcfg) > training.RESIDENT_BYTES
+    _, video, _, _ = build_samples(keys[:5], corp, tok, mcfg.max_words)
+    reads = count_file_reads(monkeypatch)
+    tcfg = TrainConfig(batch_size=4, epochs=2, lr=1e-3, seed=5)
+    train(ModelParams.init(mcfg, seed=5), tcfg, mcfg, keys[:5], keys[5:], corp, tok, store)
+    per_epoch = [[keys[v] for rows in make_batches(len(video), 4, tcfg.seed, epoch)
+                  for v in np.unique(video[rows])] + keys[5:] for epoch in (1, 2)]
+    assert [path for path, _ in reads] == [store.entries[k] for k in sum(per_epoch, [])]
+    # one byte below the quick-start-sized splits' bytes: read per use too
+    corp, tok, store, keys = pipeline(tmp_path / "small")
+    reads.clear()
+    monkeypatch.setattr(training, "RESIDENT_BYTES", split_bytes(keys) - 1)
+    train(ModelParams.init(MCFG, seed=5), tcfg, MCFG, keys[:5], keys[5:], corp, tok, store)
+    assert len(reads) > 2 * len(keys)
+
+
+def test_resident_splits_write_the_bytes_of_per_use_reads(tmp_path, monkeypatch):
+    files = []
+    for name, bound in (("resident", training.RESIDENT_BYTES), ("per-use", 0)):
+        monkeypatch.setattr(training, "RESIDENT_BYTES", bound)
+        out = tmp_path / name
+        out.mkdir()
+        _, history = run_training(tmp_path / f"data-{name}", epochs=4, out_dir=str(out))
+        history.to_csv(str(out / "metrics.csv"))
+        files.append([(out / f).read_bytes() for f in ("metrics.csv", "ckpt-4.sq2s")])
+    assert files[0] == files[1]
 
 
 def test_batch_gradient_equals_per_sample_oracle_float64():
