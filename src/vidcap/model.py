@@ -24,9 +24,6 @@ from .util import InputError, all_finite
 CHECKPOINT_MAGIC = b"SQ2S"
 CHECKPOINT_VERSION = 1
 MAX_WORDS = 1024  # ~100x the paper's 10, so no header can decode without end
-# videos per validation pass of training.evaluate_samples, which caches
-# every step of a pass for its loss
-EVAL_CHUNK = 16
 # videos per decoder batch when greedy_decode captions a split; eval's
 # 101 full-size videos are one chunk, whose encoder and decoder steps
 # each take all 101 rows through one product (h @ U at latent 512: 59 us
@@ -38,12 +35,10 @@ DECODE_CHUNK = 128
 # full size that is 640 rows (10.5 MB of frames, 5.2 MB of gates), 6
 # frames for eval's 101 videos; on 16 x 2048 features at latent 8, 128
 # rows (1 MB).  greedy_decode over those 101 full-size videos peaked at
-# 20.4 MiB (tracemalloc), against 22.7 MiB for 16-video chunks projected
-# in 8-video groups, and at 22.3 MiB with 9 videos' rows
+# 21.3 MiB in its decode steps (tracemalloc; 19.3 MiB in the encoder
+# slices); 16-video chunks projected in 8-video groups peaked at
+# 22.7 MiB, and 9 videos' rows at 22.3 MiB
 SLICE_VIDEOS = 8
-# encoder steps per lstm_forward call of _final_state, so only one
-# slice's Hs and Cs are alive; chained calls round as one call does
-ENCODE_SLICE = 16
 
 # a checkpoint's eight records, in file order, and the shape the config
 # gives each
@@ -247,23 +242,6 @@ def _project(params, feat, out=None):
     return XW
 
 
-def _final_state(params, XW, h=None, c=None):
-    """Final encoder (h, c) over the time-major projection XW (frames x
-    [B x] 4 latent), which it consumes, from the state (h, c) (zeros
-    when None).
-
-    The recurrence runs as lstm_forward calls over ENCODE_SLICE-step
-    slices of XW, each starting from copies of the previous slice's
-    final state, so one slice's Hs and Cs are alive at a time.  The rows
-    and U's row panels are those of one call, so the result is bitwise
-    that of one lstm_forward call over all of XW.
-    """
-    for t in range(0, len(XW), ENCODE_SLICE):
-        h, c = [s.copy() for s in nn.lstm_forward(params.encoder,
-                                                  XW[t:t + ENCODE_SLICE], h, c)[1:3]]
-    return h, c
-
-
 def _slice_rows(frames):
     """Rows of a split's two slice buffers (frames, and their
     projection): SLICE_VIDEOS videos' frames, and at least one per video
@@ -278,9 +256,11 @@ def _encode_chunk(params, videos, X, XW, S):
     For each slice of S frames (the last may be shorter), every video's
     rows are read straight into the front of the flat buffer X,
     projected with one GEMM into the front of the flat buffer XW, and
-    the chunk's recurrence advances from the previous slice's state.
-    Each frame is read once.  Row blocks of a GEMM round as the whole
-    product does, so the state is bitwise one stacked lstm_forward's.
+    one lstm_forward call advances the chunk's recurrence over it from
+    copies of the previous slice's final state, so only one slice's Hs
+    and Cs are alive.  Each frame is read once.  Row blocks of a GEMM
+    round as the whole product does, and chained calls as one call
+    does, so the state is bitwise one stacked lstm_forward's.
     """
     (frames, dim), n, width = videos[0].shape, len(videos), params.encoder.W.shape[1]
     h = c = None
@@ -292,16 +272,20 @@ def _encode_chunk(params, videos, X, XW, S):
                 rows[...] = video[t:t + s]
             else:
                 video.read(slice(t, t + s), rows)
-        xw = _project(params, x, XW[:n * s * width].reshape(n, s, width))
-        h, c = _final_state(params, xw.swapaxes(0, 1), h, c)
+        xw = _project(params, x, XW[:n * s * width].reshape(n, s, width)).swapaxes(0, 1)
+        # copies, so that nothing keeps this slice's Hs and Cs alive
+        h, c = [state.copy() for state in nn.lstm_forward(params.encoder, xw, h, c)[1:3]]
     return h, c
 
 
 def encode_video(params, feat):
-    """Final encoder state of one video (frames x D) or of B stacked ones
-    (B x frames x D): one GEMM with encoder.W, then _final_state's
-    slices; frame outputs are dropped."""
-    return _final_state(params, _project(params, feat))
+    """Final encoder state (h, c) of one video (frames x D): one GEMM
+    with encoder.W and one lstm_forward call, whose last state rows are
+    returned; frame outputs are dropped.  Any other rank raises
+    ValueError."""
+    if np.ndim(feat) != 2:
+        raise ValueError(f"video has shape {np.shape(feat)}, expected (frames, D)")
+    return nn.lstm_forward(params.encoder, _project(params, feat))[1:3]
 
 
 @dataclass
@@ -341,9 +325,10 @@ def greedy_decode(params, tok, feats, max_words=ModelConfig.max_words):
     iterable is drawn DECODE_CHUNK videos per chunk, whose rows step
     together, each leaving the batch at its eos.  _encode_chunk streams
     a chunk of n videos through the encoder rows // n frames at a time,
-    in two flat buffers of _slice_rows rows allocated once, so with lazy
-    sources memory is bounded by one slice, not by the chunk or the
-    split (arrays are held a chunk at a time, as drawn).
+    one lstm_forward call per slice, in two flat buffers of _slice_rows
+    rows allocated once, so with lazy sources memory is bounded by one
+    slice, not by the chunk or the split (arrays are held a chunk at a
+    time, as drawn).
 
     At most max_words steps run and no list contains a sentinel.  The
     argmax runs over the fitted vocabulary (ties to the lowest index); a

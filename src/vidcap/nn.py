@@ -180,16 +180,6 @@ def init_lstm_params(rng, out):
 # much as one product.
 SMALL_GEMM_MACS = 10 ** 6
 
-# Bytes of a C-contiguous XW up to which lstm_forward adds b once per
-# sequence, scales by full-width rows and copies each step's gates
-# gate-major (see there).  Forward time against the per-step path, one
-# pinned CPU: hidden 32, 10 steps of 6 rows (30 KiB) 0.63x; hidden 128,
-# 8 of 16 (256 KiB) 0.84x; hidden 256, 10 of 16 (640 KiB) 0.95x.  A
-# decode step over 101 full-width rows (827 KiB) would build its
-# full-width rows for one step.
-HOIST_BYTES = 256 * 1024
-
-
 def recurrent_panels(rows, hidden):
     """Row slices of U that a recurrence step over `rows` sequences
     multiplies by, one product each (h[:, s] @ U[s] forward, U[s] @ dz.T
@@ -234,16 +224,16 @@ def lstm_forward(p, XW, h0=None, c0=None):
     violation raises ValueError.
 
     Every step writes h_{t-1} U and i * g through out= into arrays made
-    once per call, so it allocates nothing.  A C-contiguous XW of at
-    most HOIST_BYTES (the quick start's batches) gets b added once for
-    the whole sequence, and the scale and shift rows are as wide as a
-    step's gates, so its steps broadcast nothing either; each step's
-    activated gates are copied gate-major, so the cell update reads
-    contiguous rows.  A larger or strided XW (eval's video-major
-    slices) adds b step by step, broadcasts 4*hidden-wide rows and
-    reads the gates in place: a whole-sequence pass would read it from
-    memory once more, and numpy copies a strided operand it updates in
-    place whole.
+    once per call, so it allocates nothing.  The path follows XW's
+    layout alone.  A C-contiguous XW (every training batch, validation
+    pass and decode step, and encode_video's one video) gets b added
+    once for the whole sequence, and the scale and shift rows are as
+    wide as a step's gates, so its steps broadcast nothing either; each
+    step's activated gates are copied gate-major, so the cell update
+    reads contiguous rows.  A strided XW (eval's video-major encoder
+    slices) adds b step by step, broadcasts 4*hidden-wide rows and reads
+    the gates in place: numpy copies a strided operand it updates in
+    place whole.  Both paths give bitwise the same outputs.
 
     Returns (H, h_T, c_T, cache) with cache = (Hs, Cs, G) and the views
     H = Hs[1:], h_T = Hs[T], c_T = Cs[T].  Hs and Cs are (T+1) x [B x]
@@ -271,22 +261,21 @@ def lstm_forward(p, XW, h0=None, c0=None):
     Hs[0] = 0 if h0 is None else h0
     Cs[0] = 0 if c0 is None else c0
     width = XW.shape[1:]
-    hoisted = XW.flags.c_contiguous and XW.nbytes <= HOIST_BYTES
+    hoisted = XW.flags.c_contiguous
     scale = np.full(width if hoisted else 4 * hid, 0.5, dtype=dt)
     scale[..., 2 * hid:3 * hid] = 1.0
     shift = 1.0 - scale
-    G = XW
     if hoisted:
-        G += p.b
+        XW += p.b
         # each step's activated gates, copied gate-major so that the cell
-        # update reads contiguous rows; a large pass reads them in place
+        # update reads contiguous rows; a strided pass reads them in place
         gates = np.empty((4,) + state_shape, dtype=dt)
         i, f, g, o = gates
     batch = XW.shape[1] if XW.ndim == 3 else 1
     panels = [(s, p.U[s]) for s in recurrent_panels(batch, hid)]
     hU, ig = np.empty(width, dtype=dt), np.empty(state_shape, dtype=dt)
-    by_gate = G.reshape(G.shape[:-1] + (4, hid)).swapaxes(1, -2)  # T x 4 x [B x] hidden
-    for z, z_gates, h, c, h1, c1 in zip(G, by_gate, Hs[:-1], Cs[:-1], Hs[1:], Cs[1:]):
+    by_gate = XW.reshape(XW.shape[:-1] + (4, hid)).swapaxes(1, -2)  # T x 4 x [B x] hidden
+    for z, z_gates, h, c, h1, c1 in zip(XW, by_gate, Hs[:-1], Cs[:-1], Hs[1:], Cs[1:]):
         if not hoisted:
             z += p.b
         for s, U_s in panels:
@@ -305,7 +294,7 @@ def lstm_forward(p, XW, h0=None, c0=None):
         c1 += ig
         np.tanh(c1, out=h1)
         h1 *= o
-    return Hs[1:], Hs[T], Cs[T], (Hs, Cs, G)
+    return Hs[1:], Hs[T], Cs[T], (Hs, Cs, XW)
 
 
 def lstm_backward(p, cache, dH=None, dh_last=None, dc_last=None, out=(None, None)):

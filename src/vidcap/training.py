@@ -73,34 +73,49 @@ def make_batches(n, batch_size, seed, epoch):
 # validation pass uses them: the quick start's six 8 x 16 videos are
 # 3 KiB, a paper-size video 1.3 MB
 RESIDENT_BYTES = 256 * 1024
+# videos per validation pass of evaluate_samples, which caches every
+# step of a pass for its loss
+EVAL_CHUNK = 16
+
+
+def _checked(key, matrix, shape):
+    """matrix, video key's features as read, if it has shape (frames, D),
+    else InputError: a FeatureStore built without an expected shape
+    reads a file of any shape."""
+    if matrix.shape != shape:
+        raise InputError(f"features for '{key}' have shape {matrix.shape}, expected {shape}")
+    return matrix
 
 
 def read_resident(store, keys, video, shape):
     """A (len(keys) x frames x D) float32 array whose row v holds keys[v]'s
-    matrix, of the given shape, for each v that the video indices list,
-    read once each through store.get, in index order; other rows are
-    zero."""
+    matrix, which must have the given shape, for each v that the video
+    indices list, read once each through store.get, in index order;
+    other rows are zero."""
     frames = np.zeros((len(keys),) + shape, dtype=np.float32)
     for v in sorted(set(video.tolist())):
-        frames[v] = store.get(keys[v])
+        frames[v] = _checked(keys[v], store.get(keys[v]), shape)
     return frames
 
 
-def read_batch(store, keys, video):
+def read_batch(store, keys, video, shape=None):
     """Each distinct video of sample rows' video indices once, in index
     order, in one (Bv x frames x D) float32 array; returns it and the
     (B,) row map from each sample to its feats row.  store is a
     FeatureStore, which reads each of those videos, or a read_resident
-    array of keys, whose rows are gathered."""
+    array of keys, whose rows are gathered.  Each video read must have
+    shape, the model's (frames, D), or by default the first one's, else
+    InputError."""
     distinct = sorted(set(video.tolist()))
     if isinstance(store, np.ndarray):
         return store[distinct], np.searchsorted(distinct, video)
     first = store.get(keys[distinct[0]])
-    feats = np.empty((len(distinct),) + first.shape, dtype=np.float32)
-    feats[0] = first
+    shape = shape or first.shape
+    feats = np.empty((len(distinct),) + shape, dtype=np.float32)
+    feats[0] = _checked(keys[distinct[0]], first, shape)
     del first  # one read in flight at a time
     for i, v in enumerate(distinct[1:], 1):
-        feats[i] = store.get(keys[v])
+        feats[i] = _checked(keys[v], store.get(keys[v]), shape)
     return feats, np.searchsorted(distinct, video)
 
 
@@ -150,18 +165,19 @@ class MetricsHistory:
                          f"{fmt6(r.val_loss)},{fmt6(r.val_acc)}\n")
 
 
-def evaluate_samples(params, store, samples):
+def evaluate_samples(params, store, samples, shape=None):
     """Forward-only mean (loss, accuracy) over a build_samples table;
     (0, 0) for an empty one.  Each read_batch and training_forward pass
-    takes the rows of model.EVAL_CHUNK consecutive videos, so each video
-    is read (from store, a FeatureStore or a read_resident array of the
-    table's keys) and encoded once, and keeps only P, which it drops
-    before the next pass reads: one pass is alive at a time."""
+    takes the rows of EVAL_CHUNK consecutive videos, so each video is
+    read (from store, a FeatureStore or a read_resident array of the
+    table's keys; read_batch checks it against shape) and encoded once,
+    and keeps only P, which it drops before the next pass reads: one
+    pass is alive at a time."""
     keys, video, dec_in, target = samples
     loss_sum = acc_sum = 0.0
-    starts = np.unique(video, return_index=True)[1][::mdl.EVAL_CHUNK].tolist()
+    starts = np.unique(video, return_index=True)[1][::EVAL_CHUNK].tolist()
     for rows in map(slice, starts, starts[1:] + [len(video)]):
-        feats, row_map = read_batch(store, keys, video[rows])
+        feats, row_map = read_batch(store, keys, video[rows], shape)
         P = mdl.training_forward(params, feats, dec_in[rows], row_map)[0]
         tgt, n = target[rows].T, rows.stop - rows.start
         loss_sum += nn.cross_entropy(P, tgt)[0] * n
@@ -183,7 +199,9 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
     When the train and validation splits' features total at most
     RESIDENT_BYTES, both are read once, before the first batch, into
     read_resident arrays that batches and validation gather from;
-    otherwise each batch and validation pass reads its videos.
+    otherwise each batch and validation pass reads its videos.  A video
+    whose matrix is not (frames, feature_dim) raises InputError before
+    the batch or validation pass that reads it runs.
     A non-finite loss or gradient, in training or in validation, raises
     TrainingDiverged before the batch's Adam step; checkpoints already
     on disk are left in place.  Every batch writes its gradients into
@@ -212,7 +230,7 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
             loss_sum = acc_sum = 0.0
             try:
                 for rows in make_batches(len(video), cfg.batch_size, cfg.seed, epoch):
-                    feats, row_map = read_batch(train_src, keys, video[rows])
+                    feats, row_map = read_batch(train_src, keys, video[rows], shape)
                     P, caches = mdl.training_forward(params, feats, dec_in[rows], row_map)
                     if grad is None:  # the run's one gradient buffer, made once
                         grad = np.empty_like(params.flat)
@@ -225,7 +243,7 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
                     acc_sum += accuracy(P, tgt.T) * len(rows)
                     nn.adam_step(opt, params.flat, grad)
                     del feats, P, caches  # before the next batch's pass
-                val_loss, val_acc = evaluate_samples(params, val_src, val_samples)
+                val_loss, val_acc = evaluate_samples(params, val_src, val_samples, shape)
             except FloatingPointError as e:
                 raise TrainingDiverged(f"epoch {epoch}: {e}") from e
             row = EpochMetrics(epoch, loss_sum / len(video), acc_sum / len(video),

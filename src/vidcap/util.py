@@ -10,12 +10,13 @@ class InputError(ValueError):
 
 
 def open_text(path):
-    """A UTF-8 text file as a stream with open()'s newline handling;
-    bytes that are not valid UTF-8 raise InputError naming the file."""
+    """A UTF-8 text file as a stream with open()'s newline handling,
+    without a leading byte-order mark; bytes that are not valid UTF-8
+    raise InputError naming the file."""
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        return io.StringIO(data.decode("utf-8"), newline=None)
+    try:  # utf-8-sig's text, with an error's offset counted in the file
+        return io.StringIO(data.decode("utf-8").removeprefix("\ufeff"), newline=None)
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not valid UTF-8 (byte {e.start})") from None
 

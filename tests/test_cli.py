@@ -20,11 +20,13 @@ import pytest
 
 from vidcap import __version__
 from vidcap import model as mdl
-from vidcap.cli import build_parser, main
-from vidcap.features import MAGIC, write_feature_file
+from vidcap.cli import build_parser, main, read_config_file
+from vidcap.corpus import load_split_keys, parse_descriptions
+from vidcap.features import MAGIC, load_manifest, write_feature_file
 from vidcap.model import (ModelConfig, ModelParams, _write_tensor,
                           load_checkpoint, save_checkpoint)
 from vidcap.tokenizer import Tokenizer
+from vidcap.util import InputError
 
 from memtrace import traced
 
@@ -79,21 +81,44 @@ def test_version_subprocess():
     assert proc.stdout.strip() == f"vidcap {__version__} (checkpoint format 1)"
 
 
-def test_readme_commands_parse():
-    # every `vidcap` command in README's sh blocks, continuations joined
+def readme_commands():
+    """Every `vidcap` command in README's sh blocks, continuations joined,
+    as argv lists without the program name."""
     text = (SRC.parent / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
-    commands = [shlex.split(line, comments=True) for line in lines
-                if line.startswith("vidcap ")]
-    assert {argv[1] for argv in commands} >= {"make-fixture", "prepare", "train",
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("vidcap ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} >= {"make-fixture", "prepare", "train",
                                               "caption", "eval"}
     for argv in commands:
         with contextlib.redirect_stderr(io.StringIO()) as err:
             try:
-                build_parser().parse_args(argv[1:])
+                build_parser().parse_args(argv)
             except SystemExit:
-                pytest.fail(f"{' '.join(argv)}: {err.getvalue().splitlines()[-1]}")
+                pytest.fail(f"vidcap {' '.join(argv)}: {err.getvalue().splitlines()[-1]}")
+
+
+def test_readme_quick_start_gives_the_stated_outputs(tmp_path):
+    # the quick start's commands as README lists them, run in-process
+    # with its /tmp/demo and /tmp/run under tmp_path
+    demo, run = tmp_path / "demo", tmp_path / "run"
+    outputs = {}
+    for argv in readme_commands():
+        argv = [arg.replace("/tmp/demo", str(demo)).replace("/tmp/run", str(run))
+                for arg in argv]
+        code, out, err = run_cli(*argv)
+        assert code == 0, (argv, err)
+        outputs[argv[0]] = out
+    # what the paragraph after the commands states
+    assert (run / "val.keys").read_text(encoding="utf-8") == "vid000\n"
+    assert (run / "train.keys").read_text(encoding="utf-8").splitlines()[0] == "vid004"
+    assert outputs["caption"] == "dog outside dog guitar dog quickly ball holds\n"
+    assert outputs["eval"] == "train: 5 videos, mean BLEU-2 1\n"
 
 
 def test_unknown_flag_exits_2():
@@ -1036,6 +1061,61 @@ def test_non_utf8_text_file_exits_2(ws, tmp_path, name):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert f"{bad}: not valid UTF-8" in err
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def _parsed_artifacts(ws, root):
+    """Each text artifact kind of ws, copied under root and parsed."""
+    shutil.copytree(ws["data"], root / "data")
+    shutil.copytree(ws["run"], root / "run")
+    (root / "eval.cfg").write_text("split = train\nbatch-size = 4\n", encoding="utf-8")
+    return {
+        "descriptions": (root / "data" / "descriptions.txt", parse_descriptions),
+        "manifest": (root / "data" / "manifest.tsv",
+                     lambda p: {k: os.path.relpath(v, root) for k, v in load_manifest(p).items()}),
+        "config": (root / "eval.cfg", read_config_file),
+        "tokenizer": (root / "run" / "tokenizer.txt", lambda p: vars(Tokenizer.load(p))),
+        "keys": (root / "run" / "train.keys",
+                 lambda p: load_split_keys(os.path.dirname(p), "train")),
+    }
+
+
+@pytest.mark.parametrize("name", ["descriptions", "manifest", "config", "tokenizer", "keys"])
+def test_byte_order_mark_is_not_part_of_a_text_file(ws, tmp_path, name):
+    # a leading UTF-8 byte-order mark would otherwise become part of the
+    # first id, key or header
+    plain = _parsed_artifacts(ws, tmp_path / "plain")
+    marked = _parsed_artifacts(ws, tmp_path / "marked")
+    path, parse = marked[name]
+    path.write_bytes(BOM + path.read_bytes())
+    assert parse(str(path)) == plain[name][1](str(plain[name][0]))
+    # an invalid byte after the mark is counted from the file's start
+    data = path.read_bytes()
+    path.write_bytes(data + b"\xff\n")
+    with pytest.raises(InputError, match=rf"not valid UTF-8 \(byte {len(data)}\)"):
+        parse(str(path))
+
+
+def test_prepare_reads_marked_descriptions_and_manifest(ws, tmp_path):
+    # with a mark on both files, prepare once counted 7 videos for 6, one
+    # of them missing features, and listed '\ufeffvid000' in train.keys
+    outputs = []
+    for marked in (False, True):
+        data, run = tmp_path / f"data-{marked}", tmp_path / f"run-{marked}"
+        shutil.copytree(ws["data"], data)
+        for name in ("descriptions.txt", "manifest.tsv"):
+            if marked:
+                (data / name).write_bytes(BOM + (data / name).read_bytes())
+        code, out, err = run_cli("prepare", "--descriptions", str(data / "descriptions.txt"),
+                                 "--manifest", str(data / "manifest.tsv"),
+                                 "--out", str(run), "--vocab", "40")
+        assert code == 0, err
+        outputs.append([out] + [(run / f).read_bytes() for f in (
+            "train.keys", "val.keys", "test.keys", "tokenizer.txt", "summary.txt")])
+    assert outputs[0] == outputs[1]
+    assert "videos: 6\n" in outputs[1][0] and "videos missing features: 0\n" in outputs[1][0]
 
 
 def test_config_missing_file_exits_2(ws):

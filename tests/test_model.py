@@ -1,6 +1,7 @@
 """Model assembly tests: counts, training pass, inference, checkpoints."""
 
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -248,20 +249,52 @@ def test_encode_video_is_order_sensitive():
     assert not np.allclose(h1, h2)
 
 
+def test_encode_video_takes_one_video_only():
+    params = ModelParams.init(TOY, seed=6)
+    feats = _videos(3, seed=6)
+    for bad in (feats, feats[0, 0]):
+        with pytest.raises(ValueError, match="expected \\(frames, D\\)"):
+            encode_video(params, bad)
+
+
+def _chunk_states(monkeypatch, params, videos, max_words):
+    """The encoder state greedy_decode hands each chunk's decoder."""
+    starts, rows = [], model._greedy_rows
+
+    def recording(params, tok, state, *args):
+        starts.append((state.h.copy(), state.c.copy()))
+        return rows(params, tok, state, *args)
+
+    monkeypatch.setattr(model, "_greedy_rows", recording)
+    greedy_decode(params, small_tokenizer(), iter(list(videos)), max_words)
+    return starts
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("rows", [1, 4, 16])
 @pytest.mark.parametrize("frames", [1, 15, 16, 17, 40])
-def test_sliced_encoder_state_is_bitwise_one_call(frames, rows, dtype):
-    # ENCODE_SLICE-step calls chained on copies of the final state round
-    # as one lstm_forward call; at latent 256, 4 rows take U in
-    # row panels and 16 rows one product
+def test_sliced_encoder_state_is_bitwise_one_call(monkeypatch, frames, rows, dtype):
+    # one video is one call; a chunk's 16-frame slices (the last ragged),
+    # each one call chained on copies of the previous final state, round
+    # as one stacked call; at latent 256, 4 rows take U in row panels
+    # and 16 rows one product
     cfg = ModelConfig(frames=frames, feature_dim=8, latent=256, max_words=4, vocab=7)
     params = ModelParams.init(cfg, seed=frames + rows, dtype=dtype)
     assert len(nn.recurrent_panels(4, cfg.latent)) > 1
+    assert len(nn.recurrent_panels(16, cfg.latent)) == 1
     shape = (rows, frames, cfg.feature_dim) if rows > 1 else (frames, cfg.feature_dim)
     feats = np.random.default_rng(rows).standard_normal(shape).astype(dtype)
     _, h_one, c_one, _ = nn.lstm_forward(params.encoder, model._project(params, feats))
-    h, c = encode_video(params, feats)
+    if rows == 1:
+        h, c = encode_video(params, feats)
+    else:
+        monkeypatch.setattr(model, "_slice_rows", lambda frames: 16 * rows)
+        calls, forward = [], nn.lstm_forward
+        monkeypatch.setattr(nn, "lstm_forward",
+                            lambda p, XW, *a: calls.append(len(XW)) or forward(p, XW, *a))
+        (h, c), = _chunk_states(monkeypatch, params, feats, cfg.max_words)
+        slices = [min(16, frames - t) for t in range(0, frames, 16)]
+        assert calls[:len(slices)] == slices and calls[len(slices)] == 1
     assert h.dtype == c.dtype == dtype
     assert np.array_equal(h, h_one) and np.array_equal(c, c_one)
 
@@ -276,20 +309,36 @@ def test_greedy_chunk_state_is_bitwise_one_stacked_call(monkeypatch, n):
     params = ModelParams.init(cfg, seed=n)
     videos = np.random.default_rng(n).standard_normal(
         (n, cfg.frames, cfg.feature_dim)).astype(np.float32)
-    starts, rows = [], model._greedy_rows
-
-    def recording(params, tok, state, *args):
-        starts.append((state.h.copy(), state.c.copy()))
-        return rows(params, tok, state, *args)
-
-    monkeypatch.setattr(model, "_greedy_rows", recording)
-    greedy_decode(params, small_tokenizer(), iter(list(videos)), cfg.max_words)
+    starts = _chunk_states(monkeypatch, params, videos, cfg.max_words)
     chunks = range(0, n, model.DECODE_CHUNK)
     assert len(starts) == len(chunks)
     for (h, c), s in zip(starts, chunks):
         chunk = videos[s:s + model.DECODE_CHUNK]
         _, h_one, c_one, _ = nn.lstm_forward(params.encoder, model._project(params, chunk))
         assert np.array_equal(h, h_one) and np.array_equal(c, c_one)
+
+
+def test_chunk_slices_hold_one_slices_states(monkeypatch):
+    # each slice's call starts from copies of the last state, so the
+    # previous slice's Hs and Cs are freed before the next call runs
+    cfg = ModelConfig(frames=21, feature_dim=24, latent=16, max_words=4, vocab=7)
+    params = ModelParams.init(cfg, seed=3)
+    videos = np.random.default_rng(3).standard_normal(
+        (5, cfg.frames, cfg.feature_dim)).astype(np.float32)
+    monkeypatch.setattr(model, "_slice_rows", lambda frames: 4 * 5)
+    states, forward = [], nn.lstm_forward
+
+    def recording(p, XW, *args):
+        if p is params.encoder:
+            assert all(ref() is None for ref in states)
+            out = forward(p, XW, *args)
+            states.extend(weakref.ref(a) for a in out[3][:2])
+            return out
+        return forward(p, XW, *args)
+
+    monkeypatch.setattr(nn, "lstm_forward", recording)
+    greedy_decode(params, small_tokenizer(), iter(list(videos)), cfg.max_words)
+    assert len(states) == 2 * 6  # 4-frame slices, the last of 1
 
 
 def test_slice_rows_are_fixed_per_split():
@@ -406,7 +455,7 @@ def test_stacked_encode_and_vector_decode_match_single_rows():
     # the 5-row head GEMM differs from the 1-row one by about an ulp
     params = ModelParams.init(TOY, seed=10)
     feats = _videos(5, seed=10)
-    h, c = encode_video(params, feats)
+    _, h, c, _ = nn.lstm_forward(params.encoder, model._project(params, feats))
     assert h.shape == c.shape == (5, TOY.latent)
     tokens = np.array([3, 1, 7, 3, 5])
     probs, state = decode_step(params, DecodeState(h, c), tokens)
@@ -633,7 +682,8 @@ def test_inference_and_training_passes_leave_the_weights_bitwise_unchanged():
     before = {name: t.tobytes() for name, t in params.tensors().items()}
     videos = _videos(17)
     decode_step(params, DecodeState(*encode_video(params, videos[0])), 3)
-    decode_step(params, DecodeState(*encode_video(params, videos[:3])), np.array([3, 3, 5]))
+    stacked = nn.lstm_forward(params.encoder, model._project(params, videos[:3]))
+    decode_step(params, DecodeState(*stacked[1:3]), np.array([3, 3, 5]))
     greedy_decode(params, tok, videos[0], TOY.max_words)
     greedy_decode(params, tok, iter(list(videos)), TOY.max_words)  # one chunk of 17
     feat, dec_in, _ = toy_inputs(15, dtype=np.float32)
@@ -649,21 +699,19 @@ def test_inference_and_training_passes_leave_the_weights_bitwise_unchanged():
 
 
 def test_encode_video_peak_is_one_gate_array_and_the_states():
-    # the projection XW becomes the gate array in place, and the
-    # recurrence runs in ENCODE_SLICE-step calls: a stacked pass holds
-    # one (T, B, 4 latent) array and one slice's Hs and Cs, not two gate
-    # arrays or every step's states (the single call peaked at 282,192 B)
-    cfg = ModelConfig(frames=40, feature_dim=8, latent=32, max_words=4, vocab=7)
+    # the projection XW becomes the gate array in place: one video's
+    # call holds one (T, 4 latent) array and every step's Hs and Cs, not
+    # two gate arrays
+    cfg = ModelConfig(frames=80, feature_dim=8, latent=128, max_words=4, vocab=7)
     params = ModelParams.init(cfg, seed=11)
-    B = 8
-    feats = np.random.default_rng(11).standard_normal(
-        (B, cfg.frames, cfg.feature_dim)).astype(np.float32)
-    _, _, peak = traced(encode_video, params, feats)
-    xw = 4 * cfg.frames * B * 4 * cfg.latent  # 160 KiB
-    states = 2 * 4 * (model.ENCODE_SLICE + 1) * B * cfg.latent  # Hs and Cs, 34 KiB
-    # slack: numpy's ufunc buffers over the time-major view (8192
-    # elements, 32 KiB), one step's rows and the copied final state
-    assert peak <= xw + states + 64 * 2**10 < 282_192
+    feat = np.random.default_rng(11).standard_normal(
+        (cfg.frames, cfg.feature_dim)).astype(np.float32)
+    _, _, peak = traced(encode_video, params, feat)
+    xw = 4 * cfg.frames * 4 * cfg.latent  # 160 KiB
+    states = 2 * 4 * (cfg.frames + 1) * cfg.latent  # Hs and Cs, 81 KiB
+    # slack: one step's rows and numpy's views and small-buffer caches
+    # over 80 steps (~38 KiB here)
+    assert peak <= xw + states + 48 * 2**10 < 2 * xw
 
 
 def test_max_words_cap():

@@ -275,7 +275,7 @@ def test_evaluate_samples_encodes_each_video_once(tmp_path, monkeypatch):
 
 
 def test_evaluate_samples_over_several_passes(tmp_path, monkeypatch):
-    # 35 videos are passes of 16, 16 and 3 (model.EVAL_CHUNK is 16)
+    # 35 videos are passes of 16, 16 and 3 (training.EVAL_CHUNK is 16)
     corp, tok, store, keys = pipeline(tmp_path, n_videos=35)
     params = ModelParams.init(MCFG, seed=7)
     samples = build_samples(keys, corp, tok, MCFG.max_words)
@@ -283,7 +283,7 @@ def test_evaluate_samples_over_several_passes(tmp_path, monkeypatch):
     gets, encoded = count_reads_and_encoder_rows(monkeypatch, store)
     got = evaluate_samples(params, store, samples)
     assert got == pytest.approx(expected, rel=0, abs=BATCH_TOL)
-    assert len(samples[1]) > 35 and mdl.EVAL_CHUNK == 16
+    assert len(samples[1]) > 35 and training.EVAL_CHUNK == 16
     assert gets == keys and encoded == [16, 16, 3]
 
 
@@ -501,6 +501,31 @@ def test_resident_splits_write_the_bytes_of_per_use_reads(tmp_path, monkeypatch)
         history.to_csv(str(out / "metrics.csv"))
         files.append([(out / f).read_bytes() for f in ("metrics.csv", "ckpt-4.sq2s")])
     assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("path, bad", [("resident", 1), ("per-use", 0), ("per-use", 4),
+                                       ("resident", 5), ("per-use", 5)])
+def test_misshaped_video_stops_training_before_the_pass_that_reads_it(
+        tmp_path, monkeypatch, path, bad):
+    # a store built without an expected shape reads a 1 x 16 matrix,
+    # which numpy would broadcast into all 8 frames of its row; per use,
+    # the 15 samples are one batch, whose first video is keys[0], and
+    # keys[5] is the validation video
+    corp, tok, store, keys = pipeline(tmp_path)
+    features.write_feature_file(store.entries[keys[bad]], np.ones((1, 16), np.float32))
+    if path == "per-use":
+        monkeypatch.setattr(training, "RESIDENT_BYTES", 0)
+    passes, forward = [], mdl.training_forward
+    monkeypatch.setattr(mdl, "training_forward",
+                        lambda *a: passes.append(len(a[2])) or forward(*a))
+    tcfg = TrainConfig(batch_size=15, epochs=2, lr=1e-3, seed=5)
+    with pytest.raises(InputError) as err:
+        train(ModelParams.init(MCFG, seed=5), tcfg, MCFG, keys[:5], keys[5:],
+              corp, tok, store)
+    # the message a store with the model's expected shape gives
+    assert str(err.value) == f"features for '{keys[bad]}' have shape (1, 16), expected (8, 16)"
+    # only a validation video read per use lets epoch 1's batch run
+    assert passes == ([15] if (path, bad) == ("per-use", 5) else [])
 
 
 def test_batch_gradient_equals_per_sample_oracle_float64():
