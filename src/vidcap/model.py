@@ -35,9 +35,9 @@ DECODE_CHUNK = 128
 # full size that is 640 rows (10.5 MB of frames, 5.2 MB of gates), 6
 # frames for eval's 101 videos; on 16 x 2048 features at latent 8, 128
 # rows (1 MB).  greedy_decode over those 101 full-size videos peaked at
-# 21.3 MiB in its decode steps (tracemalloc; 19.3 MiB in the encoder
-# slices); 16-video chunks projected in 8-video groups peaked at
-# 22.7 MiB, and 9 videos' rows at 22.3 MiB
+# 21.6 MiB (tracemalloc), in its encoder slices and decode steps alike;
+# 16-video chunks projected in 8-video groups peaked at 22.7 MiB, and 9
+# videos' rows at 22.3 MiB
 SLICE_VIDEOS = 8
 
 # a checkpoint's eight records, in file order, and the shape the config
@@ -176,9 +176,7 @@ def training_forward(params, feats, dec_in, video=slice(None)):
     single = np.ndim(dec_in) == 1
     if single:
         feats, dec_in = np.asarray(feats)[None], np.asarray(dec_in)[None]
-    # time-major rows, so each recurrence step reads contiguous memory
-    XW = np.ascontiguousarray(_project(params, feats))
-    _, h, c, enc_cache = nn.lstm_forward(params.encoder, XW)
+    _, h, c, enc_cache = nn.lstm_forward(params.encoder, _project(params, feats))
     dec, steps = params.decoder, np.asarray(dec_in).T
     XW = dec.W[steps - 1]  # a copying gather, which lstm_forward consumes
     XW[steps == 0] = 0  # padding reads zeros
@@ -228,17 +226,19 @@ def training_backward(params, caches, target, grads=None):
 
 
 def _project(params, feat, out=None):
-    """feat @ encoder.W for one video (frames x D) or for B stacked ones
-    (B x frames x D), one GEMM, time-major as the recurrence steps.  With
-    out (B x frames x 4 latent, contiguous) the product is written into
-    out, video-major, and out is returned."""
+    """feat @ encoder.W in one GEMM, laid out as lstm_forward takes XW:
+    time-major and C-contiguous.  feat is one video (frames x D), B
+    stacked ones (B x frames x D), whose video-major product is copied
+    time-major, or with out a time-major slice (s x n x D), whose
+    product is written straight into out (contiguous, s x n x 4 latent)
+    and returned."""
     feat, W = np.asarray(feat), params.encoder.W
     XW = np.matmul(feat.reshape(-1, feat.shape[-1]), W,
                    out=None if out is None else out.reshape(-1, W.shape[1]))
     if out is not None:
         return out
-    if feat.ndim == 3:  # rows are video-major; the recurrence steps time
-        XW = XW.reshape(feat.shape[0], feat.shape[1], -1).swapaxes(0, 1)
+    if feat.ndim == 3:
+        XW = np.ascontiguousarray(XW.reshape(feat.shape[:2] + (-1,)).swapaxes(0, 1))
     return XW
 
 
@@ -253,26 +253,30 @@ def _encode_chunk(params, videos, X, XW, S):
     """Final encoder state of a chunk of videos (each frames x D: arrays,
     or lazy sources with shape and read(rows, out)), streamed over time.
 
-    For each slice of S frames (the last may be shorter), every video's
-    rows are read straight into the front of the flat buffer X,
-    projected with one GEMM into the front of the flat buffer XW, and
-    one lstm_forward call advances the chunk's recurrence over it from
+    For each slice of S frames (the last may be shorter), the front of
+    the flat buffer X holds the slice time-major (s x n x D): an array
+    video's rows are copied straight into its column x[:, j], a lazy
+    source's are read into one S x D staging buffer (read wants a
+    contiguous out) and copied from there.  One GEMM projects the slice
+    into the front of the flat buffer XW, already time-major, and one
+    lstm_forward call advances the chunk's recurrence over it from
     copies of the previous slice's final state, so only one slice's Hs
-    and Cs are alive.  Each frame is read once.  Row blocks of a GEMM
-    round as the whole product does, and chained calls as one call
-    does, so the state is bitwise one stacked lstm_forward's.
+    and Cs are alive.  Each frame is read once.  A GEMM's rows round
+    alike in either order, and chained calls as one call does, so the
+    state is bitwise one stacked lstm_forward's.
     """
     (frames, dim), n, width = videos[0].shape, len(videos), params.encoder.W.shape[1]
+    stage = np.empty((S, dim), dtype=X.dtype)
     h = c = None
     for t in range(0, frames, S):
         s = min(S, frames - t)
-        x = X[:n * s * dim].reshape(n, s, dim)
-        for video, rows in zip(videos, x):
+        x = X[:s * n * dim].reshape(s, n, dim)
+        for j, video in enumerate(videos):
             if isinstance(video, np.ndarray):
-                rows[...] = video[t:t + s]
+                x[:, j] = video[t:t + s]
             else:
-                video.read(slice(t, t + s), rows)
-        xw = _project(params, x, XW[:n * s * width].reshape(n, s, width)).swapaxes(0, 1)
+                x[:, j] = video.read(slice(t, t + s), stage[:s])
+        xw = _project(params, x, XW[:s * n * width].reshape(s, n, width))
         # copies, so that nothing keeps this slice's Hs and Cs alive
         h, c = [state.copy() for state in nn.lstm_forward(params.encoder, xw, h, c)[1:3]]
     return h, c
@@ -326,7 +330,8 @@ def greedy_decode(params, tok, feats, max_words=ModelConfig.max_words):
     together, each leaving the batch at its eos.  _encode_chunk streams
     a chunk of n videos through the encoder rows // n frames at a time,
     one lstm_forward call per slice, in two flat buffers of _slice_rows
-    rows allocated once, so with lazy sources memory is bounded by one
+    rows allocated once, each holding its slice time-major, as
+    lstm_forward takes it, so with lazy sources memory is bounded by one
     slice, not by the chunk or the split (arrays are held a chunk at a
     time, as drawn).
 

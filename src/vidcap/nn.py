@@ -11,8 +11,9 @@ gather and a scatter-add for word indices).  lstm_forward is the only
 forward recurrence (a decoder step is a T = 1 call).  It consumes XW:
 the gates are activated in place, so its cache (Hs, Cs, G) is two
 preallocated state arrays and XW itself as G, and a pass holds one
-T x 4*hidden array, not two.  XW must be a fresh array of U's dtype
-that shares no memory with the weights.  lstm_backward reads the cache
+T x 4*hidden array, not two.  XW must be a fresh array of U's dtype,
+time-major and C-contiguous, that shares no memory with the weights,
+so every call takes the one step path.  lstm_backward reads the cache
 directly; dU and db are one matrix product each over the sequence.
 
 adam_step updates one flat parameter buffer and its two flat moments
@@ -219,21 +220,16 @@ def lstm_forward(p, XW, h0=None, c0=None):
     XW is consumed: b is added and the gates are activated in place, and
     XW itself is returned as the cache's G, so a pass holds one
     T x 4*hidden array, not two, and the caller must not read XW again.
-    It must have U's dtype and share no memory with W, U or b (a
-    basic-indexing row of W would be a view of the weights); either
-    violation raises ValueError.
+    It must be C-contiguous (time-major: each step's rows are one
+    block), have U's dtype and share no memory with W, U or b (a
+    basic-indexing row of W would be a view of the weights); any
+    violation raises ValueError before XW is touched.
 
-    Every step writes h_{t-1} U and i * g through out= into arrays made
-    once per call, so it allocates nothing.  The path follows XW's
-    layout alone.  A C-contiguous XW (every training batch, validation
-    pass and decode step, and encode_video's one video) gets b added
-    once for the whole sequence, and the scale and shift rows are as
-    wide as a step's gates, so its steps broadcast nothing either; each
-    step's activated gates are copied gate-major, so the cell update
-    reads contiguous rows.  A strided XW (eval's video-major encoder
-    slices) adds b step by step, broadcasts 4*hidden-wide rows and reads
-    the gates in place: numpy copies a strided operand it updates in
-    place whole.  Both paths give bitwise the same outputs.
+    b is added once for the whole sequence.  Every step writes h_{t-1} U
+    and i * g through out= into arrays made once per call, and the
+    scale and shift rows are as wide as a step's gates, so a step
+    allocates and broadcasts nothing; its activated gates are copied
+    gate-major, so the cell update reads contiguous rows.
 
     Returns (H, h_T, c_T, cache) with cache = (Hs, Cs, G) and the views
     H = Hs[1:], h_T = Hs[T], c_T = Cs[T].  Hs and Cs are (T+1) x [B x]
@@ -253,6 +249,9 @@ def lstm_forward(p, XW, h0=None, c0=None):
     dt = p.U.dtype
     if XW.dtype != dt:
         raise ValueError(f"sequence has dtype {XW.dtype}, expected U's {dt}")
+    if not XW.flags.c_contiguous:
+        raise ValueError("sequence is not C-contiguous: lstm_forward steps "
+                         "time-major rows")
     if any(np.may_share_memory(XW, w) for w in (p.W, p.U, p.b)):
         raise ValueError("sequence shares memory with the weights, which the "
                          "in-place gates would overwrite")
@@ -261,23 +260,19 @@ def lstm_forward(p, XW, h0=None, c0=None):
     Hs[0] = 0 if h0 is None else h0
     Cs[0] = 0 if c0 is None else c0
     width = XW.shape[1:]
-    hoisted = XW.flags.c_contiguous
-    scale = np.full(width if hoisted else 4 * hid, 0.5, dtype=dt)
+    scale = np.full(width, 0.5, dtype=dt)
     scale[..., 2 * hid:3 * hid] = 1.0
     shift = 1.0 - scale
-    if hoisted:
-        XW += p.b
-        # each step's activated gates, copied gate-major so that the cell
-        # update reads contiguous rows; a strided pass reads them in place
-        gates = np.empty((4,) + state_shape, dtype=dt)
-        i, f, g, o = gates
+    XW += p.b
+    # each step's activated gates, copied gate-major so that the cell
+    # update reads contiguous rows
+    gates = np.empty((4,) + state_shape, dtype=dt)
+    i, f, g, o = gates
     batch = XW.shape[1] if XW.ndim == 3 else 1
     panels = [(s, p.U[s]) for s in recurrent_panels(batch, hid)]
     hU, ig = np.empty(width, dtype=dt), np.empty(state_shape, dtype=dt)
     by_gate = XW.reshape(XW.shape[:-1] + (4, hid)).swapaxes(1, -2)  # T x 4 x [B x] hidden
     for z, z_gates, h, c, h1, c1 in zip(XW, by_gate, Hs[:-1], Cs[:-1], Hs[1:], Cs[1:]):
-        if not hoisted:
-            z += p.b
         for s, U_s in panels:
             np.dot(h[..., s], U_s, out=hU)
             z += hU
@@ -285,10 +280,7 @@ def lstm_forward(p, XW, h0=None, c0=None):
         np.tanh(z, out=z)
         z *= scale
         z += shift
-        if hoisted:
-            np.copyto(gates, z_gates)
-        else:
-            i, f, g, o = z_gates
+        np.copyto(gates, z_gates)
         np.multiply(f, c, out=c1)
         np.multiply(i, g, out=ig)
         c1 += ig

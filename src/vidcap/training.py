@@ -78,12 +78,15 @@ RESIDENT_BYTES = 256 * 1024
 EVAL_CHUNK = 16
 
 
-def _checked(key, matrix, shape):
+def _checked(key, matrix, shape, like=None):
     """matrix, video key's features as read, if it has shape (frames, D),
     else InputError: a FeatureStore built without an expected shape
-    reads a file of any shape."""
+    reads a file of any shape.  like names the video whose shape it is,
+    when that is not the model's."""
     if matrix.shape != shape:
-        raise InputError(f"features for '{key}' have shape {matrix.shape}, expected {shape}")
+        want = (f"expected {shape}" if like is None
+                else f"but those for '{like}' have {shape}")
+        raise InputError(f"features for '{key}' have shape {matrix.shape}, {want}")
     return matrix
 
 
@@ -105,17 +108,18 @@ def read_batch(store, keys, video, shape=None):
     FeatureStore, which reads each of those videos, or a read_resident
     array of keys, whose rows are gathered.  Each video read must have
     shape, the model's (frames, D), or by default the first one's, else
-    InputError."""
+    InputError, which then names both videos and both shapes."""
     distinct = sorted(set(video.tolist()))
     if isinstance(store, np.ndarray):
         return store[distinct], np.searchsorted(distinct, video)
     first = store.get(keys[distinct[0]])
+    like = None if shape else keys[distinct[0]]
     shape = shape or first.shape
     feats = np.empty((len(distinct),) + shape, dtype=np.float32)
     feats[0] = _checked(keys[distinct[0]], first, shape)
     del first  # one read in flight at a time
     for i, v in enumerate(distinct[1:], 1):
-        feats[i] = _checked(keys[v], store.get(keys[v]), shape)
+        feats[i] = _checked(keys[v], store.get(keys[v]), shape, like)
     return feats, np.searchsorted(distinct, video)
 
 

@@ -180,6 +180,23 @@ def test_forward_rejects_empty_and_misshaped():
             nn.lstm_forward(p, np.zeros(shape))
 
 
+@pytest.mark.parametrize("view", ["video-major", "batch-column"])
+def test_forward_rejects_strided_xw_untouched(view):
+    # one step path: a strided XW raises before b is added to it or a
+    # gate activated in place
+    rng = np.random.default_rng(6)
+    p = random_lstm(rng, 3, 2)
+    # 3 videos x 4 steps read time-major, or the second of a time-major
+    # batch's 4 sequences (3 steps each)
+    rows = rng.standard_normal((3, 4, 8))
+    XW = rows.swapaxes(0, 1) if view == "video-major" else rows[:, 1]
+    assert not XW.flags.c_contiguous
+    before = rows.tobytes()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        nn.lstm_forward(p, XW)
+    assert rows.tobytes() == before
+
+
 # (T, hidden, B): toy sizes, one row, and the encoder's full width, where
 # a 16-row h @ U GEMM rounds unlike 16 mat-vecs (measured up to 3e-7),
 # and 2 to 7 rows take U in row panels (nn.recurrent_panels)
@@ -233,36 +250,27 @@ def test_chained_steps_at_few_rows_are_bitwise_one_call():
         assert np.array_equal(g, w)
 
 
-# (T, B, hidden, layout, dtype): B None is one sequence; "video" lays XW
-# out video-major and steps a time-major view of it, as _encode_chunk's
-# slices and training_forward's projection are
+# (T, B, hidden, dtype): B None is one sequence; every XW is time-major
+# and C-contiguous, the one layout lstm_forward takes
 FROZEN_CASES = [
-    (10, 1, 32, "time", np.float32), (10, 5, 32, "time", np.float32),
-    (10, 6, 32, "time", np.float32), (8, 5, 32, "video", np.float32),
-    (8, None, 32, "time", np.float32), (6, 4, 7, "time", np.float64),
-    (8, 2, 512, "time", np.float32), (8, 4, 512, "video", np.float32),
-    (6, 16, 512, "time", np.float32), (3, 101, 512, "video", np.float32),
-    (2, None, 512, "time", np.float32),
+    (10, 1, 32, np.float32), (10, 5, 32, np.float32),
+    (10, 6, 32, np.float32), (8, 5, 32, np.float32),
+    (8, None, 32, np.float32), (6, 4, 7, np.float64),
+    (8, 2, 512, np.float32), (8, 4, 512, np.float32),
+    (6, 16, 512, np.float32), (3, 101, 512, np.float32),
+    (2, None, 512, np.float32),
 ]
 
 
 def frozen_inputs(case):
-    T, B, hid, layout, dtype = case
+    T, B, hid, dtype = case
     rng = np.random.default_rng(500 + hid + (B or 0))
     p = init_lstm(rng, 6, hid, dtype)
     rows = () if B is None else (B,)
-    XW = rng.standard_normal(rows + (T, 4 * hid) if layout == "video" else
-                             (T,) + rows + (4 * hid,)).astype(dtype)
-    if layout == "video":
-        XW = XW.swapaxes(0, 1)
+    XW = rng.standard_normal((T,) + rows + (4 * hid,)).astype(dtype)
     h0, c0, dh_last, dc_last = rng.standard_normal((4,) + rows + (hid,)).astype(dtype)
     dH = rng.standard_normal((T,) + rows + (hid,)).astype(dtype)
     return p, XW, h0, c0, dH, dh_last, dc_last
-
-
-def copy_layout(XW):
-    """A copy of XW with its strides, so each kernel consumes its own."""
-    return XW.swapaxes(0, 1).copy().swapaxes(0, 1) if XW.ndim == 3 else XW.copy()
 
 
 @pytest.mark.parametrize("case", FROZEN_CASES)
@@ -270,8 +278,8 @@ def test_kernels_are_bitwise_the_frozen_step_arithmetic(case):
     # every output of both kernels, with and without upstream gradients,
     # against the frozen per-step code they replaced
     p, XW, h0, c0, dH, dh_last, dc_last = frozen_inputs(case)
-    got = nn.lstm_forward(p, copy_layout(XW), h0, c0)
-    want = lstm_forward_reference(p, copy_layout(XW), h0, c0)
+    got = nn.lstm_forward(p, XW.copy(), h0, c0)
+    want = lstm_forward_reference(p, XW.copy(), h0, c0)
     for g, w in zip(got[:3] + got[3], want[:3] + want[3]):
         assert g.shape == w.shape and np.array_equal(g, w)
     for upstream in ((dH, dh_last, dc_last), (None, dh_last, None), (dH, None, None)):
@@ -284,7 +292,7 @@ def test_kernels_are_bitwise_the_frozen_step_arithmetic(case):
 @pytest.mark.parametrize("B, hid", [(6, 32), (4, 512), (101, 512)])
 def test_chained_one_step_calls_are_bitwise_the_frozen_ones(B, hid):
     # greedy decoding's T = 1 calls, each from the last one's state
-    p, XW, h, c, dH, dh_last, dc_last = frozen_inputs((4, B, hid, "time", np.float32))
+    p, XW, h, c, dH, dh_last, dc_last = frozen_inputs((4, B, hid, np.float32))
     hr, cr = h, c
     for t in range(len(XW)):
         H, h, c, cache = nn.lstm_forward(p, XW[t:t + 1].copy(), h, c)
@@ -469,7 +477,7 @@ def test_backward_batch_equals_per_sequence_calls(upstream, T, B, hid):
     dXW, dU, db, dh0, dc0 = nn.lstm_backward(p, cache, dH, dh_last, dc_last)
     dU_sum, db_sum = np.zeros_like(dU), np.zeros_like(db)
     for b in range(B):
-        H1, h1, c1, one = nn.lstm_forward(p, XW[:, b], h0[b], c0[b])
+        H1, h1, c1, one = nn.lstm_forward(p, XW[:, b].copy(), h0[b], c0[b])
         for batch_part, single in zip((H[:, b], hT[b], cT[b]), (H1, h1, c1)):
             assert np.max(np.abs(batch_part - single)) < 1e-12
         got = nn.lstm_backward(p, one, None if dH is None else dH[:, b],

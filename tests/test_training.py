@@ -528,6 +528,24 @@ def test_misshaped_video_stops_training_before_the_pass_that_reads_it(
     assert passes == ([15] if (path, bad) == ("per-use", 5) else [])
 
 
+# (misshaped video, the video the error is raised for, its shape, the
+# first video's shape)
+@pytest.mark.parametrize("bad, named, got, like", [
+    pytest.param(0, 1, (8, 16), (1, 16), id="first"),
+    pytest.param(2, 2, (1, 16), (8, 16), id="third"),
+])
+def test_read_batch_without_a_shape_names_both_videos(tmp_path, bad, named, got, like):
+    # no shape and a store without an expected shape hold each video to
+    # the batch's first, so a misshaped first video must not be reported
+    # as the next one's fault alone: the error names both
+    _, _, store, keys = pipeline(tmp_path)
+    features.write_feature_file(store.entries[keys[bad]], np.ones((1, 16), np.float32))
+    with pytest.raises(InputError) as err:
+        training.read_batch(store, keys, np.array([0, 1, 2, 2]))
+    assert str(err.value) == (f"features for '{keys[named]}' have shape {got}, "
+                              f"but those for '{keys[0]}' have {like}")
+
+
 def test_batch_gradient_equals_per_sample_oracle_float64():
     cfg = ModelConfig(frames=5, feature_dim=3, latent=4, max_words=6, vocab=7)
     params = ModelParams.init(cfg, seed=9, dtype=np.float64)
