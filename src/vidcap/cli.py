@@ -18,7 +18,7 @@ from . import model as mdl
 from . import training
 from .features import FeatureStore, VideoFrames, load_manifest, read_feature_file
 from .tokenizer import Tokenizer
-from .util import InputError, fmt6, open_text
+from .util import InputError, fmt6, open_text, write_atomic
 
 TOKENIZER_FILE = "tokenizer.txt"
 METRICS_FILE = "metrics.csv"
@@ -130,7 +130,9 @@ def _load_tokenizer(path, cfg):
 
 
 def cmd_prepare(ns):
-    """Build split key files, the tokenizer file, and a summary."""
+    """Build split key files, the tokenizer file, and a summary.  Each
+    file is written whole or not at all (util.write_atomic), one after
+    the other, so a failure can leave new files next to old ones."""
     raw = corpus_mod.parse_descriptions(ns.descriptions)
     corp = corpus_mod.build_corpus(raw)
     if not corp.entries:
@@ -153,8 +155,8 @@ def cmd_prepare(ns):
         f"test={len(split.test_keys)}",
         f"videos missing features: {missing}",
     ]
-    with open(os.path.join(ns.out, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write("".join(line + "\n" for line in lines))
+    with write_atomic(os.path.join(ns.out, "summary.txt")) as fh:
+        fh.writelines(line + "\n" for line in lines)
     for line in lines:
         print(line)
     return 0

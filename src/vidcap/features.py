@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from .util import InputError, all_finite, open_text
+from .util import InputError, all_finite, open_text, write_atomic
 
 MAGIC = b"VFM1"
 _HEADER_BYTES = 12
@@ -43,7 +43,8 @@ def write_feature_file(path, matrix):
 
     Every value must be finite once cast to float32 (1e39 is not); a
     rejected matrix opens no file.  The payload is the cast array's own
-    buffer, with no bytes copy.
+    buffer, with no bytes copy.  The file is written whole or not at all
+    (util.write_atomic).
     """
     m = np.asarray(matrix)
     if m.ndim != 2:
@@ -56,7 +57,7 @@ def write_feature_file(path, matrix):
     if not all_finite(data):
         raise InputError("feature matrix contains entries that are not finite "
                          "as float32")
-    with open(path, "wb") as fh:
+    with write_atomic(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", rows, cols))
         fh.write(data)

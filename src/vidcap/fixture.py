@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 from .features import decimation_indices, write_feature_file
-from .util import InputError
+from .util import InputError, write_atomic
 
 WORDS = ("a", "man", "woman", "dog", "cat", "ball", "guitar", "slices",
          "plays", "rides", "throws", "holds", "red", "small", "quickly",
@@ -56,10 +56,9 @@ def make_fixture(out_dir, n_videos=6, seed=1, captions_per_video=3,
         write_feature_file(os.path.join(out_dir, rel), matrix)
         manifest_lines.append(f"{vid}\t{rel}\n")
         desc_lines += [f"{vid}\t{' '.join(words)}\n"] * captions_per_video
-    manifest_path = os.path.join(out_dir, "manifest.tsv")
-    descriptions_path = os.path.join(out_dir, "descriptions.txt")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.writelines(manifest_lines)
-    with open(descriptions_path, "w", encoding="utf-8") as fh:
-        fh.writelines(desc_lines)
-    return {"manifest": manifest_path, "descriptions": descriptions_path}
+    paths = {"manifest": os.path.join(out_dir, "manifest.tsv"),
+             "descriptions": os.path.join(out_dir, "descriptions.txt")}
+    for name, lines in (("manifest", manifest_lines), ("descriptions", desc_lines)):
+        with write_atomic(paths[name]) as fh:
+            fh.writelines(lines)
+    return paths

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .corpus import BOS, EOS
-from .util import InputError, all_finite
+from .util import InputError, all_finite, write_atomic
 
 CHECKPOINT_MAGIC = b"SQ2S"
 CHECKPOINT_VERSION = 1
@@ -408,25 +408,18 @@ def save_checkpoint(path, cfg, params):
 
     Tensors are written as float32 in that fixed order and nothing else
     follows (no optimizer state), so identical training runs produce
-    byte-identical files.  The bytes go to <path>.tmp in the same
-    directory, which then replaces path in one step: a failed save
-    leaves any previous file at path untouched.
+    byte-identical files.  The file is written whole or not at all
+    (util.write_atomic): a failed save leaves any previous file at path
+    untouched.
     """
     tensors = params.tensors()
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<5I", cfg.frames, cfg.feature_dim, cfg.latent,
-                                 cfg.max_words, cfg.vocab))
-            for name in TENSOR_ORDER:
-                _write_tensor(fh, name, tensors[name])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with write_atomic(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        fh.write(struct.pack("<5I", cfg.frames, cfg.feature_dim, cfg.latent,
+                             cfg.max_words, cfg.vocab))
+        for name in TENSOR_ORDER:
+            _write_tensor(fh, name, tensors[name])
 
 
 def load_checkpoint(path):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 
-from .util import InputError, open_text
+from .util import InputError, open_text, write_atomic
 
 
 class Tokenizer:
@@ -62,8 +62,9 @@ class Tokenizer:
     pad_one_hot = pad  # former name, kept for existing callers
 
     def save(self, path):
-        """Write `V=<cap>` then one `<index>\\t<word>` line per entry."""
-        with open(path, "w", encoding="utf-8") as fh:
+        """Write `V=<cap>` then one `<index>\\t<word>` line per entry,
+        whole or not at all (util.write_atomic)."""
+        with write_atomic(path) as fh:
             fh.write(f"V={self.cap}\n")
             for idx in range(1, self.size + 1):
                 fh.write(f"{idx}\t{self.index_to_word[idx]}\n")

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import model as mdl
 from . import nn
-from .util import InputError, fisher_yates, fmt6
+from .util import InputError, fisher_yates, fmt6, write_atomic
 
 
 class TrainingDiverged(RuntimeError):
@@ -162,7 +162,8 @@ class MetricsHistory:
     rows: list = field(default_factory=list)
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        """Write the rows to path, whole or not at all (util.write_atomic)."""
+        with write_atomic(path) as fh:
             fh.write("epoch,train_loss,train_acc,val_loss,val_acc\n")
             for r in self.rows:
                 fh.write(f"{r.epoch},{fmt6(r.train_loss)},{fmt6(r.train_acc)},"

@@ -1,6 +1,8 @@
 """Small helpers shared across modules."""
 
+import contextlib
 import io
+import os
 
 import numpy as np
 
@@ -19,6 +21,27 @@ def open_text(path):
         return io.StringIO(data.decode("utf-8").removeprefix("\ufeff"), newline=None)
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not valid UTF-8 (byte {e.start})") from None
+
+
+@contextlib.contextmanager
+def write_atomic(path, mode="w"):
+    """Write path whole or not at all: yields the open file ("w" is UTF-8
+    text, "wb" bytes) of <path>.tmp in the same directory, which replaces
+    path only once the file is closed.  On any error the temporary file
+    is removed and path keeps its previous bytes (or stays absent).  A
+    killed process can leave <path>.tmp behind; the next write to path
+    overwrites it.  There is no fsync, so a power loss can still lose
+    the write.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def all_finite(arr):
