@@ -185,15 +185,13 @@ def cmd_caption(ns):
     """Print the greedy caption for one video or feature file."""
     cfg, params, _ = mdl.load_checkpoint(ns.checkpoint)
     tok = _load_tokenizer(ns.tokenizer, cfg)
+    shape = (cfg.frames, cfg.feature_dim)
     if ns.features:
-        feat = read_feature_file(ns.features)
+        feat = read_feature_file(ns.features, expected_shape=shape)
     elif ns.video_id and ns.manifest:
-        feat = FeatureStore(ns.manifest).get(ns.video_id)
+        feat = FeatureStore(ns.manifest, expected_shape=shape).get(ns.video_id)
     else:
         raise InputError("need --features, or both --manifest and --video-id")
-    if feat.shape != (cfg.frames, cfg.feature_dim):
-        raise RuntimeError(f"features have shape {feat.shape}, checkpoint "
-                           f"expects {(cfg.frames, cfg.feature_dim)}")
     print(" ".join(mdl.greedy_decode(params, tok, feat, cfg.max_words)))
     return 0
 

@@ -63,18 +63,16 @@ def write_feature_file(path, matrix):
         fh.write(data)
 
 
-def read_feature_file(path, rows=slice(None), out=None, expected_shape=None,
-                      name=None):
-    """Read rows of a .vfm file (by default all) into a float32 matrix,
-    bit-exactly.
+def read_feature_file(path, rows=slice(None), expected_shape=None, name=None):
+    """Read rows of a .vfm file (by default all) into a new float32
+    matrix, bit-exactly.
 
     The magic and the file size are checked against the header, and the
     header's (rows, cols) against expected_shape when given (the error
     calls the matrix name, by default path), before anything is
     allocated.  rows is a step-1 slice of the file's rows, as numpy
-    clips it; they are read straight into out (contiguous float32, of
-    their shape) when given, else into a new matrix, which is returned
-    once every value read is known to be finite.
+    clips it; the matrix is returned once every value read is known to
+    be finite.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -93,18 +91,13 @@ def read_feature_file(path, rows=slice(None), out=None, expected_shape=None,
         start, stop, step = rows.indices(shape[0])
         if step != 1:
             raise ValueError(f"rows {rows} must be a step-1 slice")
-        want = (max(stop - start, 0), shape[1])
-        if out is None:
-            out = np.empty(want, dtype="<f4")
-        elif out.shape != want or out.dtype != "<f4" or not out.flags.c_contiguous:
-            raise ValueError(f"out is {out.dtype} {out.shape}, expected contiguous "
-                             f"float32 {want}")
+        matrix = np.empty((max(stop - start, 0), shape[1]), dtype="<f4")
         fh.seek(4 * start * shape[1], os.SEEK_CUR)
-        if fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+        if fh.readinto(matrix.reshape(-1).view(np.uint8)) != matrix.nbytes:
             raise InputError(f"{path}: payload is shorter than its header says")
-    if not all_finite(out):
+    if not all_finite(matrix):
         raise InputError(f"{path}: non-finite feature entries")
-    return out
+    return matrix
 
 
 def load_manifest(path):
@@ -146,22 +139,22 @@ class FeatureStore:
     def __contains__(self, video_id):
         return video_id in self.entries
 
-    def get(self, video_id, rows=slice(None), out=None):
-        """A video's matrix, or its frames rows read into out, as
-        read_feature_file reads them; the header's shape must be the
-        store's expected shape, when it has one."""
+    def get(self, video_id, rows=slice(None)):
+        """A video's matrix, or its frames rows, as read_feature_file
+        reads them; the header's shape must be the store's expected
+        shape, when it has one."""
         if video_id not in self.entries:
             raise InputError(f"unknown video id '{video_id}'")
-        return read_feature_file(self.entries[video_id], rows, out,
+        return read_feature_file(self.entries[video_id], rows,
                                  self.expected_shape, video_id)
 
 
 @dataclass(frozen=True)
 class VideoFrames:
-    """One video of a store as a lazy source, read a range of frames at a
-    time: shape is the store's expected shape, and read(rows, out) reads
-    those rows into out through FeatureStore.get.  Nothing is read until
-    read is called."""
+    """One video of a store as a lazy source, sliced like its array:
+    shape is the store's expected shape, and video[rows] reads those
+    frames through FeatureStore.get into a new array.  Nothing is read
+    until it is sliced."""
 
     store: FeatureStore
     video_id: str
@@ -171,5 +164,5 @@ class VideoFrames:
     def shape(self):
         return self.store.expected_shape
 
-    def read(self, rows, out):
-        return self.store.get(self.video_id, rows, out)
+    def __getitem__(self, rows):
+        return self.store.get(self.video_id, rows)

@@ -251,31 +251,26 @@ def _slice_rows(frames):
 
 def _encode_chunk(params, videos, X, XW, S):
     """Final encoder state of a chunk of videos (each frames x D: arrays,
-    or lazy sources with shape and read(rows, out)), streamed over time.
+    or lazy sources with shape that slice like them), streamed over time.
 
     For each slice of S frames (the last may be shorter), the front of
-    the flat buffer X holds the slice time-major (s x n x D): an array
-    video's rows are copied straight into its column x[:, j], a lazy
-    source's are read into one S x D staging buffer (read wants a
-    contiguous out) and copied from there.  One GEMM projects the slice
-    into the front of the flat buffer XW, already time-major, and one
-    lstm_forward call advances the chunk's recurrence over it from
-    copies of the previous slice's final state, so only one slice's Hs
-    and Cs are alive.  Each frame is read once.  A GEMM's rows round
-    alike in either order, and chained calls as one call does, so the
-    state is bitwise one stacked lstm_forward's.
+    the flat buffer X holds the slice time-major (s x n x D): each
+    video's rows, video[t:t + s], are copied into its column x[:, j] (a
+    lazy source's read is a new s x D array, freed once copied).  One
+    GEMM projects the slice into the front of the flat buffer XW,
+    already time-major, and one lstm_forward call advances the chunk's
+    recurrence over it from copies of the previous slice's final state,
+    so only one slice's Hs and Cs are alive.  Each frame is read once.
+    A GEMM's rows round alike in either order, and chained calls as one
+    call does, so the state is bitwise one stacked lstm_forward's.
     """
     (frames, dim), n, width = videos[0].shape, len(videos), params.encoder.W.shape[1]
-    stage = np.empty((S, dim), dtype=X.dtype)
     h = c = None
     for t in range(0, frames, S):
         s = min(S, frames - t)
         x = X[:s * n * dim].reshape(s, n, dim)
         for j, video in enumerate(videos):
-            if isinstance(video, np.ndarray):
-                x[:, j] = video[t:t + s]
-            else:
-                x[:, j] = video.read(slice(t, t + s), stage[:s])
+            x[:, j] = video[t:t + s]
         xw = _project(params, x, XW[:s * n * width].reshape(s, n, width))
         # copies, so that nothing keeps this slice's Hs and Cs alive
         h, c = [state.copy() for state in nn.lstm_forward(params.encoder, xw, h, c)[1:3]]
@@ -325,15 +320,15 @@ def greedy_decode(params, tok, feats, max_words=ModelConfig.max_words):
     feats is one video's frames x D matrix, which gives its word list,
     or an iterable of videos, which gives their word lists.  A video is
     a frames x D array or a lazy source of one (features.VideoFrames:
-    its shape, and read(rows, out) to read a range of frames).  The
+    its shape, and video[rows] to read a range of frames).  The
     iterable is drawn DECODE_CHUNK videos per chunk, whose rows step
     together, each leaving the batch at its eos.  _encode_chunk streams
     a chunk of n videos through the encoder rows // n frames at a time,
     one lstm_forward call per slice, in two flat buffers of _slice_rows
     rows allocated once, each holding its slice time-major, as
     lstm_forward takes it, so with lazy sources memory is bounded by one
-    slice, not by the chunk or the split (arrays are held a chunk at a
-    time, as drawn).
+    slice and one video's rows of it, not by the chunk or the split
+    (arrays are held a chunk at a time, as drawn).
 
     At most max_words steps run and no list contains a sentinel.  The
     argmax runs over the fitted vocabulary (ties to the lowest index); a

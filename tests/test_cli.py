@@ -530,14 +530,29 @@ def test_caption_rejects_wrong_feature_shape(ws, tmp_path):
     code, _, err = run_cli("caption", "--checkpoint", str(ws["ckpt"]),
                            "--tokenizer", str(ws["tok"]),
                            "--features", str(bad))
-    assert code == 1
-    assert "shape" in err
+    assert code == 2
+    assert err.splitlines() == [
+        f"error: features for '{bad}' have shape (3, 16), expected (8, 16)"]
+
+
+def test_caption_by_video_id_rejects_wrong_feature_shape(ws, tmp_path):
+    # the store checks the checkpoint's shape, though the model would
+    # encode 9 frames as readily as 8
+    data = tmp_path / "data"
+    shutil.copytree(ws["data"], data)
+    write_feature_file(str(data / "feat" / "vid004.vfm"), np.zeros((9, 16), dtype=np.float32))
+    code, out, err = run_cli("caption", "--checkpoint", str(ws["ckpt"]),
+                             "--tokenizer", str(ws["tok"]),
+                             "--manifest", str(data / "manifest.tsv"), "--video-id", "vid004")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: features for 'vid004' have shape (9, 16), expected (8, 16)"]
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_wrong_feature_shape_exits_2_before_writing(ws, tmp_path, command):
     # train and eval read through a FeatureStore that checks the shape
-    # (an InputError, exit 2); caption checks it itself (exit 1, above)
+    # from the header (an InputError, exit 2), as caption does (above)
     data, run = tmp_path / "data", tmp_path / "run"
     shutil.copytree(ws["data"], data)
     run.mkdir()
@@ -664,15 +679,30 @@ def test_caption_non_finite_features_exit_2(ws, tmp_path, bad):
     assert err.splitlines() == [f"error: {path}: non-finite feature entries"]
 
 
-def test_caption_zero_row_features_exit_1(ws, tmp_path):
-    # a 0-row .vfm reads, then fails the checkpoint's shape without a traceback
+def test_caption_zero_row_features_exit_2(ws, tmp_path):
+    # a 0-row .vfm fails the checkpoint's shape without a traceback
     path = tmp_path / "empty.vfm"
     write_feature_file(str(path), np.zeros((0, 16), dtype=np.float32))
     code, out, err = run_cli("caption", "--checkpoint", str(ws["ckpt"]),
                              "--tokenizer", str(ws["tok"]), "--features", str(path))
-    assert (code, out) == (1, "")
-    assert err.splitlines() == ["error: features have shape (0, 16), "
-                                "checkpoint expects (8, 16)"]
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: features for '{path}' have shape (0, 16), expected (8, 16)"]
+
+
+def test_caption_rejects_a_misshaped_file_from_its_header(ws, tmp_path):
+    # a 64 MB file of the wrong shape exits 2 before its payload is read
+    path = tmp_path / "big.vfm"
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<II", 4096, 4096))
+        fh.truncate(12 + 4 * 4096 * 4096)
+    (code, out, err), _, peak = traced(
+        run_cli, "caption", "--checkpoint", str(ws["ckpt"]),
+        "--tokenizer", str(ws["tok"]), "--features", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: features for '{path}' have shape (4096, 4096), expected (8, 16)"]
+    assert peak < 64 * 2**10, peak
 
 
 def test_caption_unknown_tensor_checkpoint_exits_2(ws, tmp_path):

@@ -196,20 +196,13 @@ def test_read_rows_are_the_full_read_rows(tmp_path):
     for rows in (slice(0, 7), slice(2, 5), slice(6, 7), slice(3, 3), slice(5, 99),
                  slice(-2, None), slice(None)):
         assert read_feature_file(path, rows).tobytes() == m[rows].tobytes()
-        out = np.full(m[rows].shape, -1.0, dtype=np.float32)
-        assert read_feature_file(path, rows, out) is out
-        assert out.tobytes() == m[rows].tobytes()
 
 
-def test_read_rows_rejects_strides_and_bad_out(tmp_path):
+def test_read_rows_rejects_strides(tmp_path):
     path = str(tmp_path / "m.vfm")
     write_feature_file(path, np.ones((4, 3), dtype=np.float32))
     with pytest.raises(ValueError, match="step-1"):
         read_feature_file(path, slice(0, 4, 2))
-    for out in (np.empty((2, 3), np.float64), np.empty((3, 3), np.float32),
-                np.empty((2, 6), np.float32)[:, ::2]):
-        with pytest.raises(ValueError, match="contiguous float32"):
-            read_feature_file(path, slice(1, 3), out)
 
 
 @pytest.mark.parametrize("at", [0, 13, 34])
@@ -331,11 +324,20 @@ def test_store_reports_a_misshaped_non_finite_file_by_its_shape(tmp_path):
         FeatureStore(str(tmp_path / "m.tsv"), expected_shape=(2, 1)).get("v")
 
 
-def test_video_frames_reads_through_the_store(tmp_path):
-    manifest = make_corpus_dir(tmp_path)
-    store = FeatureStore(manifest, expected_shape=(2, 3))
-    video = VideoFrames(store, "b")
-    assert video.shape == (2, 3) and video.dtype == np.float32
-    out = np.empty((1, 3), np.float32)
-    assert video.read(slice(1, 2), out) is out
-    assert np.array_equal(out, store.get("b")[1:])
+@pytest.mark.parametrize("rows", [slice(None), slice(1, 3), slice(5, 99),
+                                  slice(3, 3), slice(-2, None)],
+                         ids=["whole", "partial", "clipped", "empty", "negative-start"])
+def test_video_frames_reads_through_the_store(tmp_path, rows):
+    # whole, partial, clipped, empty and negative-start slices of a lazy
+    # video are the store's rows, each a new contiguous float32 array
+    m = np.random.default_rng(5).standard_normal((6, 3)).astype(np.float32)
+    write_feature_file(str(tmp_path / "v.vfm"), m)
+    (tmp_path / "m.tsv").write_text("v\tv.vfm\n", encoding="utf-8")
+    store = FeatureStore(str(tmp_path / "m.tsv"), expected_shape=(6, 3))
+    video = VideoFrames(store, "v")
+    assert video.shape == (6, 3) and video.dtype == np.float32
+    first, second = video[rows], video[rows]
+    assert first.tobytes() == store.get("v")[rows].tobytes() == m[rows].tobytes()
+    assert first.shape == m[rows].shape
+    assert first.dtype == np.float32 and first.flags.c_contiguous and first.flags.owndata
+    assert not np.shares_memory(first, second)

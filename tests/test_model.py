@@ -360,6 +360,23 @@ def _store(tmp_path, videos):
     return store, [VideoFrames(store, f"v{i}") for i in range(len(videos))]
 
 
+def test_greedy_few_video_chunk_peak_holds_no_staging_buffer(tmp_path):
+    # 8 full-size videos step as one 80-frame slice of the 640-row slice
+    # buffers (15 MiB); a lazy video's rows are its own 80 x 4096 read,
+    # freed once copied, so lazy and array chunks both peak at the
+    # buffers plus the recurrence's 2.8 MiB.  An 80 x 4096 staging
+    # buffer held over the chunk (1.25 MiB) peaked at 4.06 MiB above them
+    cfg = ModelConfig(frames=80, feature_dim=4096, latent=512, max_words=10, vocab=7)
+    params = ModelParams.init(cfg, seed=3)
+    videos = np.random.default_rng(3).standard_normal(
+        (model.SLICE_VIDEOS, cfg.frames, cfg.feature_dim)).astype(np.float32)
+    _, sources = _store(tmp_path, videos)
+    buffers = model._slice_rows(cfg.frames) * (cfg.feature_dim + 4 * cfg.latent) * 4
+    for feats in (sources, list(videos)):
+        _, _, peak = traced(greedy_decode, params, small_tokenizer(), feats, cfg.max_words)
+        assert peak <= buffers + 3.5 * 2**20, (peak - buffers) / 2**20
+
+
 @pytest.mark.parametrize("rows", [None, 2 * model.DECODE_CHUNK, 100 * model.DECODE_CHUNK])
 @pytest.mark.parametrize("n", [1, model.DECODE_CHUNK - 1, model.DECODE_CHUNK,
                                model.DECODE_CHUNK + 1, 2 * model.DECODE_CHUNK + 3])
@@ -417,9 +434,9 @@ def test_greedy_reads_each_frame_of_a_split_once(tmp_path, monkeypatch):
     store, sources = _store(tmp_path, _videos(n))
     reads, get = [], FeatureStore.get
 
-    def recording(self, video_id, rows=slice(None), out=None):
+    def recording(self, video_id, rows=slice(None)):
         reads.append((int(video_id[1:]), rows))
-        return get(self, video_id, rows, out)
+        return get(self, video_id, rows)
 
     monkeypatch.setattr(FeatureStore, "get", recording)
     greedy_decode(_diverse_params(), small_tokenizer(), sources, TOY.max_words)
