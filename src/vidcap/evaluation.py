@@ -24,17 +24,17 @@ def _ngrams(tokens, n):
 
 
 def _modified_precision(candidate, references, n):
+    """Clipped n-gram precision: each candidate gram counts at most as
+    often as it occurs in any one reference.  Counter's | keeps each
+    gram's larger count and & its smaller one."""
     cand = _ngrams(candidate, n)
-    total = sum(cand.values())
+    total = cand.total()
     if total == 0:
         return 0.0
     best = Counter()
     for ref in references:
-        for gram, count in _ngrams(ref, n).items():
-            if count > best[gram]:
-                best[gram] = count
-    clipped = sum(min(count, best[gram]) for gram, count in cand.items())
-    return clipped / total
+        best |= _ngrams(ref, n)
+    return (cand & best).total() / total
 
 
 def bleu2(candidate, references):

@@ -29,15 +29,16 @@ MAX_WORDS = 1024  # ~100x the paper's 10, so no header can decode without end
 # each take all 101 rows through one product (h @ U at latent 512: 59 us
 # per row at 16 rows, 26 at 101, 23 at 128; one BLAS thread, 2-core Xeon)
 DECODE_CHUNK = 128
-# a split's two slice buffers (frames, and their projection) have the
-# rows of SLICE_VIDEOS videos' frames, at least DECODE_CHUNK, allocated
-# once: a chunk of n videos is encoded rows // n frames at a time.  At
-# full size that is 640 rows (10.5 MB of frames, 5.2 MB of gates), 6
-# frames for eval's 101 videos; on 16 x 2048 features at latent 8, 128
-# rows (1 MB).  greedy_decode over those 101 full-size videos peaked at
-# 21.6 MiB (tracemalloc), in its encoder slices and decode steps alike;
-# 16-video chunks projected in 8-video groups peaked at 22.7 MiB, and 9
-# videos' rows at 22.3 MiB
+# a chunk of n videos is encoded S = rows // n frames at a time, rows
+# being SLICE_VIDEOS videos' frames, at least DECODE_CHUNK; its two
+# slice buffers (frames, and their projection) are allocated per chunk,
+# S x n rows.  At full size rows is 640, 6 frames for eval's 101 videos
+# (606 rows: 9.9 MB of frames, 5.0 MB of gates) and all 80 for 2 videos
+# (160 rows); on 16 x 2048 features at latent 8, 128 rows (1 MB).
+# greedy_decode over those 101 full-size videos peaked at 20.7 MiB
+# (tracemalloc), in its encoder slices and decode steps alike; 16-video
+# chunks projected in 8-video groups peaked at 22.7 MiB, and 9 videos'
+# rows at 22.3 MiB
 SLICE_VIDEOS = 8
 
 # a checkpoint's eight records, in file order, and the shape the config
@@ -227,64 +228,71 @@ def training_backward(params, caches, target, grads=None):
 
 def _project(params, feat, out=None):
     """feat @ encoder.W in one GEMM, laid out as lstm_forward takes XW:
-    time-major and C-contiguous.  feat is one video (frames x D), B
-    stacked ones (B x frames x D), whose video-major product is copied
-    time-major, or with out a time-major slice (s x n x D), whose
-    product is written straight into out (contiguous, s x n x 4 latent)
-    and returned."""
+    time-major and C-contiguous.  feat is B stacked videos (B x frames
+    x D), whose video-major product is copied time-major (a view at
+    B = 1, which is time-major already), or with out a time-major slice
+    (s x n x D), whose product is written straight into out
+    (contiguous, s x n x 4 latent) and returned.  Any other rank raises
+    ValueError."""
     feat, W = np.asarray(feat), params.encoder.W
+    if feat.ndim != 3:
+        raise ValueError(f"features have shape {feat.shape}, expected 3 axes")
     XW = np.matmul(feat.reshape(-1, feat.shape[-1]), W,
                    out=None if out is None else out.reshape(-1, W.shape[1]))
     if out is not None:
         return out
-    if feat.ndim == 3:
-        XW = np.ascontiguousarray(XW.reshape(feat.shape[:2] + (-1,)).swapaxes(0, 1))
-    return XW
+    return np.ascontiguousarray(XW.reshape(feat.shape[:2] + (-1,)).swapaxes(0, 1))
 
 
 def _slice_rows(frames):
-    """Rows of a split's two slice buffers (frames, and their
+    """The most rows of a chunk's two slice buffers (frames, and their
     projection): SLICE_VIDEOS videos' frames, and at least one per video
     of a chunk."""
     return max(SLICE_VIDEOS * frames, DECODE_CHUNK)
 
 
-def _encode_chunk(params, videos, X, XW, S):
-    """Final encoder state of a chunk of videos (each frames x D: arrays,
-    or lazy sources with shape that slice like them), streamed over time.
+def _encode_chunk(params, videos):
+    """Final encoder state of a chunk of n videos (each frames x D:
+    arrays, or lazy sources with shape that slice like them), streamed
+    over time S = _slice_rows(frames) // n frames at a time.
 
-    For each slice of S frames (the last may be shorter), the front of
-    the flat buffer X holds the slice time-major (s x n x D): each
-    video's rows, video[t:t + s], are copied into its column x[:, j] (a
-    lazy source's read is a new s x D array, freed once copied).  One
-    GEMM projects the slice into the front of the flat buffer XW,
-    already time-major, and one lstm_forward call advances the chunk's
-    recurrence over it from copies of the previous slice's final state,
-    so only one slice's Hs and Cs are alive.  Each frame is read once.
-    A GEMM's rows round alike in either order, and chained calls as one
-    call does, so the state is bitwise one stacked lstm_forward's.
+    Two buffers are allocated for the chunk, X (S x n x D) and its
+    projection XW (S x n x 4 latent), both time-major.  For each slice
+    of S frames (the last may be shorter), each video's rows,
+    video[t:t + s], are copied into its column X[:s, j] (a lazy
+    source's read is a new s x D array, freed once copied).  One GEMM
+    projects the slice into XW[:s], and one lstm_forward call advances
+    the chunk's recurrence over it from copies of the previous slice's
+    final state, so only one slice's Hs and Cs are alive.  Each frame is
+    read once.  A GEMM's rows round alike in either order, and chained
+    calls as one call does, so the state is bitwise one stacked
+    lstm_forward's.
     """
-    (frames, dim), n, width = videos[0].shape, len(videos), params.encoder.W.shape[1]
+    (frames, dim), n, W = videos[0].shape, len(videos), params.encoder.W
+    S = min(_slice_rows(frames) // n, frames)
+    X = np.empty((S, n, dim), dtype=videos[0].dtype)
+    XW = np.empty((S, n, W.shape[1]), dtype=np.result_type(X.dtype, W.dtype))
     h = c = None
     for t in range(0, frames, S):
         s = min(S, frames - t)
-        x = X[:s * n * dim].reshape(s, n, dim)
+        x = X[:s]
         for j, video in enumerate(videos):
             x[:, j] = video[t:t + s]
-        xw = _project(params, x, XW[:s * n * width].reshape(s, n, width))
+        xw = _project(params, x, XW[:s])
         # copies, so that nothing keeps this slice's Hs and Cs alive
         h, c = [state.copy() for state in nn.lstm_forward(params.encoder, xw, h, c)[1:3]]
     return h, c
 
 
 def encode_video(params, feat):
-    """Final encoder state (h, c) of one video (frames x D): one GEMM
-    with encoder.W and one lstm_forward call, whose last state rows are
-    returned; frame outputs are dropped.  Any other rank raises
-    ValueError."""
+    """Final encoder state (h, c) of one video (frames x D): the B = 1
+    stack feat[None] through one GEMM with encoder.W and one
+    lstm_forward call, whose last state rows are returned as row 0;
+    frame outputs are dropped.  Any other rank raises ValueError."""
     if np.ndim(feat) != 2:
         raise ValueError(f"video has shape {np.shape(feat)}, expected (frames, D)")
-    return nn.lstm_forward(params.encoder, _project(params, feat))[1:3]
+    _, h, c, _ = nn.lstm_forward(params.encoder, _project(params, np.asarray(feat)[None]))
+    return h[0], c[0]
 
 
 @dataclass
@@ -322,13 +330,12 @@ def greedy_decode(params, tok, feats, max_words=ModelConfig.max_words):
     a frames x D array or a lazy source of one (features.VideoFrames:
     its shape, and video[rows] to read a range of frames).  The
     iterable is drawn DECODE_CHUNK videos per chunk, whose rows step
-    together, each leaving the batch at its eos.  _encode_chunk streams
-    a chunk of n videos through the encoder rows // n frames at a time,
-    one lstm_forward call per slice, in two flat buffers of _slice_rows
-    rows allocated once, each holding its slice time-major, as
-    lstm_forward takes it, so with lazy sources memory is bounded by one
-    slice and one video's rows of it, not by the chunk or the split
-    (arrays are held a chunk at a time, as drawn).
+    together, each leaving the batch at its eos; every video must have
+    the first one's shape.  _encode_chunk streams a chunk through the
+    encoder one slice of frames at a time, in buffers sized to the
+    chunk, so with lazy sources memory is bounded by one slice and one
+    video's rows of it, not by the chunk or the split (arrays are held
+    a chunk at a time, as drawn).
 
     At most max_words steps run and no list contains a sentinel.  The
     argmax runs over the fitted vocabulary (ties to the lowest index); a
@@ -344,19 +351,13 @@ def greedy_decode(params, tok, feats, max_words=ModelConfig.max_words):
         if isinstance(feats, np.ndarray) and feats.ndim == 2:
             state = DecodeState(*encode_video(params, feats))
             return _greedy_rows(params, tok, state, bos, bos, eos, max_words)[0]
-        W = params.encoder.W
-        captions, videos, X = [], iter(feats), None
+        captions, videos, shape = [], iter(feats), None
         while chunk := list(itertools.islice(videos, DECODE_CHUNK)):
-            if X is None:
-                shape, dtype = chunk[0].shape, chunk[0].dtype
-                rows = _slice_rows(shape[0])
-                X = np.empty(rows * shape[1], dtype=dtype)
-                XW = np.empty(rows * W.shape[1], dtype=np.result_type(dtype, W.dtype))
+            shape = shape or chunk[0].shape
             for video in chunk:
                 if video.shape != shape:
                     raise ValueError(f"video shape {video.shape} is not {shape}")
-            S = min(rows // len(chunk), shape[0])
-            state = DecodeState(*_encode_chunk(params, chunk, X, XW, S))
+            state = DecodeState(*_encode_chunk(params, chunk))
             captions += _greedy_rows(params, tok, state, np.full(len(chunk), bos),
                                      bos, eos, max_words)
     return captions

@@ -27,18 +27,18 @@ class Tokenizer:
         return len(self.word_to_index)
 
     def fit(self, captions):
-        """Build the vocabulary; captions must come from the training split."""
+        """Build the vocabulary; captions must come from the training split.
+
+        A Counter holds the words in first-occurrence order, and
+        most_common ranks equal counts in that order, so its first cap
+        words are the ranked vocabulary."""
         counts = Counter()
-        first_seen = {}
         for caption in captions:
-            for word in caption:
-                counts[word] += 1
-                if word not in first_seen:
-                    first_seen[word] = len(first_seen)
+            counts.update(caption)
         if not counts:
             raise InputError("cannot fit tokenizer: no tokens in the caption stream")
-        ranked = sorted(counts, key=lambda w: (-counts[w], first_seen[w]))
-        self.word_to_index = {w: i + 1 for i, w in enumerate(ranked[:self.cap])}
+        ranked = counts.most_common(self.cap)
+        self.word_to_index = {w: i + 1 for i, (w, _) in enumerate(ranked)}
         self.index_to_word = {i: w for w, i in self.word_to_index.items()}
         return self
 

@@ -256,6 +256,21 @@ def adam_step_reference(state, params, grads):
     return params, state
 
 
+def ranked_vocabulary(captions, cap):
+    """The words of a caption stream, most frequent first and equal
+    counts by first occurrence, cut at cap: counted with a dict and
+    ordered by an explicit (-count, first index) key."""
+    first, counts = [], {}
+    for caption in captions:
+        for word in caption:
+            if word not in counts:
+                first.append(word)
+                counts[word] = 0
+            counts[word] += 1
+    order = sorted(range(len(first)), key=lambda i: (-counts[first[i]], i))
+    return [first[i] for i in order[:cap]]
+
+
 def _gram_list(tokens, n):
     return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
 

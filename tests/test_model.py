@@ -257,6 +257,17 @@ def test_encode_video_takes_one_video_only():
             encode_video(params, bad)
 
 
+def test_project_takes_stacked_videos_only():
+    # one video (frames x D) is not laid out: at D = 1 its reshape would
+    # be one step of `frames` rows
+    cfg = ModelConfig(frames=5, feature_dim=1, latent=4, max_words=4, vocab=7)
+    params = ModelParams.init(cfg, seed=6)
+    feat = np.ones((cfg.frames, cfg.feature_dim), np.float32)
+    for bad in (feat, feat[None, None]):
+        with pytest.raises(ValueError, match="expected 3 axes"):
+            model._project(params, bad)
+
+
 def _chunk_states(monkeypatch, params, videos, max_words):
     """The encoder state greedy_decode hands each chunk's decoder."""
     starts, rows = [], model._greedy_rows
@@ -284,8 +295,10 @@ def test_sliced_encoder_state_is_bitwise_one_call(monkeypatch, frames, rows, dty
     assert len(nn.recurrent_panels(16, cfg.latent)) == 1
     shape = (rows, frames, cfg.feature_dim) if rows > 1 else (frames, cfg.feature_dim)
     feats = np.random.default_rng(rows).standard_normal(shape).astype(dtype)
-    _, h_one, c_one, _ = nn.lstm_forward(params.encoder, model._project(params, feats))
+    stack = feats if rows > 1 else feats[None]
+    _, h_one, c_one, _ = nn.lstm_forward(params.encoder, model._project(params, stack))
     if rows == 1:
+        h_one, c_one = h_one[0], c_one[0]
         h, c = encode_video(params, feats)
     else:
         monkeypatch.setattr(model, "_slice_rows", lambda frames: 16 * rows)
@@ -375,6 +388,20 @@ def test_greedy_few_video_chunk_peak_holds_no_staging_buffer(tmp_path):
     for feats in (sources, list(videos)):
         _, _, peak = traced(greedy_decode, params, small_tokenizer(), feats, cfg.max_words)
         assert peak <= buffers + 3.5 * 2**20, (peak - buffers) / 2**20
+
+
+def test_greedy_slice_buffers_are_sized_to_the_chunk():
+    # 2 full-size videos are one 80-frame slice of 160 rows, not of the
+    # 640 rows _slice_rows allows: buffers of 3.75 MiB plus the
+    # recurrence's Hs and Cs (0.6 MiB).  640-row buffers peaked at 15.7 MiB
+    cfg = ModelConfig(frames=80, feature_dim=4096, latent=512, max_words=10, vocab=7)
+    params = ModelParams.init(cfg, seed=4)
+    videos = np.random.default_rng(4).standard_normal(
+        (2, cfg.frames, cfg.feature_dim)).astype(np.float32)
+    assert model._slice_rows(cfg.frames) >= 4 * len(videos) * cfg.frames
+    buffers = len(videos) * cfg.frames * (cfg.feature_dim + 4 * cfg.latent) * 4
+    _, _, peak = traced(greedy_decode, params, small_tokenizer(), list(videos), cfg.max_words)
+    assert peak <= buffers + 1.25 * 2**20, (peak - buffers) / 2**20
 
 
 @pytest.mark.parametrize("rows", [None, 2 * model.DECODE_CHUNK, 100 * model.DECODE_CHUNK])

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from vidcap.tokenizer import Tokenizer
 from vidcap.util import InputError
+
+import oracles
 
 
 def fit(captions, cap=1500):
@@ -43,6 +45,16 @@ def test_vocabulary_is_subset_of_training_words():
     tok = fit(stream)
     seen = {w for caption in stream for w in caption}
     assert set(tok.word_to_index) <= seen
+
+
+@given(st.lists(st.lists(st.sampled_from("abcdef"), max_size=8), min_size=1, max_size=12),
+       st.integers(1, 8))
+def test_fit_ranks_by_count_then_first_occurrence(captions, cap):
+    # at most 6 words, so ties, and ties across the cap, are common; a
+    # cap below the vocabulary size takes most_common's heapq path
+    ranked = oracles.ranked_vocabulary(captions, cap)
+    assume(ranked)  # an empty stream raises: test_fit_on_empty_stream_rejected
+    assert fit(captions, cap).word_to_index == {w: i + 1 for i, w in enumerate(ranked)}
 
 
 def test_fit_on_empty_stream_rejected():
