@@ -18,7 +18,7 @@ from . import model as mdl
 from . import training
 from .features import FeatureStore, VideoFrames, load_manifest, read_feature_file
 from .tokenizer import Tokenizer
-from .util import InputError, fmt6, open_text, write_atomic
+from .util import InputError, fmt6, read_lines, write_atomic
 
 TOKENIZER_FILE = "tokenizer.txt"
 METRICS_FILE = "metrics.csv"
@@ -55,25 +55,22 @@ def _add_options(sub, table):
 
 
 def read_config_file(path):
-    """Parse `key = value` lines; `#` comments and blank lines ignored.
+    """Parse `key = value` lines (util.read_lines: `#` comments and
+    blank lines ignored).
     Hyphens in keys read as underscores, and a key may appear once."""
     values = {}
     try:
-        fh = open_text(path)
+        lines = read_lines(path)
     except OSError as e:
         raise InputError(f"cannot read config file: {e}") from e
-    with fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InputError(f"{path}:{ln}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key in values:
-                raise InputError(f"{path}:{ln}: duplicate key '{key}'")
-            values[key] = value.strip()
+    for ln, line in lines:
+        if "=" not in line:
+            raise InputError(f"{path}:{ln}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise InputError(f"{path}:{ln}: duplicate key '{key}'")
+        values[key] = value.strip()
     return values
 
 

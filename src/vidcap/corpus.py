@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .util import InputError, fisher_yates, open_text, write_atomic
+from .util import InputError, fisher_yates, open_text, read_lines, write_atomic
 
 BOS = "bos"
 EOS = "eos"
@@ -38,25 +38,18 @@ class RawDescriptionFile:
 def parse_descriptions(path):
     """Parse a description file into (video_id, caption) pairs.
 
-    One pair per non-blank line; lines starting with `#` are ignored.
-    The id is the text before the first whitespace run and the caption
-    is the normalized remainder.  Lines without caption text are skipped
-    and counted in the returned tally.
+    One pair per line that util.read_lines keeps (blank and `#` lines
+    are not).  The id is the text before the first whitespace run and
+    the caption is the normalized remainder.  Lines without caption text
+    are skipped and counted in the returned tally.
     """
-    pairs = []
-    skipped = 0
-    with open_text(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(None, 1)
-            caption = normalize_caption(parts[1]) if len(parts) == 2 else ""
-            if not caption:
-                skipped += 1
-                continue
+    pairs, lines = [], read_lines(path)
+    for _, line in lines:
+        parts = line.split(None, 1)
+        caption = normalize_caption(parts[1]) if len(parts) == 2 else ""
+        if caption:
             pairs.append((parts[0], caption))
-    return RawDescriptionFile(pairs, skipped)
+    return RawDescriptionFile(pairs, len(lines) - len(pairs))
 
 
 @dataclass

@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from .util import InputError, all_finite, open_text, write_atomic
+from .util import InputError, all_finite, read_header, read_lines, write_atomic
 
 MAGIC = b"VFM1"
 _HEADER_BYTES = 12
@@ -75,12 +75,7 @@ def read_feature_file(path, rows=slice(None), expected_shape=None, name=None):
     be finite.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(_HEADER_BYTES)
-        if len(head) < _HEADER_BYTES:
-            raise InputError(f"{path}: truncated header ({len(head)} bytes)")
-        if head[:4] != MAGIC:
-            raise InputError(f"{path}: bad magic {head[:4]!r}, expected {MAGIC!r}")
+        head, size = read_header(fh, path, _HEADER_BYTES, MAGIC)
         shape = struct.unpack_from("<II", head, 4)
         expected = _HEADER_BYTES + 4 * shape[0] * shape[1]
         if size != expected:
@@ -101,27 +96,24 @@ def read_feature_file(path, rows=slice(None), expected_shape=None, name=None):
 
 
 def load_manifest(path):
-    """Parse `<video_id><TAB><relative-path>` lines into an id->path map.
+    """Parse `<video_id><TAB><relative-path>` lines (util.read_lines)
+    into an id->path map.
 
     Paths resolve relative to the manifest's directory and must exist;
     duplicate ids are rejected.
     """
     base = os.path.dirname(os.path.abspath(path))
     entries = {}
-    with open_text(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "\t" not in line:
-                raise InputError(f"{path}:{ln}: expected '<video_id>\\t<path>'")
-            vid, rel = line.split("\t", 1)
-            if vid in entries:
-                raise InputError(f"{path}:{ln}: duplicate video id '{vid}'")
-            full = os.path.join(base, rel)
-            if not os.path.isfile(full):
-                raise InputError(f"feature file for '{vid}' not found: {full}")
-            entries[vid] = full
+    for ln, line in read_lines(path):
+        if "\t" not in line:
+            raise InputError(f"{path}:{ln}: expected '<video_id>\\t<path>'")
+        vid, rel = line.split("\t", 1)
+        if vid in entries:
+            raise InputError(f"{path}:{ln}: duplicate video id '{vid}'")
+        full = os.path.join(base, rel)
+        if not os.path.isfile(full):
+            raise InputError(f"feature file for '{vid}' not found: {full}")
+        entries[vid] = full
     return entries
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .corpus import BOS, EOS
-from .util import InputError, all_finite, write_atomic
+from .util import InputError, all_finite, read_header, write_atomic
 
 CHECKPOINT_MAGIC = b"SQ2S"
 CHECKPOINT_VERSION = 1
@@ -36,9 +36,7 @@ DECODE_CHUNK = 128
 # (606 rows: 9.9 MB of frames, 5.0 MB of gates) and all 80 for 2 videos
 # (160 rows); on 16 x 2048 features at latent 8, 128 rows (1 MB).
 # greedy_decode over those 101 full-size videos peaked at 20.7 MiB
-# (tracemalloc), in its encoder slices and decode steps alike; 16-video
-# chunks projected in 8-video groups peaked at 22.7 MiB, and 9 videos'
-# rows at 22.3 MiB
+# (tracemalloc), in its encoder slices and decode steps alike
 SLICE_VIDEOS = 8
 
 # a checkpoint's eight records, in file order, and the shape the config
@@ -432,12 +430,7 @@ def load_checkpoint(path):
     None.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(28)
-        if len(head) < 28:
-            raise InputError(f"{path}: truncated header ({len(head)} bytes)")
-        if head[:4] != CHECKPOINT_MAGIC:
-            raise InputError(f"{path}: bad magic {head[:4]!r}")
+        head, size = read_header(fh, path, 28, CHECKPOINT_MAGIC)
         (version,) = struct.unpack_from("<I", head, 4)
         if version != CHECKPOINT_VERSION:
             raise InputError(f"{path}: unsupported format version {version}")

@@ -69,9 +69,9 @@ def make_batches(n, batch_size, seed, epoch):
 
 
 # Feature bytes of a run's train and validation splits up to which train
-# reads them once, into one array, instead of each time a batch or a
-# validation pass uses them: the quick start's six 8 x 16 videos are
-# 3 KiB, a paper-size video 1.3 MB
+# reads them once, into one read_resident dict per split, instead of
+# each time a batch or a validation pass uses them: the quick start's
+# six 8 x 16 videos are 3 KiB, a paper-size video 1.3 MB
 RESIDENT_BYTES = 256 * 1024
 # videos per validation pass of evaluate_samples, which caches every
 # step of a pass for its loss
@@ -91,27 +91,24 @@ def _checked(key, matrix, shape, like=None):
 
 
 def read_resident(store, keys, video, shape):
-    """A (len(keys) x frames x D) float32 array whose row v holds keys[v]'s
-    matrix, which must have the given shape, for each v that the video
-    indices list, read once each through store.get, in index order;
-    other rows are zero."""
-    frames = np.zeros((len(keys),) + shape, dtype=np.float32)
-    for v in sorted(set(video.tolist())):
-        frames[v] = _checked(keys[v], store.get(keys[v]), shape)
-    return frames
+    """A dict from key to matrix for each of keys that the video indices
+    list, read once each through store.get, in index order; each matrix
+    must have the given shape, else InputError.  read_batch reads the
+    dict as it reads a FeatureStore."""
+    return {keys[v]: _checked(keys[v], store.get(keys[v]), shape)
+            for v in sorted(set(video.tolist()))}
 
 
 def read_batch(store, keys, video, shape=None):
     """Each distinct video of sample rows' video indices once, in index
     order, in one (Bv x frames x D) float32 array; returns it and the
     (B,) row map from each sample to its feats row.  store is a
-    FeatureStore, which reads each of those videos, or a read_resident
-    array of keys, whose rows are gathered.  Each video read must have
-    shape, the model's (frames, D), or by default the first one's, else
-    InputError, which then names both videos and both shapes."""
+    FeatureStore or a read_resident dict of keys; either gives each of
+    those videos through store.get, and its matrix is copied into the
+    array.  Each video must have shape, the model's (frames, D), or by
+    default the first one's, else InputError, which then names both
+    videos and both shapes."""
     distinct = sorted(set(video.tolist()))
-    if isinstance(store, np.ndarray):
-        return store[distinct], np.searchsorted(distinct, video)
     first = store.get(keys[distinct[0]])
     like = None if shape else keys[distinct[0]]
     shape = shape or first.shape
@@ -174,7 +171,7 @@ def evaluate_samples(params, store, samples, shape=None):
     """Forward-only mean (loss, accuracy) over a build_samples table;
     (0, 0) for an empty one.  Each read_batch and training_forward pass
     takes the rows of EVAL_CHUNK consecutive videos, so each video is
-    read (from store, a FeatureStore or a read_resident array of the
+    read (from store, a FeatureStore or a read_resident dict of the
     table's keys; read_batch checks it against shape) and encoded once,
     and keeps only P, which it drops before the next pass reads: one
     pass is alive at a time."""
@@ -202,11 +199,12 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
     and one training_backward, whose batch-mean gradients one Adam step
     applies; validation follows.  Epoch metrics are per-sample means.
     When the train and validation splits' features total at most
-    RESIDENT_BYTES, both are read once, before the first batch, into
-    read_resident arrays that batches and validation gather from;
-    otherwise each batch and validation pass reads its videos.  A video
-    whose matrix is not (frames, feature_dim) raises InputError before
-    the batch or validation pass that reads it runs.
+    RESIDENT_BYTES, each of their videos is read and checked once,
+    before the first batch, into one read_resident dict per split, from
+    which batches and validation copy their rows; otherwise each batch
+    and validation pass reads its videos.  A video whose matrix is not
+    (frames, feature_dim) raises InputError before the batch or
+    validation pass that reads it runs.
     A non-finite loss or gradient, in training or in validation, raises
     TrainingDiverged before the batch's Adam step; checkpoints already
     on disk are left in place.  Every batch writes its gradients into

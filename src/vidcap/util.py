@@ -23,6 +23,28 @@ def open_text(path):
         raise InputError(f"{path}: not valid UTF-8 (byte {e.start})") from None
 
 
+def read_lines(path):
+    """The (line number, text) pairs of a line file read through
+    open_text, each line stripped; blank lines and lines that start
+    with `#` are left out.  The file is read whole before this returns,
+    so an OSError reaches the caller here."""
+    with open_text(path) as fh:
+        return [(ln, text) for ln, line in enumerate(fh, 1)
+                if (text := line.strip()) and not text.startswith("#")]
+
+
+def read_header(fh, path, length, magic):
+    """(first length bytes, file size) of the open binary file fh;
+    InputError naming path if the file is shorter than length or does
+    not start with magic."""
+    head = fh.read(length)
+    if len(head) < length:
+        raise InputError(f"{path}: truncated header ({len(head)} bytes)")
+    if not head.startswith(magic):
+        raise InputError(f"{path}: bad magic {head[:len(magic)]!r}, expected {magic!r}")
+    return head, os.fstat(fh.fileno()).st_size
+
+
 @contextlib.contextmanager
 def write_atomic(path, mode="w"):
     """Write path whole or not at all: yields the open file ("w" is UTF-8

@@ -87,6 +87,25 @@ MUTANTS = (
     # read_feature_file seeks to the row before a range's first
     ("features.py", "fh.seek(4 * start * shape[1], os.SEEK_CUR)",
      "fh.seek(4 * max(start - 1, 0) * shape[1], os.SEEK_CUR)", ("test_features.py",)),
+    # a lazy video's slice read one frame late
+    ("features.py", "return self.store.get(self.video_id, rows)",
+     "return self.store.get(self.video_id, slice(rows.start + 1, rows.stop + 1))",
+     ("test_model.py",)),
+    # lstm_forward's g gate shifted like the sigmoid gates
+    ("nn.py", "shift = 1.0 - scale", "shift = scale", ("test_nn.py",)),
+    # the owner matrix transposed, which still broadcasts at B = Bv
+    ("model.py", "owner = np.eye(len(feats), dtype=dh0.dtype)[:, video]",
+     "owner = np.eye(len(feats), dtype=dh0.dtype)[:, video].T", ("test_training.py",)),
+    # read_resident keeps a video without checking its shape
+    ("training.py", "{keys[v]: _checked(keys[v], store.get(keys[v]), shape)",
+     "{keys[v]: store.get(keys[v])", ("test_training.py",)),
+    # read_lines keeps comment lines
+    ("util.py", "and not text.startswith(\"#\")]", "]", ("test_reads.py",)),
+    # read_lines keeps blank lines
+    ("util.py", "if (text := line.strip()) and", "if ((text := line.strip()) or True) and",
+     ("test_reads.py",)),
+    # read_header skips the magic check
+    ("util.py", "if not head.startswith(magic):", "if False:", ("test_reads.py",)),
 )
 
 
@@ -120,12 +139,9 @@ def _pytest(tests, entry=None):
                 fh.write(text)
         # the copy replaces the ini's src on pytest's path and on that of
         # any subprocess a test starts; cwd keeps hypothesis's example
-        # database out of the working tree.  Hypothesis's pytest plugin
-        # imports libcst to report a failing example, whose
-        # DeprecationWarning the ini turns into an internal error (exit
-        # 3) in place of the failure; @given tests run without it.
+        # database out of the working tree
         cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-               "-p", "no:hypothesispytest", "-o", f"pythonpath={src}",
+               "-o", f"pythonpath={src}",
                *(os.path.join(TESTS, t) for t in tests)]
         env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
         return subprocess.run(cmd, cwd=tmp, env=env, stdout=subprocess.DEVNULL,

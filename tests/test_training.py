@@ -580,6 +580,27 @@ def test_batch_gradient_equals_per_sample_oracle_float64():
     assert nn.finite_difference_check(batch_nll, params.tensors(), grads) < 1e-6
 
 
+def test_batch_gradient_follows_a_cyclic_row_map_float64():
+    # one caption per video (B = Bv), whose row map is a 3-cycle: the
+    # Bv x B owner matrix is square, so its transpose would still
+    # broadcast and route each caption's state gradient to another video
+    cfg = ModelConfig(frames=4, feature_dim=3, latent=4, max_words=5, vocab=7)
+    params = ModelParams.init(cfg, seed=3, dtype=np.float64)
+    rng = np.random.default_rng(3)
+    feats = rng.standard_normal((3, cfg.frames, cfg.feature_dim))
+    video = np.array([2, 0, 1])
+    dec_in = rng.integers(1, cfg.vocab + 1, size=(3, cfg.max_words))
+    target = rng.integers(1, cfg.vocab + 1, size=(3, cfg.max_words))
+    _, caches = mdl.training_forward(params, feats, dec_in, video)
+    loss, grads = mdl.training_backward(params, caches, target)
+    samples = ([0, 1, 2], video, dec_in, target)
+    losses, want = oracles.batch_gradients_per_sample(params, feats.__getitem__, samples,
+                                                      range(len(video)))
+    assert abs(loss - sum(losses) / len(losses)) < 1e-12
+    for name, g in grads.items():
+        assert np.max(np.abs(g - want[name])) < 1e-10, name
+
+
 def traced_peak(tmp_path, batch_size, n_videos=6,
                 mcfg=ModelConfig(frames=8, feature_dim=256, latent=64,
                                  max_words=10, vocab=40)):
