@@ -18,7 +18,7 @@ from . import model as mdl
 from . import training
 from .features import FeatureStore, VideoFrames, load_manifest, read_feature_file
 from .tokenizer import Tokenizer
-from .util import InputError, fmt6, read_lines, write_atomic
+from .util import InputError, fmt6, read_lines, write_lines
 
 TOKENIZER_FILE = "tokenizer.txt"
 METRICS_FILE = "metrics.csv"
@@ -128,7 +128,7 @@ def _load_tokenizer(path, cfg):
 
 def cmd_prepare(ns):
     """Build split key files, the tokenizer file, and a summary.  Each
-    file is written whole or not at all (util.write_atomic), one after
+    file is written whole or not at all (util.write_lines), one after
     the other, so a failure can leave new files next to old ones."""
     raw = corpus_mod.parse_descriptions(ns.descriptions)
     corp = corpus_mod.build_corpus(raw)
@@ -152,8 +152,7 @@ def cmd_prepare(ns):
         f"test={len(split.test_keys)}",
         f"videos missing features: {missing}",
     ]
-    with write_atomic(os.path.join(ns.out, "summary.txt")) as fh:
-        fh.writelines(line + "\n" for line in lines)
+    write_lines(os.path.join(ns.out, "summary.txt"), lines)
     for line in lines:
         print(line)
     return 0

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .util import InputError, fisher_yates, open_text, read_lines, write_atomic
+from .util import InputError, fisher_yates, open_text, read_lines, write_lines
 
 BOS = "bos"
 EOS = "eos"
@@ -119,14 +119,12 @@ def split_keys(corpus, seed):
 
 def save_split(split, out_dir):
     """Write train.keys / val.keys / test.keys, one video id per line.
-    Each file is written whole or not at all (util.write_atomic), one
+    Each file is written whole or not at all (util.write_lines), one
     after the other: a failure can leave new files next to old ones."""
     for name, keys in (("train", split.train_keys),
                        ("val", split.val_keys),
                        ("test", split.test_keys)):
-        path = os.path.join(out_dir, _SPLIT_FILES[name])
-        with write_atomic(path) as fh:
-            fh.writelines(k + "\n" for k in keys)
+        write_lines(os.path.join(out_dir, _SPLIT_FILES[name]), keys)
 
 
 def load_split_keys(out_dir, split_name):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .util import InputError, fmt6, write_atomic
+from .util import InputError, fmt6, write_lines
 
 HIST_BINS = 10
 
@@ -124,22 +124,18 @@ def write_report_csv(path, report):
     """`split,video_id,bleu2,prediction` rows, prediction always quoted
     and split or video_id quoted when they would not parse bare.  Like
     the other two CSV writers, it writes path whole or not at all
-    (util.write_atomic)."""
-    with write_atomic(path) as fh:
-        fh.write("split,video_id,bleu2,prediction\n")
-        for r in report.rows:
-            fh.write(f'{_csv_field(r.split)},{_csv_field(r.video_id)},{fmt6(r.bleu)},'
-                     f'{_quoted(" ".join(r.prediction))}\n')
+    (util.write_lines), and quotes the split the same way."""
+    write_lines(path, ["split,video_id,bleu2,prediction", *(
+        f'{_csv_field(r.split)},{_csv_field(r.video_id)},{fmt6(r.bleu)},'
+        f'{_quoted(" ".join(r.prediction))}' for r in report.rows)])
 
 
 def write_summary_csv(path, report):
-    with write_atomic(path) as fh:
-        fh.write("split,count,mean_bleu2\n")
-        fh.write(f"{report.split},{len(report.rows)},{fmt6(report.mean)}\n")
+    write_lines(path, ["split,count,mean_bleu2",
+                       f"{_csv_field(report.split)},{len(report.rows)},{fmt6(report.mean)}"])
 
 
 def write_histogram_csv(path, report):
-    with write_atomic(path) as fh:
-        fh.write("split,bin_low,bin_high,count\n")
-        for low, high, count in histogram_counts([r.bleu for r in report.rows]):
-            fh.write(f"{report.split},{fmt6(low)},{fmt6(high)},{count}\n")
+    write_lines(path, ["split,bin_low,bin_high,count", *(
+        f"{_csv_field(report.split)},{fmt6(low)},{fmt6(high)},{count}"
+        for low, high, count in histogram_counts([r.bleu for r in report.rows]))])

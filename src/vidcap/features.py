@@ -29,10 +29,8 @@ def decimation_indices(frame_count, target=80):
         raise InputError(f"frame_count must be >= 1, got {frame_count}")
     if target < 1:
         raise InputError(f"target must be >= 1, got {target}")
-    if target == 1:
-        return np.zeros(1, dtype=np.int64)
     num = frame_count - 1
-    den = target - 1
+    den = max(target - 1, 1)  # target 1 gives [0]
     i = np.arange(target, dtype=np.int64)
     # exact integer round-half-up of i*num/den (non-negative operands)
     return (2 * i * num + den) // (2 * den)

@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 from .features import decimation_indices, write_feature_file
-from .util import InputError, write_atomic
+from .util import InputError, write_lines
 
 WORDS = ("a", "man", "woman", "dog", "cat", "ball", "guitar", "slices",
          "plays", "rides", "throws", "holds", "red", "small", "quickly",
@@ -54,11 +54,10 @@ def make_fixture(out_dir, n_videos=6, seed=1, captions_per_video=3,
         matrix = raw[decimation_indices(raw_frames, frames)]
         rel = os.path.join("feat", vid + ".vfm")
         write_feature_file(os.path.join(out_dir, rel), matrix)
-        manifest_lines.append(f"{vid}\t{rel}\n")
-        desc_lines += [f"{vid}\t{' '.join(words)}\n"] * captions_per_video
+        manifest_lines.append(f"{vid}\t{rel}")
+        desc_lines += [f"{vid}\t{' '.join(words)}"] * captions_per_video
     paths = {"manifest": os.path.join(out_dir, "manifest.tsv"),
              "descriptions": os.path.join(out_dir, "descriptions.txt")}
-    for name, lines in (("manifest", manifest_lines), ("descriptions", desc_lines)):
-        with write_atomic(paths[name]) as fh:
-            fh.writelines(lines)
+    write_lines(paths["manifest"], manifest_lines)
+    write_lines(paths["descriptions"], desc_lines)
     return paths

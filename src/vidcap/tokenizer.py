@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 
-from .util import InputError, open_text, write_atomic
+from .util import InputError, open_text, write_lines
 
 
 class Tokenizer:
@@ -63,11 +63,9 @@ class Tokenizer:
 
     def save(self, path):
         """Write `V=<cap>` then one `<index>\\t<word>` line per entry,
-        whole or not at all (util.write_atomic)."""
-        with write_atomic(path) as fh:
-            fh.write(f"V={self.cap}\n")
-            for idx in range(1, self.size + 1):
-                fh.write(f"{idx}\t{self.index_to_word[idx]}\n")
+        whole or not at all (util.write_lines)."""
+        write_lines(path, [f"V={self.cap}", *(
+            f"{idx}\t{self.index_to_word[idx]}" for idx in range(1, self.size + 1))])
 
     @classmethod
     def load(cls, path):

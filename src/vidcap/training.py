@@ -8,7 +8,7 @@ import numpy as np
 
 from . import model as mdl
 from . import nn
-from .util import InputError, fisher_yates, fmt6, write_atomic
+from .util import InputError, fisher_yates, fmt6, write_lines
 
 
 class TrainingDiverged(RuntimeError):
@@ -42,8 +42,9 @@ def build_samples(keys, corpus, tok, max_words):
     decoder input and target word indices, zero-padded.  Each caption is
     one sample, shifted by one: decoder input tokens[0..L-2], target
     tokens[1..L-1].  Captions that shrink below two indices after
-    vocabulary filtering are skipped.  Set-up counts the rows, then
-    fills the table in place."""
+    vocabulary filtering are skipped; one with more than max_words
+    decoder steps (L - 1) raises InputError naming its video.  Set-up
+    counts the rows, then fills the table in place."""
     keys = list(keys)
 
     def encoded():  # (video, word indices) of every caption kept, twice
@@ -55,6 +56,9 @@ def build_samples(keys, corpus, tok, max_words):
     dec_in = np.empty((n, max_words), dtype=np.intp)
     target = np.empty((n, max_words), dtype=np.intp)
     for i, (v, idx) in enumerate(encoded()):
+        if len(idx) - 1 > max_words:
+            raise InputError(f"video '{keys[v]}': a caption has {len(idx) - 1} decoder "
+                             f"steps, more than max_words {max_words}")
         video[i], dec_in[i] = v, tok.pad(idx[:-1], max_words)
         target[i] = tok.pad(idx[1:], max_words)
     return keys, video, dec_in, target
@@ -159,12 +163,10 @@ class MetricsHistory:
     rows: list = field(default_factory=list)
 
     def to_csv(self, path):
-        """Write the rows to path, whole or not at all (util.write_atomic)."""
-        with write_atomic(path) as fh:
-            fh.write("epoch,train_loss,train_acc,val_loss,val_acc\n")
-            for r in self.rows:
-                fh.write(f"{r.epoch},{fmt6(r.train_loss)},{fmt6(r.train_acc)},"
-                         f"{fmt6(r.val_loss)},{fmt6(r.val_acc)}\n")
+        """Write the rows to path, whole or not at all (util.write_lines)."""
+        write_lines(path, ["epoch,train_loss,train_acc,val_loss,val_acc", *(
+            f"{r.epoch},{fmt6(r.train_loss)},{fmt6(r.train_acc)},"
+            f"{fmt6(r.val_loss)},{fmt6(r.val_acc)}" for r in self.rows)])
 
 
 def evaluate_samples(params, store, samples, shape=None):

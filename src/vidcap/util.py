@@ -66,6 +66,14 @@ def write_atomic(path, mode="w"):
         raise
 
 
+def write_lines(path, lines):
+    """Write each string of lines followed by one "\\n", as UTF-8, whole
+    or not at all (write_atomic): the write twin of read_lines.  A line
+    break inside a string is written as it is."""
+    with write_atomic(path) as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def all_finite(arr):
     """Whether every value of arr is finite (an empty array is).  min and
     max, unlike isfinite, build no array-sized temporary."""

@@ -1,6 +1,6 @@
 """Mutation check: does the test suite catch a wrong kernel?
 
-    python tests/mutants.py
+    python tests/mutants.py [--only PATTERN]
 
 Each MUTANTS entry is (file under src/vidcap, exact snippet,
 replacement, test files under tests/).  For each one the harness copies
@@ -11,10 +11,13 @@ entry whose snippet does not occur exactly once, or whose test file is
 missing, is stale: refactors must keep the list honest.  The named test
 files are first run once on an unmutated copy, which must pass.  Exits
 non-zero on any survivor, stale entry or run that is neither a pass nor
-a test failure.  pytest does not collect this file (it is not
-test_*.py).
+a test failure.  With --only PATTERN it runs only the entries whose
+file name or snippet contains PATTERN, and their test files alone as
+the unmutated run; no match is an error.  pytest does not collect this
+file (it is not test_*.py).
 """
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -106,6 +109,12 @@ MUTANTS = (
      ("test_reads.py",)),
     # read_header skips the magic check
     ("util.py", "if not head.startswith(magic):", "if False:", ("test_reads.py",)),
+    # write_lines drops the line terminator
+    ("util.py", 'fh.writelines(line + "\\n" for line in lines)', "fh.writelines(lines)",
+     ("test_evaluation.py", "test_tokenizer.py")),
+    # write_lines writes its final path directly, not through write_atomic
+    ("util.py", "with write_atomic(path) as fh:",
+     'with open(path, "w", encoding="utf-8") as fh:', ("test_writes.py",)),
 )
 
 
@@ -149,11 +158,20 @@ def _pytest(tests, entry=None):
 
 
 def main():
+    parser = argparse.ArgumentParser(description="Mutation check of the test suite.")
+    parser.add_argument("--only", metavar="PATTERN",
+                        help="run the mutants whose file name or snippet contains PATTERN")
+    only = parser.parse_args().only
+    mutants = [entry for entry in MUTANTS
+               if only is None or only in entry[0] or only in entry[1]]
+    if not mutants:
+        print(f"no mutant matches {only!r}")
+        return 1
     start = time.perf_counter()
-    stale = [(entry, why) for entry in MUTANTS if (why := _stale(entry))]
+    stale = [(entry, why) for entry in mutants if (why := _stale(entry))]
     for (name, snippet, _, _), why in stale:
         print(f"STALE    {name}: {snippet!r}: {why}")
-    runnable = [entry for entry in MUTANTS if not _stale(entry)]
+    runnable = [entry for entry in mutants if not _stale(entry)]
     tests = sorted({t for entry in runnable for t in entry[3]})
     if _pytest(tests) != 0:
         print(f"the unmutated tests fail: {' '.join(tests)}")
@@ -166,7 +184,7 @@ def main():
         failed += code != 1
         print(f"{verdict:8} {name}: {snippet.strip()!r} -> {replacement.strip()!r}")
     killed = len(runnable) - (failed - len(stale))
-    print(f"{killed}/{len(MUTANTS)} mutants killed, {len(stale)} stale, "
+    print(f"{killed}/{len(mutants)} mutants killed, {len(stale)} stale, "
           f"in {time.perf_counter() - start:.0f} s")
     return 1 if failed else 0
 

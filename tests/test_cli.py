@@ -768,6 +768,22 @@ def test_train_max_words_above_cap_exits_2(ws):
     assert err.splitlines() == ["error: max_words must be at most 1024, got 1025"]
 
 
+def test_quick_start_train_max_words_below_a_caption_exits_2(tmp_path):
+    # a kept caption longer than --max-words once failed inside
+    # Tokenizer.pad with a message naming neither the video nor the option
+    demo, run = tmp_path / "demo", tmp_path / "run"
+    commands = {argv[0]: [arg.replace("/tmp/demo", str(demo)).replace("/tmp/run", str(run))
+                          for arg in argv] for argv in readme_commands()}
+    for name in ("make-fixture", "prepare"):
+        code, _, err = run_cli(*commands[name])
+        assert code == 0, err
+    code, out, err = run_cli(*commands["train"], "--max-words", "3")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: video 'vid004': a caption has 9 decoder steps, more than max_words 3"]
+    assert not list(run.glob("*.sq2s")) and not (run / "metrics.csv").exists()
+
+
 def test_caption_zero_dim_checkpoint_exits_2(ws, tmp_path):
     path = tmp_path / "zero.sq2s"
     blob = bytearray(ws["ckpt"].read_bytes())

@@ -236,3 +236,27 @@ def test_histogram_csv_ten_rows(tmp_path):
     assert len(lines) == 11
     assert lines[4] == "test,0.3,0.4,1"   # 1/3 lands here
     assert lines[10] == "test,0.9,1,1"    # 1.0 closes the last bin
+
+
+@pytest.mark.parametrize("split", ["test", "my_split-2", "a,b", 'a"b', "a\nb", "a\r\nb"])
+def test_csv_split_round_trips(tmp_path, split):
+    # a split name with a comma, quote or line break is quoted in all
+    # three CSVs, so every row still parses into its columns; a plain
+    # name is written bare, as before
+    def written(name, tag):
+        report = EvalReport([EvalRow(name, "v1", 1.0, ["a", "man"]),
+                             EvalRow(name, "v2", 1 / 3, ["a"])], name)
+        out = {}
+        for write in (write_report_csv, write_summary_csv, write_histogram_csv):
+            path = tmp_path / f"{tag}-{write.__name__}.csv"
+            write(str(path), report)
+            with open(path, encoding="utf-8", newline="") as fh:
+                out[write.__name__] = (path.read_bytes(), list(csv.DictReader(fh)))
+        return out
+
+    plain = written("plain", "plain")
+    for name, (data, rows) in written(split, "split").items():
+        assert [{**row, "split": "plain"} for row in rows] == plain[name][1]
+        assert all(row["split"] == split for row in rows)
+        if not set(',"\r\n') & set(split):
+            assert data == plain[name][0].replace(b"plain,", split.encode() + b",")

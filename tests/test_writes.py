@@ -201,3 +201,21 @@ def test_only_write_atomic_opens_files_for_writing():
             if not (isinstance(mode, ast.Constant) and not set(mode.value) & set("wax+")):
                 writers.append(f"{path.name}:{owner.get(id(node))}")
     assert writers == ["util.py:write_atomic"]
+
+
+def test_only_util_writes_text_through_write_atomic():
+    # a line file goes through util.write_lines, which owns the line end;
+    # elsewhere write_atomic is for the binary formats only
+    text_writers = []
+    for path in sorted((SRC / "vidcap").glob("*.py")):
+        if path.name == "util.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and "write_atomic" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+                continue
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                        node.args[1] if len(node.args) > 1 else None)
+            if not (isinstance(mode, ast.Constant) and mode.value == "wb"):
+                text_writers.append(f"{path.name}:{node.lineno}")
+    assert text_writers == []
