@@ -369,7 +369,7 @@ def _greedy_rows(params, tok, state, prev, bos, eos, max_words):
     words = [[] for _ in rows]
     for step in range(1, max_words + 1):
         probs, state = decode_step(params, state, prev)
-        if not np.isfinite(probs).all():
+        if not all_finite(probs):
             raise DecodeDiverged(f"decode step {step}: non-finite probabilities")
         prev = probs[..., :tok.size].argmax(axis=-1) + 1
         for row, k in zip(rows, np.atleast_1d(prev)):

@@ -28,7 +28,7 @@ class TrainConfig:
             raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise InputError(f"epochs must be >= 1, got {self.epochs}")
-        if not (np.isfinite(self.lr) and self.lr >= 0):
+        if not (math.isfinite(self.lr) and self.lr >= 0):
             raise InputError(f"lr must be finite and >= 0, got {self.lr}")
         if self.checkpoint_every < 0:
             raise InputError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")

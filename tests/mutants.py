@@ -56,9 +56,10 @@ MUTANTS = (
     # Adam's eps inside the square root
     ("nn.py", "np.sqrt(a, out=a)\n        np.add(a, eps, out=a)",
      "np.add(a, eps, out=a)\n        np.sqrt(a, out=a)", ("test_nn.py",)),
-    # adam_step's finiteness pass skips the last block
-    ("nn.py", "for s in range(0, g.size, ADAM_BLOCK):",
-     "for s in range(0, g.size - ADAM_BLOCK, ADAM_BLOCK):", ("test_nn.py",)),
+    # adam_step's naming walk starts at the second tensor
+    ("nn.py", "start = 0\n        for name, size in state.layout:",
+     "start = state.layout[0][1]\n        for name, size in state.layout[1:]:",
+     ("test_nn.py",)),
     # cross_entropy's gradient divided by B only, not by B n
     ("nn.py", "d_logits /= (B * n).astype(P.dtype)[:, None]",
      "d_logits /= (B + 0 * n).astype(P.dtype)[:, None]", ("test_nn.py",)),
@@ -102,6 +103,10 @@ MUTANTS = (
     # read_resident keeps a video without checking its shape
     ("training.py", "{keys[v]: _checked(keys[v], store.get(keys[v]), shape)",
      "{keys[v]: store.get(keys[v])", ("test_training.py",)),
+    # all_finite trusts the dot screen: finite values whose squares overflow fail
+    ("util.py", "and np.isfinite(np.vdot(arr, arr)):\n            return True",
+     ":\n            return bool(np.isfinite(np.vdot(arr, arr)))",
+     ("test_finite.py", "test_nn.py")),
     # read_lines keeps comment lines
     ("util.py", "and not text.startswith(\"#\")]", "]", ("test_reads.py",)),
     # read_lines keeps blank lines

@@ -594,8 +594,11 @@ def test_cross_entropy_masks_padding_rows():
 
 
 def test_cross_entropy_rejects_unnormalized_rows():
-    with pytest.raises(ValueError):
-        nn.cross_entropy(np.full((1, 4), 0.3), np.array([1]))
+    # the second row's entries are finite, but its float32 sum is NaN (inf - inf)
+    for P in (np.full((1, 4), 0.3),
+              np.array([[3e38, 3e38, -3e38, -3e38, 0, 0, 0, 0] * 2], np.float32)):
+        with pytest.raises(ValueError):
+            nn.cross_entropy(P, np.array([1]))
 
 
 def test_cross_entropy_rejects_nonfinite():
@@ -832,6 +835,8 @@ def test_adam_nonfinite_last_tensor_changes_nothing():
     ([("long", -1)], "long"),  # ends in the block where "tail" starts
     ([("long", -1), ("tail", 0)], "long"),  # the first non-finite value names it
     ([("short", 0)], "short"),  # starts at element 1 of the first block
+    ([("one", 0)], "one"),  # the first tensor
+    ([], None),  # only the huge finite values: the step is taken
 ])
 @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
 def test_adam_nonfinite_mid_block_names_the_right_tensor(poisoned, named_tensor, bad_value):
@@ -841,10 +846,16 @@ def test_adam_nonfinite_mid_block_names_the_right_tensor(poisoned, named_tensor,
     state = nn.AdamState(lr=3e-3, layout=ADAM_LAYOUT)
     nn.adam_step(state, flat, laid_out(grads[0], np.float32))
     bad = laid_out(grads[1], np.float32)
+    # finite, and each square too, but their sum of squares overflows float32
+    named(bad)["block"][3, :4] = 1.5e19
     for k, i in poisoned:
         named(bad)[k].reshape(-1)[i] = bad_value
-    message = step_rejected(flat, bad, state)
-    assert message == f"non-finite gradient for tensor '{named_tensor}'"
+    if named_tensor is None:
+        nn.adam_step(state, flat, bad)
+        assert state.t == 2 and np.isfinite(flat).all()
+    else:
+        message = step_rejected(flat, bad, state)
+        assert message == f"non-finite gradient for tensor '{named_tensor}'"
 
 
 def test_adam_step_makes_the_same_calls_for_one_tensor_or_eight(monkeypatch):
