@@ -44,12 +44,13 @@ class _CommandParser(argparse.ArgumentParser):
 def _add_options(sub, table):
     """Register options whose defaults resolve after config merging.
 
-    table rows: (flags, dest, kind, default, required, help).  Every flag
-    parses to None when not given (no type makes None), and the table is
-    kept on the namespace for _resolve_options.
+    table rows: (dest, kind, default, required, help); a row's flag is
+    --dest with each _ as -, which argparse parses back to dest.  Every
+    flag parses to None when not given (no type makes None), and the
+    table is kept on the namespace for _resolve_options.
     """
-    for flags, dest, kind, _, _, hlp in table:
-        sub.add_argument(*flags, dest=dest, type=kind, metavar=dest.upper(), help=hlp)
+    for dest, kind, _, _, hlp in table:
+        sub.add_argument("--" + dest.replace("_", "-"), type=kind, metavar=dest.upper(), help=hlp)
     sub.add_argument("--config", metavar="FILE", help="key = value file with option defaults")
     sub.set_defaults(_options=table)
 
@@ -85,14 +86,14 @@ def _coerce(raw, kind, key):
 def _resolve_options(ns):
     """Apply CLI > config > default precedence onto the namespace."""
     values = read_config_file(ns.config) if ns.config else {}
-    dests = {row[1] for row in ns._options}
+    dests = {row[0] for row in ns._options}
     for key in values:
         if key not in dests:
             raise InputError(f"unknown config key '{key}' for command '{ns.command}'")
-    for _, dest, kind, default, _, _ in ns._options:
+    for dest, kind, default, _, _ in ns._options:
         if getattr(ns, dest) is None:
             setattr(ns, dest, _coerce(values[dest], kind, dest) if dest in values else default)
-    for _, dest, _, _, required, _ in ns._options:
+    for dest, _, _, required, _ in ns._options:
         if required and getattr(ns, dest) is None:
             raise InputError(f"missing required option --{dest.replace('_', '-')} "
                              f"(or config key '{dest}')")
@@ -104,11 +105,11 @@ def _resolve_options(ns):
 
 _MODEL, _TRAIN = mdl.ModelConfig, training.TrainConfig  # field defaults = CLI defaults
 _MODEL_OPTS = [
-    (["--frames"], "frames", int, _MODEL.frames, False, "encoder timesteps per video"),
-    (["--feature-dim"], "feature_dim", int, _MODEL.feature_dim, False, "per-frame feature width"),
-    (["--latent"], "latent", int, _MODEL.latent, False, "LSTM hidden size"),
-    (["--max-words"], "max_words", int, _MODEL.max_words, False, "decoder timesteps"),
-    (["--vocab"], "vocab", int, _MODEL.vocab, False, "vocabulary cap"),
+    ("frames", int, _MODEL.frames, False, "encoder timesteps per video"),
+    ("feature_dim", int, _MODEL.feature_dim, False, "per-frame feature width"),
+    ("latent", int, _MODEL.latent, False, "LSTM hidden size"),
+    ("max_words", int, _MODEL.max_words, False, "decoder timesteps"),
+    ("vocab", int, _MODEL.vocab, False, "vocabulary cap"),
 ]
 
 
@@ -226,51 +227,50 @@ def cmd_make_fixture(ns):
 # each subcommand's name, help, handler and option table
 _COMMANDS = [
     ("prepare", "parse captions, split keys, fit tokenizer", cmd_prepare, [
-        (["--descriptions"], "descriptions", str, None, True, "caption text file"),
-        (["--manifest"], "manifest", str, None, True, "feature manifest file"),
-        (["--out"], "out", str, None, True, "output directory"),
-        (["--vocab"], "vocab", int, _MODEL.vocab, False, "vocabulary cap"),
-        (["--seed"], "seed", int, 42, False, "split shuffle seed"),
+        ("descriptions", str, None, True, "caption text file"),
+        ("manifest", str, None, True, "feature manifest file"),
+        ("out", str, None, True, "output directory"),
+        ("vocab", int, _MODEL.vocab, False, "vocabulary cap"),
+        ("seed", int, 42, False, "split shuffle seed"),
     ]),
     ("train", "train the model on the prepared splits", cmd_train, _MODEL_OPTS + [
-        (["--descriptions"], "descriptions", str, None, True, "caption text file"),
-        (["--manifest"], "manifest", str, None, True, "feature manifest file"),
-        (["--out"], "out", str, None, True, "directory with prepare artifacts"),
-        (["--batch-size"], "batch_size", int, _TRAIN.batch_size, False, "samples per Adam step"),
-        (["--epochs"], "epochs", int, _TRAIN.epochs, False, "training epochs"),
-        (["--lr"], "lr", float, _TRAIN.lr, False, "Adam learning rate"),
-        (["--seed"], "seed", int, _TRAIN.seed, False, "init and shuffle seed"),
-        (["--threads"], "threads", int, 1, False,
+        ("descriptions", str, None, True, "caption text file"),
+        ("manifest", str, None, True, "feature manifest file"),
+        ("out", str, None, True, "directory with prepare artifacts"),
+        ("batch_size", int, _TRAIN.batch_size, False, "samples per Adam step"),
+        ("epochs", int, _TRAIN.epochs, False, "training epochs"),
+        ("lr", float, _TRAIN.lr, False, "Adam learning rate"),
+        ("seed", int, _TRAIN.seed, False, "init and shuffle seed"),
+        ("threads", int, 1, False,
          "accepted, no effect: training runs on one thread; set "
          "OPENBLAS_NUM_THREADS to use more cores"),
-        (["--checkpoint-every"], "checkpoint_every", int, _TRAIN.checkpoint_every, False,
+        ("checkpoint_every", int, _TRAIN.checkpoint_every, False,
          "extra checkpoint every N epochs (0 = final only)"),
     ]),
     ("caption", "greedy-caption one video", cmd_caption, [
-        (["--checkpoint"], "checkpoint", str, None, True, "model checkpoint"),
-        (["--tokenizer"], "tokenizer", str, None, True, "tokenizer file"),
-        (["--manifest"], "manifest", str, None, False, "feature manifest file"),
-        (["--video-id"], "video_id", str, None, False, "video id in the manifest"),
-        (["--features"], "features", str, None, False, "a .vfm feature file"),
+        ("checkpoint", str, None, True, "model checkpoint"),
+        ("tokenizer", str, None, True, "tokenizer file"),
+        ("manifest", str, None, False, "feature manifest file"),
+        ("video_id", str, None, False, "video id in the manifest"),
+        ("features", str, None, False, "a .vfm feature file"),
     ]),
     ("eval", "score a whole split with BLEU-2", cmd_eval, [
-        (["--checkpoint"], "checkpoint", str, None, True, "model checkpoint"),
-        (["--descriptions"], "descriptions", str, None, True, "caption text file"),
-        (["--manifest"], "manifest", str, None, True, "feature manifest file"),
-        (["--out"], "out", str, None, True, "directory with prepare artifacts"),
-        (["--split"], "split", str, "test", False, "train, val or test"),
-        (["--threads"], "threads", int, 1, False,
+        ("checkpoint", str, None, True, "model checkpoint"),
+        ("descriptions", str, None, True, "caption text file"),
+        ("manifest", str, None, True, "feature manifest file"),
+        ("out", str, None, True, "directory with prepare artifacts"),
+        ("split", str, "test", False, "train, val or test"),
+        ("threads", int, 1, False,
          "accepted, no effect: decoding runs on one thread; set "
          "OPENBLAS_NUM_THREADS to use more cores"),
     ]),
     ("make-fixture", "write a synthetic toy corpus", cmd_make_fixture, [
-        (["--out"], "out", str, None, True, "output directory"),
-        (["--n-videos"], "n_videos", int, 6, False, "number of videos"),
-        (["--seed"], "seed", int, 1, False, "generator seed"),
-        (["--captions-per-video"], "captions_per_video", int, 3, False,
-         "caption repeats per video"),
-        (["--frames"], "frames", int, 8, False, "feature rows per video"),
-        (["--feature-dim"], "feature_dim", int, 16, False, "feature columns"),
+        ("out", str, None, True, "output directory"),
+        ("n_videos", int, 6, False, "number of videos"),
+        ("seed", int, 1, False, "generator seed"),
+        ("captions_per_video", int, 3, False, "caption repeats per video"),
+        ("frames", int, 8, False, "feature rows per video"),
+        ("feature_dim", int, 16, False, "feature columns"),
     ]),
 ]
 

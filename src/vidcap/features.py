@@ -144,11 +144,16 @@ class VideoFrames:
     """One video of a store as a lazy source, sliced like its array:
     shape is the store's expected shape, and video[rows] reads those
     frames through FeatureStore.get into a new array.  Nothing is read
-    until it is sliced."""
+    until it is sliced; a store without an expected shape raises
+    ValueError, since nothing would give the video's shape."""
 
     store: FeatureStore
     video_id: str
     dtype = np.dtype("<f4")
+
+    def __post_init__(self):
+        if self.store.expected_shape is None:
+            raise ValueError(f"video '{self.video_id}': its store has no expected shape")
 
     @property
     def shape(self):

@@ -160,21 +160,23 @@ def _params_from_tensors(t):
 
 
 def training_forward(params, feats, dec_in, video=slice(None)):
-    """Teacher-forced pass over a batch: each feats row (a distinct video,
-    as training.read_batch stacks them) encoded once, every caption decoded.
+    """Teacher-forced pass over a batch: each feats column (a distinct
+    video, as training.read_batch stacks them) encoded once, every
+    caption decoded.
 
-    feats stacks Bv videos (Bv x frames x D), dec_in holds B captions'
-    decoder input word indices (B x T, 0 at padding steps) and video
-    (B,) the feats row each caption reads, by default row i for caption
-    i.  The captions' decoders start from their rows' final (h, c) and
-    step as one recurrence; the head maps all T·B hidden states in one
+    feats stacks Bv videos time-major (frames x Bv x D), the layout
+    _encode_chunk's slices have; dec_in holds B captions' decoder input
+    word indices (B x T, 0 at padding steps) and video (B,) the feats
+    column each caption reads, by default column i for caption i.  The
+    captions' decoders start from their columns' final (h, c) and step
+    as one recurrence; the head maps all T·B hidden states in one
     product.  Returns (P, caches), P time-major (T x B x V).  A 1-D
     dec_in is one caption and feats its video (frames x D): the B = 1
     case, whose P is T x V.
     """
     single = np.ndim(dec_in) == 1
     if single:
-        feats, dec_in = np.asarray(feats)[None], np.asarray(dec_in)[None]
+        feats, dec_in = np.asarray(feats)[:, None], np.asarray(dec_in)[None]
     _, h, c, enc_cache = nn.lstm_forward(params.encoder, _project(params, feats))
     dec, steps = params.decoder, np.asarray(dec_in).T
     XW = dec.W[steps - 1]  # a copying gather, which lstm_forward consumes
@@ -215,31 +217,27 @@ def training_backward(params, caches, target, grads=None):
     # took 16x as long (200 rows of 2048 floats, numpy 2.4)
     for k, row in zip((steps[words] - 1).tolist(), dXW_d[words]):
         dW_d[k] += row
-    owner = np.eye(len(feats), dtype=dh0.dtype)[:, video]  # Bv x B, 1 where row feeds caption
+    owner = np.eye(feats.shape[1], dtype=dh0.dtype)[:, video]  # Bv x B, 1 where column feeds caption
     dXW_e, _, _, _, _ = nn.lstm_backward(params.encoder, enc_cache, None,
                                          owner @ dh0, owner @ dc0,
                                          out=(grads["encoder.U"], grads["encoder.b"]))
-    dXW_e = dXW_e.swapaxes(0, 1).reshape(-1, dXW_e.shape[-1])  # video-major, as feats
-    np.matmul(feats.reshape(-1, feats.shape[-1]).T, dXW_e, out=grads["encoder.W"])
+    np.matmul(feats.reshape(-1, feats.shape[-1]).T, dXW_e.reshape(-1, dXW_e.shape[-1]),
+              out=grads["encoder.W"])
     return loss, grads
 
 
 def _project(params, feat, out=None):
     """feat @ encoder.W in one GEMM, laid out as lstm_forward takes XW:
-    time-major and C-contiguous.  feat is B stacked videos (B x frames
-    x D), whose video-major product is copied time-major (a view at
-    B = 1, which is time-major already), or with out a time-major slice
-    (s x n x D), whose product is written straight into out
-    (contiguous, s x n x 4 latent) and returned.  Any other rank raises
+    feat is time-major (frames x B x D, a training batch or an encoder
+    slice), and so is its product (frames x B x 4 latent, C-contiguous),
+    written into out when given (a C-contiguous frames·B x 4 latent
+    buffer) and returned as a view of it.  Any other rank raises
     ValueError."""
-    feat, W = np.asarray(feat), params.encoder.W
+    feat = np.asarray(feat)
     if feat.ndim != 3:
         raise ValueError(f"features have shape {feat.shape}, expected 3 axes")
-    XW = np.matmul(feat.reshape(-1, feat.shape[-1]), W,
-                   out=None if out is None else out.reshape(-1, W.shape[1]))
-    if out is not None:
-        return out
-    return np.ascontiguousarray(XW.reshape(feat.shape[:2] + (-1,)).swapaxes(0, 1))
+    XW = np.matmul(feat.reshape(-1, feat.shape[-1]), params.encoder.W, out=out)
+    return XW.reshape(feat.shape[:2] + (-1,))
 
 
 def _slice_rows(frames):
@@ -254,14 +252,14 @@ def _encode_chunk(params, videos):
     arrays, or lazy sources with shape that slice like them), streamed
     over time S = _slice_rows(frames) // n frames at a time.
 
-    Two buffers are allocated for the chunk, X (S x n x D) and its
-    projection XW (S x n x 4 latent), both time-major.  For each slice
-    of S frames (the last may be shorter), each video's rows,
-    video[t:t + s], are copied into its column X[:s, j] (a lazy
-    source's read is a new s x D array, freed once copied).  One GEMM
-    projects the slice into XW[:s], and one lstm_forward call advances
-    the chunk's recurrence over it from copies of the previous slice's
-    final state, so only one slice's Hs and Cs are alive.  Each frame is
+    Two buffers are allocated for the chunk, X (S x n x D), time-major,
+    and its projection XW (S·n x 4 latent).  For each slice of S frames
+    (the last may be shorter), each video's rows, video[t:t + s], are
+    copied into its column X[:s, j] (a lazy source's read is a new s x D
+    array, freed once copied).  One GEMM projects the slice into XW's
+    first s·n rows, and one lstm_forward call advances the chunk's
+    recurrence over it from copies of the previous slice's final state,
+    so only one slice's Hs and Cs are alive.  Each frame is
     read once.  A GEMM's rows round alike in either order, and chained
     calls as one call does, so the state is bitwise one stacked
     lstm_forward's.
@@ -269,27 +267,27 @@ def _encode_chunk(params, videos):
     (frames, dim), n, W = videos[0].shape, len(videos), params.encoder.W
     S = min(_slice_rows(frames) // n, frames)
     X = np.empty((S, n, dim), dtype=videos[0].dtype)
-    XW = np.empty((S, n, W.shape[1]), dtype=np.result_type(X.dtype, W.dtype))
+    XW = np.empty((S * n, W.shape[1]), dtype=np.result_type(X.dtype, W.dtype))
     h = c = None
     for t in range(0, frames, S):
         s = min(S, frames - t)
         x = X[:s]
         for j, video in enumerate(videos):
             x[:, j] = video[t:t + s]
-        xw = _project(params, x, XW[:s])
+        xw = _project(params, x, XW[:s * n])
         # copies, so that nothing keeps this slice's Hs and Cs alive
         h, c = [state.copy() for state in nn.lstm_forward(params.encoder, xw, h, c)[1:3]]
     return h, c
 
 
 def encode_video(params, feat):
-    """Final encoder state (h, c) of one video (frames x D): the B = 1
-    stack feat[None] through one GEMM with encoder.W and one
-    lstm_forward call, whose last state rows are returned as row 0;
-    frame outputs are dropped.  Any other rank raises ValueError."""
+    """Final encoder state (h, c) of one video (frames x D): row 0 of
+    _encode_chunk's state for the one-video chunk [feat], whose one
+    slice holds every frame; frame outputs are dropped.  Any other rank
+    raises ValueError."""
     if np.ndim(feat) != 2:
         raise ValueError(f"video has shape {np.shape(feat)}, expected (frames, D)")
-    _, h, c, _ = nn.lstm_forward(params.encoder, _project(params, np.asarray(feat)[None]))
+    h, c = _encode_chunk(params, [np.asarray(feat)])
     return h[0], c[0]
 
 
@@ -392,7 +390,7 @@ def _record_header(name, shape):
 
 
 def _write_tensor(fh, name, arr):
-    data = np.ascontiguousarray(arr, dtype="<f4")
+    data = np.asarray(arr, dtype="<f4")  # a view of flat, contiguous
     fh.write(_record_header(name, data.shape))
     fh.write(data)  # the array's own buffer: no bytes copy of the tensor
 

@@ -105,22 +105,23 @@ def read_resident(store, keys, video, shape):
 
 def read_batch(store, keys, video, shape=None):
     """Each distinct video of sample rows' video indices once, in index
-    order, in one (Bv x frames x D) float32 array; returns it and the
-    (B,) row map from each sample to its feats row.  store is a
-    FeatureStore or a read_resident dict of keys; either gives each of
-    those videos through store.get, and its matrix is copied into the
-    array.  Each video must have shape, the model's (frames, D), or by
-    default the first one's, else InputError, which then names both
-    videos and both shapes."""
+    order, in one time-major (frames x Bv x D) float32 array, column i
+    the i-th distinct video; returns it and the (B,) row map from each
+    sample to its feats column.  store is a FeatureStore or a
+    read_resident dict of keys; either gives each of those videos
+    through store.get, and its matrix is copied into its column.  Each
+    video must have shape, the model's (frames, D), or by default the
+    first one's, else InputError, which then names both videos and both
+    shapes."""
     distinct = sorted(set(video.tolist()))
     first = store.get(keys[distinct[0]])
     like = None if shape else keys[distinct[0]]
     shape = shape or first.shape
-    feats = np.empty((len(distinct),) + shape, dtype=np.float32)
-    feats[0] = _checked(keys[distinct[0]], first, shape)
+    feats = np.empty((shape[0], len(distinct), shape[1]), dtype=np.float32)
+    feats[:, 0] = _checked(keys[distinct[0]], first, shape)
     del first  # one read in flight at a time
     for i, v in enumerate(distinct[1:], 1):
-        feats[i] = _checked(keys[v], store.get(keys[v]), shape, like)
+        feats[:, i] = _checked(keys[v], store.get(keys[v]), shape, like)
     return feats, np.searchsorted(distinct, video)
 
 
@@ -196,10 +197,11 @@ def train(params, cfg, model_cfg, train_keys, val_keys, corpus, tok, store,
 
     Per epoch: shuffle the sample table's rows with a seed derived from
     (seed, epoch), then run each batch of rows as one set of arrays:
-    read_batch's frames, one encoder row per distinct video, its row map
-    and those rows of dec_in and target go through one training_forward
-    and one training_backward, whose batch-mean gradients one Adam step
-    applies; validation follows.  Epoch metrics are per-sample means.
+    read_batch's frames (time-major, a column per distinct video), its
+    row map and those rows of dec_in and target go through one
+    training_forward and one training_backward, whose batch-mean
+    gradients one Adam step applies; validation follows.  Epoch metrics
+    are per-sample means.
     When the train and validation splits' features total at most
     RESIDENT_BYTES, each of their videos is read and checked once,
     before the first batch, into one read_resident dict per split, from

@@ -69,6 +69,9 @@ MUTANTS = (
     ("training.py", "return feats, np.searchsorted(distinct, video)",
      "return feats, (np.searchsorted(distinct, video) + 1) % len(distinct)",
      ("test_training.py",)),
+    # read_batch writes every video after the first into column 0
+    ("training.py", "feats[:, i] = _checked(", "feats[:, 0] = _checked(",
+     ("test_training.py",)),
     # make_batches seeded by the epoch alone
     ("training.py", "np.random.default_rng([seed, epoch])", "np.random.default_rng([epoch])",
      ("test_training.py",)),
@@ -98,8 +101,11 @@ MUTANTS = (
     # lstm_forward's g gate shifted like the sigmoid gates
     ("nn.py", "shift = 1.0 - scale", "shift = scale", ("test_nn.py",)),
     # the owner matrix transposed, which still broadcasts at B = Bv
-    ("model.py", "owner = np.eye(len(feats), dtype=dh0.dtype)[:, video]",
-     "owner = np.eye(len(feats), dtype=dh0.dtype)[:, video].T", ("test_training.py",)),
+    ("model.py", "owner = np.eye(feats.shape[1], dtype=dh0.dtype)[:, video]",
+     "owner = np.eye(feats.shape[1], dtype=dh0.dtype)[:, video].T", ("test_training.py",)),
+    # encoder.W's gradient pairs time-major frames with video-major gate gradients
+    ("model.py", "dXW_e.reshape(-1, dXW_e.shape[-1])",
+     "dXW_e.swapaxes(0, 1).reshape(-1, dXW_e.shape[-1])", ("test_training.py",)),
     # read_resident keeps a video without checking its shape
     ("training.py", "{keys[v]: _checked(keys[v], store.get(keys[v]), shape)",
      "{keys[v]: store.get(keys[v])", ("test_training.py",)),

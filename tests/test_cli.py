@@ -138,7 +138,7 @@ def test_help_lists_each_option_once(command):
     rows = build_parser().parse_args([command])._options
     code, out, _ = run_cli(command, "--help")
     assert code == 0
-    for flag in [flags[0] for flags, *_ in rows] + ["--config"]:
+    for flag in ["--" + dest.replace("_", "-") for dest, *_ in rows] + ["--config"]:
         assert len(re.findall(rf"^ +{re.escape(flag)} ", out, flags=re.M)) == 1, flag
 
 

@@ -324,6 +324,15 @@ def test_store_reports_a_misshaped_non_finite_file_by_its_shape(tmp_path):
         FeatureStore(str(tmp_path / "m.tsv"), expected_shape=(2, 1)).get("v")
 
 
+def test_video_frames_needs_a_store_with_an_expected_shape(tmp_path):
+    # a store built without one would give the lazy video no shape, and
+    # greedy_decode would fail on it with a TypeError
+    write_feature_file(str(tmp_path / "v.vfm"), np.zeros((2, 3), np.float32))
+    (tmp_path / "m.tsv").write_text("v\tv.vfm\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="'v': its store has no expected shape"):
+        VideoFrames(FeatureStore(str(tmp_path / "m.tsv")), "v")
+
+
 @pytest.mark.parametrize("rows", [slice(None), slice(1, 3), slice(5, 99),
                                   slice(3, 3), slice(-2, None)],
                          ids=["whole", "partial", "clipped", "empty", "negative-start"])

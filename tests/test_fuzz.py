@@ -134,7 +134,7 @@ TEXT_FILES = {
 }
 text_chunks = st.binary(min_size=1, max_size=8) | st.text(
     "\t\n\r =#-_.:/0189aeVvé\x00", min_size=1, max_size=8).map(str.encode)
-TRAIN_TYPES = {dest: kind for _, dest, kind, *_ in build_parser().parse_args(["train"])._options}
+TRAIN_TYPES = {dest: kind for dest, kind, *_ in build_parser().parse_args(["train"])._options}
 
 
 def load_config(path):

@@ -295,7 +295,7 @@ def test_sliced_encoder_state_is_bitwise_one_call(monkeypatch, frames, rows, dty
     assert len(nn.recurrent_panels(16, cfg.latent)) == 1
     shape = (rows, frames, cfg.feature_dim) if rows > 1 else (frames, cfg.feature_dim)
     feats = np.random.default_rng(rows).standard_normal(shape).astype(dtype)
-    stack = feats if rows > 1 else feats[None]
+    stack = feats.swapaxes(0, 1) if rows > 1 else feats[:, None]  # time-major
     _, h_one, c_one, _ = nn.lstm_forward(params.encoder, model._project(params, stack))
     if rows == 1:
         h_one, c_one = h_one[0], c_one[0]
@@ -326,7 +326,7 @@ def test_greedy_chunk_state_is_bitwise_one_stacked_call(monkeypatch, n):
     chunks = range(0, n, model.DECODE_CHUNK)
     assert len(starts) == len(chunks)
     for (h, c), s in zip(starts, chunks):
-        chunk = videos[s:s + model.DECODE_CHUNK]
+        chunk = videos[s:s + model.DECODE_CHUNK].swapaxes(0, 1)  # time-major
         _, h_one, c_one, _ = nn.lstm_forward(params.encoder, model._project(params, chunk))
         assert np.array_equal(h, h_one) and np.array_equal(c, c_one)
 
@@ -446,7 +446,7 @@ def test_sliced_chunk_state_is_bitwise_one_stacked_call(tmp_path, monkeypatch, n
     chunks = range(0, n, model.DECODE_CHUNK)
     assert len(starts) == len(chunks)
     for (h, c), s in zip(starts, chunks):
-        chunk = videos[s:s + model.DECODE_CHUNK]
+        chunk = videos[s:s + model.DECODE_CHUNK].swapaxes(0, 1)  # time-major
         _, h_one, c_one, _ = nn.lstm_forward(params.encoder, model._project(params, chunk))
         assert np.array_equal(h, h_one) and np.array_equal(c, c_one)
 
@@ -499,7 +499,7 @@ def test_stacked_encode_and_vector_decode_match_single_rows():
     # the 5-row head GEMM differs from the 1-row one by about an ulp
     params = ModelParams.init(TOY, seed=10)
     feats = _videos(5, seed=10)
-    _, h, c, _ = nn.lstm_forward(params.encoder, model._project(params, feats))
+    _, h, c, _ = nn.lstm_forward(params.encoder, model._project(params, feats.swapaxes(0, 1)))
     assert h.shape == c.shape == (5, TOY.latent)
     tokens = np.array([3, 1, 7, 3, 5])
     probs, state = decode_step(params, DecodeState(h, c), tokens)
@@ -726,13 +726,13 @@ def test_inference_and_training_passes_leave_the_weights_bitwise_unchanged():
     before = {name: t.tobytes() for name, t in params.tensors().items()}
     videos = _videos(17)
     decode_step(params, DecodeState(*encode_video(params, videos[0])), 3)
-    stacked = nn.lstm_forward(params.encoder, model._project(params, videos[:3]))
+    stacked = nn.lstm_forward(params.encoder, model._project(params, videos[:3].swapaxes(0, 1)))
     decode_step(params, DecodeState(*stacked[1:3]), np.array([3, 3, 5]))
     greedy_decode(params, tok, videos[0], TOY.max_words)
     greedy_decode(params, tok, iter(list(videos)), TOY.max_words)  # one chunk of 17
     feat, dec_in, _ = toy_inputs(15, dtype=np.float32)
     training_forward(params, feat, dec_in)
-    training_forward(params, videos[:2], np.stack([dec_in, dec_in[::-1]]))
+    training_forward(params, videos[:2].swapaxes(0, 1), np.stack([dec_in, dec_in[::-1]]))
     assert {name: t.tobytes() for name, t in params.tensors().items()} == before
     dec = params.decoder
     with pytest.raises(ValueError, match="shares memory"):

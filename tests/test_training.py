@@ -528,6 +528,24 @@ def test_misshaped_video_stops_training_before_the_pass_that_reads_it(
     assert passes == ([15] if (path, bad) == ("per-use", 5) else [])
 
 
+@pytest.mark.parametrize("source", ["store", "resident"])
+def test_read_batch_lays_out_a_time_major_column_per_video(tmp_path, source):
+    # a batch is one C-contiguous frames x Bv x D array, the layout
+    # training_forward projects without a copy: column i holds the i-th
+    # distinct video in index order, and the row map points each sample
+    # at its video's column
+    _, _, store, keys = pipeline(tmp_path)
+    video = np.array([3, 0, 3, 4, 0])
+    shape = (MCFG.frames, MCFG.feature_dim)
+    src = store if source == "store" else training.read_resident(store, keys, video, shape)
+    feats, row_map = training.read_batch(src, keys, video, shape)
+    assert feats.shape == (MCFG.frames, 3, MCFG.feature_dim) and feats.dtype == np.float32
+    assert feats.flags.c_contiguous
+    for i, v in enumerate([0, 3, 4]):
+        assert feats[:, i].tobytes() == store.get(keys[v]).tobytes(), i
+    assert row_map.tolist() == [1, 0, 1, 2, 0]
+
+
 # (misshaped video, the video the error is raised for, its shape, the
 # first video's shape)
 @pytest.mark.parametrize("bad, named, got, like", [
@@ -550,7 +568,7 @@ def test_batch_gradient_equals_per_sample_oracle_float64():
     cfg = ModelConfig(frames=5, feature_dim=3, latent=4, max_words=6, vocab=7)
     params = ModelParams.init(cfg, seed=9, dtype=np.float64)
     rng = np.random.default_rng(9)
-    feats = rng.standard_normal((2, cfg.frames, cfg.feature_dim))
+    feats = rng.standard_normal((cfg.frames, 2, cfg.feature_dim))  # time-major
     video = np.array([0, 1, 0, 0, 1])  # video 0 three times, video 1 twice
     lengths = [6, 2, 4, 5, 1]
     dec_in = np.zeros((len(video), cfg.max_words), dtype=int)
@@ -561,7 +579,7 @@ def test_batch_gradient_equals_per_sample_oracle_float64():
     _, caches = mdl.training_forward(params, feats, dec_in, video)
     loss, grads = mdl.training_backward(params, caches, target)
     samples = ([0, 1], video, dec_in, target)
-    losses, want = oracles.batch_gradients_per_sample(params, feats.__getitem__, samples,
+    losses, want = oracles.batch_gradients_per_sample(params, lambda v: feats[:, v], samples,
                                                       range(len(video)))
     assert abs(loss - sum(losses) / len(losses)) < 1e-12
     for name, g in grads.items():
@@ -587,14 +605,14 @@ def test_batch_gradient_follows_a_cyclic_row_map_float64():
     cfg = ModelConfig(frames=4, feature_dim=3, latent=4, max_words=5, vocab=7)
     params = ModelParams.init(cfg, seed=3, dtype=np.float64)
     rng = np.random.default_rng(3)
-    feats = rng.standard_normal((3, cfg.frames, cfg.feature_dim))
+    feats = rng.standard_normal((cfg.frames, 3, cfg.feature_dim))  # time-major
     video = np.array([2, 0, 1])
     dec_in = rng.integers(1, cfg.vocab + 1, size=(3, cfg.max_words))
     target = rng.integers(1, cfg.vocab + 1, size=(3, cfg.max_words))
     _, caches = mdl.training_forward(params, feats, dec_in, video)
     loss, grads = mdl.training_backward(params, caches, target)
     samples = ([0, 1, 2], video, dec_in, target)
-    losses, want = oracles.batch_gradients_per_sample(params, feats.__getitem__, samples,
+    losses, want = oracles.batch_gradients_per_sample(params, lambda v: feats[:, v], samples,
                                                       range(len(video)))
     assert abs(loss - sum(losses) / len(losses)) < 1e-12
     for name, g in grads.items():
