@@ -7,6 +7,8 @@ softmax head maps every decoder hidden state to a distribution over
 the vocabulary.  decoder.W (V x 4H) is the word-embedding table: word k
 reads row k - 1, exactly its one-hot product, padding reads zeros, and
 the backward pass scatter-adds each step's gradient into that row.
+_decode is the one place it is read: training_forward runs it over a
+batch's captions and decode_step over one step of greedy decoding.
 """
 
 from dataclasses import dataclass
@@ -98,6 +100,7 @@ class ModelParams:
     decoder: nn.LstmParams
     head: nn.DenseParams
     flat: np.ndarray
+    named: dict  # the same views, by name in TENSOR_ORDER
 
     @classmethod
     def empty(cls, shapes, dtype):
@@ -107,7 +110,7 @@ class ModelParams:
         t = _tile(flat, shapes)
         return cls(nn.LstmParams(t["encoder.W"], t["encoder.U"], t["encoder.b"]),
                    nn.LstmParams(t["decoder.W"], t["decoder.U"], t["decoder.b"]),
-                   nn.DenseParams(t["head.W"], t["head.b"]), flat)
+                   nn.DenseParams(t["head.W"], t["head.b"]), flat, t)
 
     @classmethod
     def init(cls, cfg, seed, dtype=np.float32):
@@ -123,12 +126,9 @@ class ModelParams:
         return params
 
     def tensors(self):
-        """Named parameter tensors in the fixed checkpoint order."""
-        return {"encoder.W": self.encoder.W, "encoder.U": self.encoder.U,
-                "encoder.b": self.encoder.b,
-                "decoder.W": self.decoder.W, "decoder.U": self.decoder.U,
-                "decoder.b": self.decoder.b,
-                "head.W": self.head.W, "head.b": self.head.b}
+        """Named parameter tensors in the fixed checkpoint order (a copy
+        of named: the dict is new, the tensors are the views)."""
+        return dict(self.named)
 
     def views(self, buffer):
         """Named views of buffer (1-D, flat's size) laid out as the tensors."""
@@ -167,24 +167,41 @@ def training_forward(params, feats, dec_in, video=slice(None)):
     feats stacks Bv videos time-major (frames x Bv x D), the layout
     _encode_chunk's slices have; dec_in holds B captions' decoder input
     word indices (B x T, 0 at padding steps) and video (B,) the feats
-    column each caption reads, by default column i for caption i.  The
-    captions' decoders start from their columns' final (h, c) and step
-    as one recurrence; the head maps all T·B hidden states in one
-    product.  Returns (P, caches), P time-major (T x B x V).  A 1-D
+    column each caption reads, by default column i for caption i; an
+    explicit row map must read every column (read_batch's does), else
+    ValueError, which also catches most video-major stacks.  The
+    captions' decoders start from their columns' final (h, c), and
+    _decode runs them as one recurrence over decoder.W's embedding rows
+    (a word k reads row k - 1); the head maps all T·B hidden states in
+    one product.  Returns (P, caches), P time-major (T x B x V).  A 1-D
     dec_in is one caption and feats its video (frames x D): the B = 1
     case, whose P is T x V.
     """
     single = np.ndim(dec_in) == 1
     if single:
         feats, dec_in = np.asarray(feats)[:, None], np.asarray(dec_in)[None]
+    n = np.shape(feats)[1]
+    if not isinstance(video, slice) and not np.bincount(video, minlength=n).all():
+        raise ValueError(f"row map {video} does not read all {n} feats columns: "
+                         "is feats time-major (frames x Bv x D)?")
     _, h, c, enc_cache = nn.lstm_forward(params.encoder, _project(params, feats))
-    dec, steps = params.decoder, np.asarray(dec_in).T
-    XW = dec.W[steps - 1]  # a copying gather, which lstm_forward consumes
-    XW[steps == 0] = 0  # padding reads zeros
-    H, _, _, dec_cache = nn.lstm_forward(dec, XW, h[video], c[video])
-    P = nn.dense_softmax_forward(params.head, H.reshape(-1, dec.hidden))
-    P = P.reshape(steps.shape + (-1,))
+    steps = np.asarray(dec_in).T
+    P, H, _, _, dec_cache = _decode(params, steps, h[video], c[video])
     return (P[:, 0] if single else P), (feats, video, enc_cache, steps, dec_cache, H, P)
+
+
+def _decode(params, steps, h, c):
+    """The decoder pass from state (h, c) over T steps of word indices
+    (T, or T x B with (B, latent) state rows): each index k reads row
+    k - 1 of decoder.W, the embedding table (0 pads, and reads zeros),
+    one lstm_forward runs the recurrence and the softmax head maps every
+    hidden state.  Returns (P, H, h_T, c_T, cache), P of shape T x [B x] V.
+    """
+    XW = params.decoder.W[steps - 1]  # a copying gather, which lstm_forward consumes
+    XW[steps == 0] = 0  # padding reads zeros
+    H, h, c, cache = nn.lstm_forward(params.decoder, XW, h, c)
+    P = nn.dense_softmax_forward(params.head, H.reshape(-1, H.shape[-1]))
+    return P.reshape(steps.shape + (-1,)), H, h, c, cache
 
 
 def training_backward(params, caches, target, grads=None):
@@ -299,19 +316,15 @@ class DecodeState:
 
 def decode_step(params, state, token_index):
     """One decoder step on a token index, or on B indices with (B, latent)
-    state rows: a T = 1 lstm_forward over the words' embedding rows, then
-    the softmax head that training_forward runs.  Returns (probs, state),
-    probs (V,) or (B, V)."""
+    state rows: training_forward's decoder pass, _decode, at T = 1, which
+    reads word k's embedding as row k - 1 of decoder.W and applies the
+    same softmax head.  Returns (probs, state), probs (V,) or (B, V)."""
     V = params.decoder.input_dim
     index = np.asarray(token_index)
     if index.min() < 1 or index.max() > V:
         raise InputError(f"token index {token_index} outside [1, {V}]")
-    # np.take copies even for a scalar index, whose basic-indexing row
-    # would be a view of the weights that lstm_forward's gates overwrite
-    XW = np.take(params.decoder.W, index - 1, axis=0)[None]
-    H, h, c, _ = nn.lstm_forward(params.decoder, XW, state.h, state.c)
-    probs = nn.dense_softmax_forward(params.head, H.reshape(-1, H.shape[-1]))
-    return probs.reshape(index.shape + (-1,)), DecodeState(h, c)
+    P, _, h, c, _ = _decode(params, index[None], state.h, state.c)
+    return P[0], DecodeState(h, c)
 
 
 class DecodeDiverged(RuntimeError):

@@ -79,6 +79,8 @@ MUTANTS = (
     ("model.py", "zip((steps[words] - 1).tolist(), dXW_d[words])",
      "zip((steps[1:][words[1:]] - 1).tolist(), dXW_d[1:][words[1:]])",
      ("test_model.py",)),
+    # _decode's padding steps read decoder.W's last row instead of zeros
+    ("model.py", "XW[steps == 0] = 0", "pass", ("test_model.py",)),
     # load_checkpoint skips the last tensor's finiteness check
     ("model.py", "if not all_finite(arr):",
      "if name != TENSOR_ORDER[-1] and not all_finite(arr):", ("test_model.py",)),

@@ -151,6 +151,21 @@ def test_forward_equals_kernel_composition():
     assert np.all(np.abs(P.sum(axis=1) - 1.0) < 1e-6)
 
 
+def test_forward_rejects_a_video_major_stack():
+    # Bv x frames x D with a row map would encode the frames as videos
+    cfg = ModelConfig(frames=8, feature_dim=16, latent=4, max_words=5, vocab=7)
+    params = ModelParams.init(cfg, seed=3)
+    rng = np.random.default_rng(3)
+    feats = rng.standard_normal((2, cfg.frames, cfg.feature_dim)).astype(np.float32)
+    dec_in = rng.integers(1, cfg.vocab + 1, size=(2, cfg.max_words))
+    with pytest.raises(ValueError, match="feats columns"):
+        training_forward(params, feats, dec_in, np.array([0, 1]))
+    with pytest.raises(ValueError, match="feats columns"):  # column 1 unread
+        training_forward(params, feats.swapaxes(0, 1), dec_in, np.array([0, 0]))
+    P, _ = training_forward(params, feats.swapaxes(0, 1), dec_in, np.array([1, 0]))
+    assert P.shape == (cfg.max_words, 2, cfg.vocab)
+
+
 def extended_loss(tensors, feat, dec_in, target):
     """Masked mean NLL evaluated at extended precision.
 
@@ -525,6 +540,28 @@ def test_decode_steps_match_teacher_forced_rows():
     for t, token in enumerate(prefix):
         probs, state = decode_step(params, state, token)
         assert np.max(np.abs(probs - P[t])) < 1e-6
+
+
+# (latent, vocab): the README quick start's and the paper's latent width
+SHARED_PASS_SIZES = [(32, 40), (512, 1500)]
+
+
+@pytest.mark.parametrize("size", range(len(SHARED_PASS_SIZES)))
+def test_vector_decode_step_is_training_forwards_first_row(size):
+    # one decoder pass serves both: from the same encoder state, a B-row
+    # step is bitwise the first step of the teacher-forced batch
+    latent, vocab = SHARED_PASS_SIZES[size]
+    cfg = ModelConfig(frames=8, feature_dim=16, latent=latent, max_words=10, vocab=vocab)
+    params = ModelParams.init(cfg, seed=21)
+    rng = np.random.default_rng(21)
+    videos = rng.standard_normal((3, cfg.frames, cfg.feature_dim)).astype(np.float32)
+    dec_in = rng.integers(1, vocab + 1, size=(3, cfg.max_words))
+    dec_in[1, 6:] = 0
+    P, _ = training_forward(params, videos.swapaxes(0, 1), dec_in)
+    probs, _ = decode_step(params, DecodeState(*model._encode_chunk(params, videos)),
+                           dec_in[:, 0])
+    assert probs.shape == (3, vocab)
+    assert np.array_equal(probs, P[0])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
