@@ -102,6 +102,14 @@ MUTANTS = (
      ("test_model.py",)),
     # lstm_forward's g gate shifted like the sigmoid gates
     ("nn.py", "shift = 1.0 - scale", "shift = scale", ("test_nn.py",)),
+    # the blocked triangular inverse's off-diagonal block without its minus sign
+    ("nn.py", "out[h:, :h] = -C @ L[h:, :h] @ A", "out[h:, :h] = C @ L[h:, :h] @ A",
+     ("test_nn.py",)),
+    # orthogonal's triangle-aware product stops one column block short
+    ("nn.py", "np.matmul(inv[r0:r1, :r1], a[:, :r1].T, out=qt[r0:r1])",
+     "np.matmul(inv[r0:r1, :r0], a[:, :r0].T, out=qt[r0:r1])", ("test_nn.py",)),
+    # glorot_uniform's shift added with the wrong sign
+    ("nn.py", "        u -= limit\n", "        u += limit\n", ("test_nn.py",)),
     # the owner matrix transposed, which still broadcasts at B = Bv
     ("model.py", "owner = np.eye(feats.shape[1], dtype=dh0.dtype)[:, video]",
      "owner = np.eye(feats.shape[1], dtype=dh0.dtype)[:, video].T", ("test_training.py",)),

@@ -72,6 +72,7 @@ def test_init_matches_counts():
 
 # a config whose encoder.W (4096 x 256 float32) is a 4 MB tensor
 WIDE = ModelConfig(frames=8, feature_dim=4096, latent=64, max_words=10, vocab=1500)
+WIDE96 = ModelConfig(frames=8, feature_dim=4096, latent=96, max_words=10, vocab=1500)
 
 
 @pytest.mark.parametrize("seed", [42, 7])
@@ -88,12 +89,15 @@ def test_init_matches_householder_oracle(seed):
             np.testing.assert_array_max_ulp(got[name][differ], ref[name][differ], ulps)
 
 
-def test_init_peak_memory_is_the_tensors_it_keeps():
+@pytest.mark.parametrize("cfg,w_mib", [(WIDE, 4), (WIDE96, 6)],
+                         ids=["latent64", "latent96"])
+def test_init_peak_memory_is_the_tensors_it_keeps(cfg, w_mib):
     # no tensor-sized float64 draw: one GLOROT_BLOCK of draws and the
-    # float64 orthogonal factors (256 x 64 here) are the transients
-    params, _, peak = traced(ModelParams.init, WIDE, seed=3)
+    # float64 orthogonal factors (4h x h) are the transients; latent 96
+    # is above nn.TRI_LEAF, so its factor is inverted by blocks
+    params, _, peak = traced(ModelParams.init, cfg, seed=3)
     kept = sum(t.nbytes for t in params.tensors().values())
-    assert params.encoder.W.nbytes == 4 * 2**20
+    assert params.encoder.W.nbytes == w_mib * 2**20
     assert peak - kept <= 2 * 2**20
 
 

@@ -916,14 +916,30 @@ def test_orthogonal_tall_has_orthonormal_columns():
 
 
 @pytest.mark.parametrize("rows,cols", [(4, 16), (16, 4), (7, 7), (1, 5), (32, 128),
-                                       (512, 2048)])
+                                       (512, 2048), (65, 260), (100, 400), (129, 516),
+                                       (400, 100), (513, 2052)])
 def test_orthogonal_matches_householder_qr(rows, cols):
-    # Cholesky QR gives Householder's positive-diagonal Q from the same draw
+    # Cholesky QR gives Householder's positive-diagonal Q from the same
+    # draw; the shapes above TRI_LEAF split their factor unevenly
     seed = rows * 1000 + cols
     q = nn.orthogonal(np.random.default_rng(seed), rows, cols, dtype=np.float64)
     ref = orthogonal_householder(np.random.default_rng(seed), rows, cols, dtype=np.float64)
     assert q.shape == (rows, cols) and q.flags.c_contiguous
     assert np.max(np.abs(q - ref)) < 1e-12
+
+
+def test_orthogonal_inverts_no_block_above_the_leaf(monkeypatch):
+    # the Cholesky factor is inverted by triangular blocks: a general
+    # inverse sees diagonal leaves only, never the 512 x 512 factor
+    shapes, inv = [], np.linalg.inv
+
+    def recording_inv(a):
+        shapes.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
+    nn.orthogonal(np.random.default_rng(0), 512, 2048)
+    assert shapes and max(max(s) for s in shapes) <= nn.TRI_LEAF < 512
 
 
 @pytest.mark.parametrize("rows,cols", [(30, 50), (1, 7), (1, 3 * nn.GLOROT_BLOCK + 5),
